@@ -69,31 +69,71 @@ def _manifest(args, extra=None):
     return rec
 
 
+def _model_block(args):
+    """The config's "model" object ({} without --config)."""
+    cfg = _load_config(args.config) if args.config else {}
+    block = cfg.get("model", {}) if isinstance(cfg, dict) else None
+    if not isinstance(block, dict):
+        raise ValidationFailure("config field 'model' must be a JSON object")
+    return block
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _require(block, names):
+    missing = [k for k in names if block.get(k) is None]
+    if missing:
+        raise ValidationFailure(f"missing model field(s): {', '.join(missing)}")
+
+
+def _number_lists(block, names):
+    """The named fields of a model block, each a non-empty list of numbers."""
+    _require(block, names)
+    for k in names:
+        v = block[k]
+        if not isinstance(v, list) or not v or not all(_is_number(x) for x in v):
+            raise ValidationFailure(f"model field {k!r} must be a non-empty list of numbers, got {v!r}")
+    return [tuple(block[k]) for k in names]
+
+
 def _model_from_args(args):
     from .model import QHahnModel
 
-    cfg = _load_config(args.config) if args.config else {}
-    block = cfg.get("model", {})
-    q = args.q if args.q is not None else block.get("q")
-    mu = block.get("mu")
-    kappa = block.get("kappa")
-    lam = block.get("lam")
-    colors = block.get("colors")
-    missing = [k for k, v in {"q": q, "mu": mu, "kappa": kappa, "lam": lam, "colors": colors}.items() if v is None]
-    if missing:
-        raise ValidationFailure(f"missing model field(s): {', '.join(missing)}")
-    return QHahnModel(q=q, mu=tuple(mu), kappa=tuple(kappa), lam=tuple(lam), colors=tuple(colors))
+    block = dict(_model_block(args))
+    if args.q is not None:
+        block["q"] = args.q
+    _require(block, ("q", "mu", "kappa", "lam", "colors"))
+    if not _is_number(block["q"]):
+        raise ValidationFailure(f"model field 'q' must be a number, got {block['q']!r}")
+    mu, kappa, lam, colors = _number_lists(block, ("mu", "kappa", "lam", "colors"))
+    if not all(isinstance(c, int) and c >= 0 for c in colors):
+        raise ValidationFailure(f"model field 'colors' must list nonnegative integers, got {list(colors)!r}")
+    return QHahnModel(q=block["q"], mu=mu, kappa=kappa, lam=lam, colors=colors)
 
 
 def _polymer_from_args(args):
     from .polymer import PolymerModel
 
-    cfg = _load_config(args.config) if args.config else {}
-    block = cfg.get("model", {})
-    for key in ("sigma", "rho", "omega"):
-        if key not in block:
-            raise ValidationFailure(f"missing model field(s): {key}")
-    return PolymerModel(tuple(block["sigma"]), tuple(block["rho"]), tuple(block["omega"]))
+    return PolymerModel(*_number_lists(_model_block(args), ("sigma", "rho", "omega")))
+
+
+def _freq_model_from_args(args):
+    from .asymptotics import FreqModel
+
+    defaults = {"sigma": [0.0], "alpha": [1.0], "rho": [-1.0], "beta": [1.0], "omega": [-2.0], "gamma": [1.0]}
+    return FreqModel(*_number_lists({**defaults, **_model_block(args)}, tuple(defaults)))
+
+
+def _check_polymer_point(pmodel, x, y, r=0, omega_span=None):
+    """Reject (x, y, r) outside the domain or the schedules: sigma_0..x, rho_1..y, omega_1..omega_span."""
+    if r < 0 or not 0 <= x <= y - r:
+        raise ValidationFailure(f"need r >= 0 and 0 <= x <= y - r, got x={x}, y={y}, r={r}")
+    for name, have, need in (("sigma", pmodel.sigma_list, x + 1), ("rho", pmodel.rho_list, y),
+                             ("omega", pmodel.omega_list, y - x if omega_span is None else omega_span)):
+        if len(have) < need:
+            raise ValidationFailure(f"model field {name!r} has {len(have)} entries; (x={x}, y={y}) needs {need}")
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +223,13 @@ def _cmd_verify(args):
 
 
 def _cmd_sample(args):
-    from .model import HeightRequest, height_field, sample_grid
+    from .model import sample_grids
     from .qtools import spawn_rng
 
     model = _model_from_args(args)
-    rng = spawn_rng(args.seed)
-    rows = []
-    for rep in range(args.samples):
-        cfg = sample_grid(model, rng)
-        for c in range(1, model.n_colors + 1):
-            H = height_field(cfg, c)
-            for ix in range(H.shape[0]):
-                for iy in range(H.shape[1]):
-                    rows.append((2 * ix + 1, 2 * iy + 1, c, int(H[ix, iy])))
+    H = sample_grids(model, args.samples, spawn_rng(args.seed)).heights()
+    _, c, ix, iy = np.indices(H.shape)
+    rows = np.stack([2 * ix + 1, 2 * iy + 1, c + 1, H], axis=-1).reshape(-1, 4).tolist()
     _emit(rows, args.output, header=("facet_x2", "facet_y2", "color", "value"))
     _emit([_manifest(args)], args.manifest)
 
@@ -209,6 +243,8 @@ def _cmd_moments(args):
         from .moments import qmoment_integral
 
         model = _model_from_args(args)
+        if not args.x:
+            raise ValidationFailure("moments qhahn needs --x, --y and --colors-list values")
         tau = Permutation(tuple(args.tau)) if args.tau else None
         req = HeightRequest.make(args.x, args.y, args.colors_list, tau)
         val, info = qmoment_integral(model, req, with_info=True)
@@ -226,6 +262,10 @@ def _cmd_moments(args):
         xs = [int(v) for v in args.x]
         ys = [int(v) for v in args.y]
         rs = [int(v) for v in args.r]
+        if not xs or not len(xs) == len(ys) == len(rs):
+            raise ValidationFailure("--x, --y and --r need the same positive number of values")
+        for x, y, r in zip(xs, ys, rs):
+            _check_polymer_point(pmodel, x, y, r)
         val, info = beta_moment_integral(pmodel, xs, ys, rs, tau=tau, with_info=True)
         records.append({
             "request": {"x": xs, "y": ys, "r": rs, "tau": list(tau.values) if tau else None},
@@ -236,6 +276,9 @@ def _cmd_moments(args):
         from .moments import single_contour_moment
 
         pmodel = _polymer_from_args(args)
+        if len(args.x) != 1 or len(args.y) != 1:
+            raise ValidationFailure("single-contour needs exactly one --x and one --y value")
+        _check_polymer_point(pmodel, int(args.x[0]), int(args.y[0]))
         val = single_contour_moment(pmodel, int(args.x[0]), int(args.y[0]), args.k)
         records.append({
             "request": {"x": int(args.x[0]), "y": int(args.y[0]), "k": args.k},
@@ -253,6 +296,7 @@ def _cmd_polymer(args):
     from .qtools import spawn_rng
 
     pmodel = _polymer_from_args(args)
+    _check_polymer_point(pmodel, args.x, args.y, args.r, omega_span=args.y)
     records = []
     if args.action == "dp":
         env = sample_environment(pmodel, args.x, args.y, spawn_rng(args.seed))
@@ -302,6 +346,7 @@ def _cmd_fredholm(args):
     else:
         pmodel = _polymer_from_args(args)
         x, y = args.x, args.y
+        _check_polymer_point(pmodel, x, y)
         if args.action == "laplace":
             from .fredholm import mb_determinant
 
@@ -327,15 +372,9 @@ def _cmd_fredholm(args):
 
 
 def _cmd_tw(args):
-    from .asymptotics import FreqModel, tw_experiment
+    from .asymptotics import tw_experiment
 
-    cfg = _load_config(args.config) if args.config else {}
-    block = cfg.get("model", {})
-    fm = FreqModel(
-        tuple(block.get("sigma", (0.0,))), tuple(block.get("alpha", (1.0,))),
-        tuple(block.get("rho", (-1.0,))), tuple(block.get("beta", (1.0,))),
-        tuple(block.get("omega", (-2.0,))), tuple(block.get("gamma", (1.0,))),
-    )
+    fm = _freq_model_from_args(args)
     batches = tw_experiment(fm, args.theta, args.t, args.samples, seed=args.seed,
                             workers=args.workers)
     rows = []
@@ -351,15 +390,9 @@ def _cmd_tw(args):
 
 
 def _cmd_descent(args):
-    from .asymptotics import FreqModel, HFunction, check_steep_descent, h_checks, theta_constants
+    from .asymptotics import HFunction, check_steep_descent, h_checks, theta_constants
 
-    cfg = _load_config(args.config) if args.config else {}
-    block = cfg.get("model", {})
-    fm = FreqModel(
-        tuple(block.get("sigma", (0.0,))), tuple(block.get("alpha", (1.0,))),
-        tuple(block.get("rho", (-1.0,))), tuple(block.get("beta", (1.0,))),
-        tuple(block.get("omega", (-2.0,))), tuple(block.get("gamma", (1.0,))),
-    )
+    fm = _freq_model_from_args(args)
     hf = HFunction(fm, theta_constants(fm, args.theta))
     records = [{"h_checks": {k: (v if not isinstance(v, dict) else {str(kk): vv for kk, vv in v.items()})
                              for k, v in h_checks(hf).items()}}]
@@ -460,7 +493,7 @@ def main(argv=None):
     except ValidationFailure as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValueError, KeyError, IndexError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # numerical failures

@@ -6,6 +6,20 @@ its incoming pair (A, B) into an outgoing pair (C, D) with the q-Hahn weights
 evaluated at (tt, ss) = (lam_{j-i}/kappa_j, lam_{j-i}/mu_i).  Colored height
 functions count paths of color >= c below a facet, normalized to vanish at
 (1/2, 1/2).
+
+Two samplers run these updates.  The replica-batched sampler
+(``sample_grids``, used by ``estimate_qmoment``, ``verify_shift_invariance``
+and the CLI) runs the vertex updates in lockstep over R replicas, one integer
+array of shape (R, n) per edge: b_j by inverse CDF on the boundary tables,
+|D| by inverse CDF from the one-color q-Hahn marginal and its split over
+colors by the q-Vandermonde conditionals, both in log space over a padded
+(R, max |A| + 1) grid, and the height fields as cumulative sums.  Its
+uniforms are drawn replica-major, one row of N + N*N*n per replica (N
+boundary draws, then n per vertex in lexicographic order), so a replica's
+configuration depends only on the generator state and its index, not on R or
+on the chunking.  The scalar ``sample_grid``/``sample_vertex`` keep one
+Python call per vertex (exact outcome tables for small boxes) and serve as
+the per-replica oracle and the one-replica API.
 """
 
 from __future__ import annotations
@@ -27,8 +41,11 @@ __all__ = [
     "sample_boundary",
     "sample_vertex",
     "sample_grid",
+    "GridBatch",
+    "sample_grids",
     "height_field",
     "qmoment_statistic",
+    "qmoment_factors",
     "estimate_qmoment",
     "enumerate_exact",
     "base_case_product",
@@ -37,6 +54,9 @@ __all__ = [
 ]
 
 _BOX_CAP = 64  # outcome-table fast path bound on prod(A_c + 1)
+# Element budget of one batched chunk: caps R_chunk * (max |A| + 1) and the
+# per-replica uniforms and edges, so that peak memory stays flat for large boxes.
+_CHUNK_CELLS = 1 << 17
 
 
 @dataclass
@@ -164,16 +184,17 @@ def _boundary_table(model, j, tol=1e-14, cap=200000):
     y = model.lam_of(j) / model.kappa_of(j)
     w = 1.0
     weights = [w]
-    b = 0
-    while b < cap:
+    for b in range(cap):
         ratio = x * (1.0 - y * q**b) / (1.0 - q ** (b + 1))
         w *= ratio
         weights.append(w)
-        b += 1
         # geometric tail bound, valid only once the ratio majorant drops below 1
-        rho_bar = max(ratio, x / (1.0 - q ** (b + 1)))
-        if rho_bar < 1.0 and w * rho_bar / (1.0 - rho_bar) < tol:
+        rho_bar = max(ratio, x / (1.0 - q ** (b + 2)))
+        tail = w * rho_bar / (1.0 - rho_bar) if rho_bar < 1.0 else math.inf
+        if tail < tol:
             break
+    else:
+        raise ValueError(f"boundary table for row j={j} reached cap={cap} with tail bound {tail:.3g} > tol={tol}")
     arr = np.array(weights)
     if (arr < 0).any():
         raise ValueError("boundary distribution has negative weights (parameter violation)")
@@ -358,6 +379,164 @@ def qmoment_statistic(model, cfg, req):
     return val
 
 
+# ---------------------------------------------------------------------------
+# Replica-batched sampling.
+
+
+class _QTables:
+    """q^k and log (q; q)_k for k = 0..top, shared by the vertex steps of one chunk."""
+
+    def __init__(self, q, top):
+        self.log_q = math.log(q)
+        self.qpow = q ** np.arange(top + 1)
+        self.lf = self.log_poch(q, top)
+
+    def log_poch(self, x, m):
+        """log (x; q)_k for k = 0..m."""
+        out = np.zeros(m + 1)
+        np.cumsum(np.log1p(-x * self.qpow[:m]), out=out[1:])
+        return out
+
+
+def _inverse_cdf(w, u, top):
+    """Per row: the first index whose cumulative weight exceeds u times the row total."""
+    cum = np.cumsum(w, axis=1)
+    return np.minimum((cum <= u[:, None] * cum[:, -1:]).sum(axis=1), top)
+
+
+def _sample_vertices(A, u, tt, ss, tab):
+    """Outgoing D for every row of A (R, n) at one vertex, from uniforms u (R, n).
+
+    u[:, 0] draws |D| = d from the one-color marginal
+    P(d) = r^d (r;q)_{m-d} (tt;q)_d / (ss;q)_m [m, d]_q with m = |A|, r = ss/tt;
+    u[:, c] splits it over colors c = 1..n-1 in order, color c taking k paths
+    with weight [A_c, k]_q [rest, d-k]_q q^{k (rest - d + k)} where rest counts
+    the colors after c (q-Vandermonde, normalized by [A_c + rest, d]_q).  Both
+    laws are evaluated in log space over a padded grid of 1-D gathered tables.
+    """
+    m = A.sum(axis=1)
+    top = int(m.max())
+    D = np.zeros_like(A)
+    if top == 0:
+        return D
+    lf = tab.lf
+    ks = np.arange(top + 1)
+    r = ss / tt
+    head = ks * math.log(r) + tab.log_poch(tt, top) - lf[: top + 1]  # d-only factors
+    tail = tab.log_poch(r, top) - lf[: top + 1]  # (m - d)-only factors
+    span = m[:, None] - ks
+    inside = span >= 0
+    logp = head + tail[np.where(inside, span, 0)] + (lf[m] - tab.log_poch(ss, top)[m])[:, None]
+    d = _inverse_cdf(np.where(inside, np.exp(logp), 0.0), u[:, 0], m)
+    rest = m
+    for c in range(A.shape[1] - 1):
+        a_c = A[:, c]
+        total = rest
+        rest = total - a_c
+        lo = np.maximum(d - rest, 0)
+        hi = np.minimum(a_c, d)
+        width = int((hi - lo).max()) + 1
+        if width == 1:
+            D[:, c] = lo
+        else:
+            k = lo[:, None] + np.arange(width)
+            ok = k <= hi[:, None]
+            k = np.minimum(k, hi[:, None])
+            gap = (rest - d)[:, None] + k
+            logg = k * gap * tab.log_q - lf[k] - lf[a_c[:, None] - k] - lf[d[:, None] - k] - lf[gap]
+            logg += (lf[a_c] + lf[rest] + lf[d] + lf[total - d] - lf[total])[:, None]
+            D[:, c] = lo + _inverse_cdf(np.where(ok, np.exp(logg), 0.0), u[:, c + 1], hi - lo)
+        d = d - D[:, c]
+    D[:, -1] = d
+    return D
+
+
+@dataclass
+class GridBatch:
+    """Edge compositions of R configurations, replica axis first.
+
+    A[r, i, j] is the vertical edge (i, j)->(i, j+1) and B[r, i, j] the
+    horizontal edge (i, j)->(i+1, j) of replica r, the arrays of
+    PathConfiguration.A/B[(i, j)]; slots outside the grid hold zeros.
+    """
+
+    A: np.ndarray  # (R, N+1, N+1, n)
+    B: np.ndarray
+
+    def heights(self):
+        """H[r, c-1, ix, iy] = h_{>=c}(ix + 1/2, iy + 1/2) of replica r, as in height_field."""
+
+        def at_least(X):  # paths of color >= c on each edge
+            return np.cumsum(X[..., ::-1], axis=-1)[..., ::-1]
+
+        left = np.cumsum(at_least(self.B[:, 0]), axis=1)
+        H = left[:, None] - np.cumsum(at_least(self.A), axis=1)
+        return np.moveaxis(H, -1, 1)
+
+
+def _sample_chunk(model, u, b):
+    """Run the vertex updates in lex order over the replicas of one chunk."""
+    N, n = model.size, model.n_colors
+    A = np.zeros((len(u), N + 1, N + 1, n), dtype=np.int64)
+    B = np.zeros_like(A)
+    for j in range(1, N + 1):
+        B[:, 0, j, model.row_color(j) - 1] = b[:, j - 1]
+    tab = _QTables(float(model.q), int(b.sum(axis=1).max()))
+    col = N
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            a_in = A[:, i, j - 1]
+            if a_in.any():
+                tt, ss = model.spin_params(i, j)
+                B[:, i, j] = _sample_vertices(a_in, u[:, col : col + n], float(tt), float(ss), tab)
+            A[:, i, j] = a_in - B[:, i, j] + B[:, i - 1, j]
+            col += n
+    return GridBatch(A, B)
+
+
+def _grid_chunks(model, replicas, rng):
+    """Yield GridBatch chunks of `replicas` configurations in replica order.
+
+    Each replica takes one row of N + N*N*n uniforms, drawn replica-major in
+    chunks sized by _CHUNK_CELLS; since rows are drawn in order, neither the
+    total nor the chunking changes any replica's configuration.
+    """
+    N, n = model.size, model.n_colors
+    width = N + N * N * n
+    rows_per_draw = max(1, _CHUNK_CELLS // (width + 2 * (N + 1) ** 2 * n))
+    done = 0
+    while done < replicas:
+        u = rng.random((min(replicas - done, rows_per_draw), width))
+        b = np.stack([np.searchsorted(_boundary_table(model, j)[1], u[:, j - 1], side="right")
+                      for j in range(1, N + 1)], axis=1)
+        step = max(1, _CHUNK_CELLS // (int(b.sum(axis=1).max()) + 1))
+        for s in range(0, len(u), step):
+            yield _sample_chunk(model, u[s : s + step], b[s : s + step])
+        done += len(u)
+
+
+def sample_grids(model, replicas, rng):
+    """Sample `replicas` configurations with the batched sampler, as one GridBatch."""
+    N, n = model.size, model.n_colors
+    chunks = list(_grid_chunks(model, replicas, rng))
+    empty = [np.zeros((0, N + 1, N + 1, n), dtype=np.int64)]
+    return GridBatch(np.concatenate([c.A for c in chunks] or empty), np.concatenate([c.B for c in chunks] or empty))
+
+
+def qmoment_factors(model, batch, req):
+    """Batched q-moment statistic: column a-1 is q^{h_{>= c_a}(x_tau(a), y_tau(a))}.
+
+    The row product is qmoment_statistic of each replica (indexed by a = tau(b)
+    there); the columns are the per-a marginals of verify_shift_invariance.
+    """
+    H = batch.heights()
+    cols = []
+    for a in range(1, req.k + 1):
+        t = req.tau(a) - 1
+        cols.append(H[:, req.colors[a - 1] - 1, (req.x2[t] - 1) // 2, (req.y2[t] - 1) // 2])
+    return float(model.q) ** np.stack(cols, axis=1)
+
+
 class Welford:
     """Streaming mean/variance with an associative merge."""
 
@@ -405,12 +584,11 @@ class Welford:
 
 
 def estimate_qmoment(model, req, samples, rng):
-    """Monte Carlo estimate (mean, stderr) of the joint q-moment observable."""
+    """Monte Carlo estimate (mean, stderr) of the joint q-moment observable (batched sampler)."""
     req.validate_against(model)
     acc = Welford()
-    for _ in range(samples):
-        cfg = sample_grid(model, rng)
-        acc.add(qmoment_statistic(model, cfg, req))
+    for batch in _grid_chunks(model, samples, rng):
+        acc.add_many(qmoment_factors(model, batch, req).prod(axis=1))
     return acc.mean, acc.stderr
 
 
@@ -646,26 +824,17 @@ def verify_shift_invariance(model_a, req_a, model_b, req_b, samples, rng, nodes=
     if not ok:
         raise ValueError(f"shift-invariance hypotheses fail: {msg}")
 
-    def run(model, req):
+    sides = []
+    for model, req in ((model_a, req_a), (model_b, req_b)):
         joint = Welford()
         margins = [Welford() for _ in range(req.k)]
-        colors_needed = sorted(set(req.colors))
-        for _ in range(samples):
-            cfg = sample_grid(model, rng)
-            fields = {c: height_field(cfg, c) for c in colors_needed}
-            prod = 1.0
-            for a in range(1, req.k + 1):
-                c = req.colors[a - 1]
-                ix = (req.x2[req.tau(a) - 1] - 1) // 2
-                iy = (req.y2[req.tau(a) - 1] - 1) // 2
-                v = model.q ** fields[c][ix, iy]
-                margins[a - 1].add(v)
-                prod *= v
-            joint.add(prod)
-        return joint, margins
-
-    ja, margins_a = run(model_a, req_a)
-    jb, margins_b = run(model_b, req_b)
+        for batch in _grid_chunks(model, samples, rng):
+            vals = qmoment_factors(model, batch, req)
+            joint.add_many(vals.prod(axis=1))
+            for acc, col in zip(margins, vals.T):
+                acc.add_many(col)
+        sides.append((joint, margins))
+    (ja, margins_a), (jb, margins_b) = sides
     ma, sa, mb, sb = ja.mean, ja.stderr, jb.mean, jb.stderr
     z_joint = abs(ma - mb) / math.hypot(sa, sb) if (sa or sb) else 0.0
     marginals = []

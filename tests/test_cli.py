@@ -184,3 +184,48 @@ def test_nonconvergence_exit_code(tmp_path, qhahn_config, capsys, monkeypatch):
 def test_verify_stochastic(capsys):
     assert run(["verify", "stochastic", "--trials", "15", "--seed", "4", "--colors", "2"]) == EXIT_OK
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("block, field", [
+    ({"q": "0.5", "mu": [2.4, 2.5, 2.6], "kappa": [1.25, 1.3], "lam": [0.16, 0.18], "colors": [1, 1]}, "q"),
+    ({"q": 0.6, "mu": 2.4, "kappa": [1.25, 1.3], "lam": [0.16, 0.18], "colors": [1, 1]}, "mu"),
+    ({"q": 0.6, "mu": [2.4, 2.5, 2.6], "kappa": [1.25, None], "lam": [0.16, 0.18], "colors": [1, 1]}, "kappa"),
+    ({"q": 0.6, "mu": [2.4, 2.5, 2.6], "kappa": [1.25, 1.3], "lam": [0.16, 0.18], "colors": [1.5, 0.5]}, "colors"),
+])
+def test_malformed_model_field_is_named(tmp_path, capsys, block, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"model": block}))
+    code = run(["sample", "qhahn", "--config", str(path), "-o", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert f"'{field}'" in err
+
+
+def test_polymer_point_outside_schedule_is_validation_error(tmp_path, polymer_config, capsys):
+    code = run(["polymer", "dp", "--config", polymer_config, "--x", "4", "--y", "9", "-o", str(tmp_path / "d.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "sigma" in err
+
+
+def test_internal_lookup_errors_are_not_reported_as_validation(tmp_path, qhahn_config, monkeypatch):
+    import qhahn_polymer.model as qm
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(qm, "sample_grids", broken)
+    with pytest.raises(KeyError):
+        run(["sample", "qhahn", "--config", qhahn_config, "-o", str(tmp_path / "x.csv")])
+
+
+def test_sample_rows_cover_every_facet_and_color(tmp_path, qhahn_config, capsys):
+    out = tmp_path / "h.csv"
+    assert run(["sample", "qhahn", "--config", qhahn_config, "--samples", "3", "--seed", "2",
+                "-o", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    rows = [tuple(int(v) for v in line.split(",")) for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3 * 2 * 3 * 3
+    assert [row[:3] for row in rows[:4]] == [(1, 1, 1), (1, 3, 1), (1, 5, 1), (3, 1, 1)]
+    assert rows[0][3] == 0  # heights vanish at (1/2, 1/2)
+    assert all(v >= 0 for *_, v in rows)

@@ -3,20 +3,30 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qhahn_polymer import model as model_module
 from qhahn_polymer.model import (
     HeightRequest,
     PathConfiguration,
     QHahnModel,
     Welford,
+    _boundary_table,
+    _QTables,
+    _sample_vertices,
     _split_size_among_colors,
     base_case_product,
     boundary_pmf,
     enumerate_exact,
     estimate_qmoment,
     height_field,
+    qmoment_factors,
+    qmoment_statistic,
     sample_grid,
+    sample_grids,
     sample_vertex,
+    verify_shift_invariance,
     vertex_outcome_table,
 )
 from qhahn_polymer.qtools import Permutation, comp_interval, q_pochhammer_inf, spawn_rng
@@ -49,6 +59,13 @@ def test_boundary_concentrates_when_lam_近_kappa():
     m = QHahnModel(q=0.5, mu=(2.0, 2.1, 2.2), kappa=(1.0, 1.05), lam=(0.9999999, 0.999999), colors=(1, 1))
     pmf = boundary_pmf(m, 1, 50)
     assert pmf[0] > 0.999999
+
+
+def test_boundary_table_raises_when_cap_reached_before_tol():
+    m = small_model()
+    with pytest.raises(ValueError, match=r"j=2.*cap=3.*tail bound"):
+        _boundary_table(m, 2, cap=3)
+    assert m._boundary_tables == {}
 
 
 def test_sample_vertex_trivial_when_A_zero():
@@ -101,6 +118,98 @@ def test_sequential_sampler_matches_table_frequencies():
         emp = counts.get(D, 0) / n_draws
         sigma = math.sqrt(p * (1 - p) / n_draws)
         assert abs(emp - p) < 4.5 * sigma + 1e-12
+
+
+def test_batched_vertex_matches_table_frequencies():
+    # the batched |D| draw and color split at one vertex against the exact outcome table
+    m = small_model(colors=(1, 1, 1), n_rows=3)
+    A = (2, 1, 2)
+    i, j = 1, 3
+    tt, ss = m.spin_params(i, j)
+    outcomes, cum = vertex_outcome_table(m, i, j, A)
+    probs = np.diff(np.concatenate([[0.0], cum]))
+    n_draws = 40000
+    rng = spawn_rng(7)
+    D = _sample_vertices(np.tile(A, (n_draws, 1)), rng.random((n_draws, 3)), tt, ss, _QTables(m.q, sum(A)))
+    hits = 0
+    for out, p in zip(outcomes, probs):
+        count = int(np.all(D == out, axis=1).sum())
+        hits += count
+        if p < 1e-4:
+            continue
+        sigma = math.sqrt(p * (1 - p) / n_draws)
+        assert abs(count / n_draws - p) < 4.5 * sigma + 1e-12
+    assert hits == n_draws
+
+
+def test_batched_stream_layout_independent_of_total_and_chunking(monkeypatch):
+    m = small_model(q=0.5, n_rows=3, colors=(1, 2))
+    whole = sample_grids(m, 7, spawn_rng(41))
+    rng = spawn_rng(41)
+    parts = [sample_grids(m, 3, rng), sample_grids(m, 4, rng)]
+    monkeypatch.setattr(model_module, "_CHUNK_CELLS", 8)  # one replica per chunk
+    tiny = sample_grids(m, 7, spawn_rng(41))
+    assert np.array_equal(whole.A, tiny.A) and np.array_equal(whole.B, tiny.B)
+    assert np.array_equal(whole.A, np.concatenate([p.A for p in parts]))
+    assert np.array_equal(whole.B, np.concatenate([p.B for p in parts]))
+    assert np.array_equal(whole.heights(), np.concatenate([p.heights() for p in parts]))
+    assert whole.A.any()
+
+
+@st.composite
+def admissible_models(draw):
+    n = draw(st.integers(1, 3))
+    colors = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(lambda c: 1 <= sum(c) <= 4))
+    N = sum(colors)
+    unit = st.floats(0.0, 1.0)
+    mu = tuple(1.3 + 1.5 * draw(unit) for _ in range(N + 1))
+    kappa = tuple(0.6 + 0.6 * draw(unit) for _ in range(N))
+    lam = tuple(0.05 + 0.5 * draw(unit) for _ in range(N))
+    return QHahnModel(q=0.1 + 0.85 * draw(unit), mu=mu, kappa=kappa, lam=lam, colors=tuple(colors))
+
+
+@settings(max_examples=30, deadline=None)
+@given(admissible_models(), st.integers(0, 2**32 - 1))
+def test_batched_sampler_invariants_every_replica(m, seed):
+    N, n = m.size, m.n_colors
+    batch = sample_grids(m, 25, spawn_rng(seed))
+    H = batch.heights()
+    for r in range(len(batch.A)):
+        A = {(i, j): tuple(int(v) for v in batch.A[r, i, j]) for i in range(1, N + 1) for j in range(N + 1)}
+        B = {(i, j): tuple(int(v) for v in batch.B[r, i, j]) for i in range(N + 1) for j in range(1, N + 1)}
+        cfg = PathConfiguration(n=n, size=N, A=A, B=B)
+        cfg.check_conservation()
+        for i in range(1, N + 1):
+            for j in range(1, i):
+                assert not any(A[(i, j)]) and not any(B[(i, j)])
+        for c in range(n):
+            assert sum(B[(0, j)][c] for j in range(1, N + 1)) == sum(A[(i, N)][c] for i in range(1, N + 1))
+        for c in range(1, n + 1):
+            assert np.array_equal(H[r, c - 1], height_field(cfg, c))
+    assert (batch.A >= 0).all() and (batch.B >= 0).all()
+
+
+def test_batched_and_scalar_qmoment_statistic_agree():
+    m = QHahnModel(q=0.6, mu=(2.4, 2.5, 2.6), kappa=(1.25, 1.3), lam=(0.16, 0.18), colors=(1, 1))
+    req = HeightRequest.make([0.5, 1.5], [2.5, 1.5], [1, 2], Permutation((2, 1)))
+    n = 20000
+    batched = qmoment_factors(m, sample_grids(m, n, spawn_rng(17)), req).prod(axis=1)
+    rng = spawn_rng(18)
+    scalar = np.array([qmoment_statistic(m, sample_grid(m, rng), req) for _ in range(n)])
+    se = math.hypot(batched.std(ddof=1), scalar.std(ddof=1)) / math.sqrt(n)
+    assert abs(batched.mean() - scalar.mean()) < 4 * se
+
+
+def test_batched_paths_build_no_vertex_tables():
+    m = small_model(q=0.5, n_rows=2, colors=(1, 1))
+    req = HeightRequest.make([0.5], [2.5], [1])
+    estimate_qmoment(m, req, 200, spawn_rng(3))
+    assert m._vertex_tables == {}
+    shift = QHahnModel(q=0.55, mu=(2.3, 2.32, 2.34, 2.36), kappa=(1.30, 1.34, 1.38), lam=(0.20, 0.22, 0.24),
+                       colors=(1, 1, 1))
+    rq = HeightRequest.make([0.5], [2.5], [1])
+    assert verify_shift_invariance(shift, rq, shift, rq, 100, spawn_rng(4), nodes=16).hypotheses_ok
+    assert shift._vertex_tables == {}
 
 
 def test_sample_grid_conservation_and_interior():

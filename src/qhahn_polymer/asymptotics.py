@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .fredholm import ks_distance_to_F2
-from .polymer import PolymerModel, sample_log_partition, schedule_values
+from .polymer import PolymerModel, _replica_blocks, sample_log_partition, schedule_values
 from .specfun import log_gamma, polygamma
 
 __all__ = [
@@ -247,6 +248,11 @@ def check_steep_descent(hf, which, grid=200, b_max=10.0, eps=0.05):
 # Tracy-Widom experiment.
 
 
+# replicas per block: block i of time t draws from spawn_rng(seed + t, i), so the
+# samples do not depend on the worker count
+_TW_BLOCK = 256
+
+
 @dataclass
 class TWBatch:
     t: int
@@ -255,12 +261,6 @@ class TWBatch:
     sd: float
     samples: np.ndarray
     regime: str
-
-
-def _logz_block(args):
-    model_fields, r, x, y, count, seed, index = args
-    model = PolymerModel(*model_fields)
-    return sample_log_partition(model, r, x, y, count, seed=seed + 7919 * index, block=256)
 
 
 def scheduled_polymer_model(fm, const, t):
@@ -322,18 +322,12 @@ def tw_experiment(fm, theta, t_list, samples, seed=0, workers=1, slot_correction
         if X < 1 or Y <= X:
             raise ValueError(f"t={t} too small for the slope")
         if workers > 1:
-            n_jobs = min(workers * 4, max(1, samples // 250))
-            counts = [samples // n_jobs] * n_jobs
-            counts[-1] += samples - sum(counts)
-            args = [
-                ((model.sigma_list, model.rho_list, model.omega_list), 0, X, Y, c, seed + t, i)
-                for i, c in enumerate(counts)
-            ]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                chunks = list(pool.map(_logz_block, args))
-            logz = np.concatenate(chunks)
+                mapper = partial(pool.map, chunksize=max(1, samples // (4 * workers * _TW_BLOCK)))
+                logz = _replica_blocks(model, 0, X, Y, samples, None, seed + t, _TW_BLOCK,
+                                       want_log=True, mapper=mapper)
         else:
-            logz = sample_log_partition(model, 0, X, Y, samples, seed=seed + t)
+            logz = sample_log_partition(model, 0, X, Y, samples, seed=seed + t, block=_TW_BLOCK)
         shift = slot_centering_correction(fm, const, model, t) if slot_correction else 0.0
         rescaled = (logz + const.rate * t - shift) / (const.c * t ** (1.0 / 3.0))
         out.append(

@@ -8,9 +8,11 @@ Two independent routes compute E[exp(u Z)]:
   against pi/sin (Mellin-Barnes form) before discretizing.
 
 Both rest on the gamma-product function g with g(z)/g(z+n) telescoping the
-one-step ratio f(z) ... f(z+n-1).  The Tracy-Widom GUE distribution is the
-Airy-kernel determinant on (r, infinity), evaluated with Gauss-Legendre
-quadrature on a truncated interval.
+one-step ratio f(z) ... f(z+n-1); ``GFunction`` lives in :mod:`.moments`
+(where the moment quadratures share its f) and is re-exported here.  The
+Tracy-Widom GUE distribution is the Airy-kernel determinant on (r, infinity),
+evaluated with Gauss-Legendre quadrature on a truncated interval.  Both
+determinants double their node count with ``moments._refine`` up to 1024.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .moments import ContourError, ConvergenceError, small_sigma_circle
-from .specfun import airy_ai, airy_ai_prime, log_gamma
+from .moments import ContourError, ConvergenceError, GFunction, _refine, small_sigma_circle
+from .specfun import airy_ai, airy_ai_prime
 
 __all__ = [
     "GFunction",
@@ -35,40 +37,6 @@ __all__ = [
     "tracy_widom_cdf_table",
     "ks_distance_to_F2",
 ]
-
-
-@dataclass
-class GFunction:
-    """Gamma-product g for a polymer corner (x, y); evaluates log g stably."""
-
-    pmodel: object
-    x: int
-    y: int
-
-    def log_g(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for i in range(0, self.x + 1):
-            out += log_gamma(z - self.pmodel.sigma(i))
-        for j in range(1, self.y + 1):
-            out -= log_gamma(z - self.pmodel.rho(j))
-        for d in range(1, self.y - self.x + 1):
-            out += log_gamma(z - self.pmodel.omega(d))
-        return out
-
-    def f(self, z):
-        z = np.asarray(z, dtype=complex)
-        val = np.ones_like(z)
-        for j in range(1, self.y + 1):
-            val = val * (z - self.pmodel.rho(j))
-        for i in range(0, self.x + 1):
-            val = val / (z - self.pmodel.sigma(i))
-        for d in range(1, self.y - self.x + 1):
-            val = val / (z - self.pmodel.omega(d))
-        return val
-
-    def sigma_values(self):
-        return [self.pmodel.sigma(i) for i in range(0, self.x + 1)]
 
 
 def _circle(contour):
@@ -103,32 +71,15 @@ def fredholm_det(kernel, contour, nodes=64, rtol=1e-10, atol=1e-13, strict=True,
 
     ``kernel`` maps (v_row, v_col) node arrays to the kernel matrix.
     """
-    center, radius = _circle(contour)
+    _circle(contour)
 
     def eval_at(m):
-        theta = 2.0 * np.pi * np.arange(m) / m
-        v = center + radius * np.exp(1j * theta)
-        w = radius * np.exp(1j * theta) / m
+        (v,), (w,) = contour.nodes(m), contour.weights(m)
         K = np.asarray(kernel(v, v), dtype=complex)
         A = np.eye(m, dtype=complex) + K * w[None, :]
         return complex(np.linalg.det(A))
 
-    m = nodes
-    prev = eval_at(m)
-    ok = False
-    while 2 * m <= 1024:
-        m *= 2
-        cur = eval_at(m)
-        if abs(cur - prev) <= max(rtol * abs(cur), atol):
-            ok = True
-            prev = cur
-            break
-        prev = cur
-    if not ok and strict:
-        raise ConvergenceError("Nystrom determinant did not stabilize", prev)
-    if with_info:
-        return prev, {"nodes": m, "converged": ok}
-    return prev
+    return _refine(eval_at, nodes, rtol, atol, 1024, strict, with_info, what="Nystrom determinant")
 
 
 def laplace_series_det(pmodel, x, y, u, contour=None, nodes=64, rtol=1e-10, strict=True):
@@ -270,15 +221,7 @@ def tracy_widom_F2(r, nodes=96, rtol=1e-9, upper=None):
         sign, logdet = np.linalg.slogdet(A)
         return float(sign * np.exp(logdet))
 
-    m = nodes
-    prev = eval_at(m)
-    while 2 * m <= 1024:
-        m *= 2
-        cur = eval_at(m)
-        if abs(cur - prev) <= max(rtol * abs(cur), 1e-13):
-            return cur
-        prev = cur
-    raise ConvergenceError("Airy-kernel determinant did not stabilize", prev)
+    return _refine(eval_at, nodes, rtol, 1e-13, 1024, what="Airy-kernel determinant")
 
 
 @lru_cache(maxsize=8)

@@ -6,6 +6,11 @@ from a small start until the value stabilizes.  The operator factor is applied
 on the tensor grid by tracking the family of axis-to-circle assignments that
 argument swaps generate; all circles carry the same node count, which turns a
 swap of arguments into a swap of array axes.
+
+This module is the numerical core shared with :mod:`.fredholm`: the circle
+rule (``NestedContours.nodes``/``weights``), the node-doubling routine
+``_refine`` (also behind the Nystrom and Airy-kernel determinants) and the
+polymer ratio and gamma product ``GFunction`` (re-exported by ``fredholm``).
 """
 
 from __future__ import annotations
@@ -16,10 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qtools import Permutation
+from .specfun import log_gamma
 
 __all__ = [
     "ContourError",
     "ConvergenceError",
+    "GFunction",
     "NestedContours",
     "build_contours",
     "build_shifted_contours",
@@ -67,6 +74,44 @@ class NestedContours:
         theta = 2.0 * np.pi * np.arange(m) / m
         ring = np.exp(1j * theta)
         return [r * ring / m for r in self.radii]
+
+
+@dataclass
+class GFunction:
+    """Gamma-product g for a polymer corner (x, y); evaluates log g stably.
+
+    ``f`` is the one-step ratio prod_j (z - rho_j) / (prod_i (z - sigma_i)
+    prod_d (z - omega_d)) with g(z)/g(z+n) = f(z) ... f(z+n-1).
+    """
+
+    pmodel: object
+    x: int
+    y: int
+
+    def log_g(self, z):
+        z = np.asarray(z, dtype=complex)
+        out = np.zeros_like(z)
+        for i in range(0, self.x + 1):
+            out += log_gamma(z - self.pmodel.sigma(i))
+        for j in range(1, self.y + 1):
+            out -= log_gamma(z - self.pmodel.rho(j))
+        for d in range(1, self.y - self.x + 1):
+            out += log_gamma(z - self.pmodel.omega(d))
+        return out
+
+    def f(self, z):
+        z = np.asarray(z, dtype=complex)
+        val = np.ones_like(z)
+        for j in range(1, self.y + 1):
+            val = val * (z - self.pmodel.rho(j))
+        for i in range(0, self.x + 1):
+            val = val / (z - self.pmodel.sigma(i))
+        for d in range(1, self.y - self.x + 1):
+            val = val / (z - self.pmodel.omega(d))
+        return val
+
+    def sigma_values(self):
+        return [self.pmodel.sigma(i) for i in range(0, self.x + 1)]
 
 
 def build_contours(model, k, pad=0.3):
@@ -228,31 +273,49 @@ def tensor_quadrature(contours, m, axis_fns, pair_fn, op_factor=None, extra_fn=N
     return complex(total.sum())
 
 
-def _refine(contours, eval_at, start_nodes, rtol, atol, cap):
-    """Double nodes until the change stabilizes.
+def _refine(eval_at, start_nodes, rtol, atol, cap, strict=True, with_info=False, what="quadrature"):
+    """Double nodes from ``start_nodes`` up to ``cap`` until the change stabilizes.
 
     Trapezoid error on circles decays geometrically, so the change per
     doubling tracks the error of the coarser level; when successive changes
     shrink fast, the finer value's error is estimated by one more decay factor
-    and accepted if it meets the tolerance.
+    and accepted if it meets the tolerance.  Without convergence the last
+    value is returned, or carried by ``ConvergenceError`` when ``strict``;
+    ``with_info`` adds {"nodes", "converged"}.
     """
-    m = start_nodes
-    prev = eval_at(m)
+    m, val = start_nodes, eval_at(start_nodes)
     prev_delta = None
-    while 2 * m <= cap:
+    ok = False
+    while not ok and 2 * m <= cap:
         m *= 2
         cur = eval_at(m)
-        delta = abs(cur - prev)
+        delta = abs(cur - val)
         tol = max(rtol * abs(cur), atol)
-        if delta <= tol:
-            return cur, m, True
-        if prev_delta is not None and delta < 0.2 * prev_delta:
-            est_next = delta * (delta / prev_delta)
-            if est_next <= tol:
-                return cur, m, True
-        prev = cur
-        prev_delta = delta
-    return prev, m, False
+        ok = delta <= tol or (
+            prev_delta is not None and delta < 0.2 * prev_delta and delta * (delta / prev_delta) <= tol
+        )
+        val, prev_delta = cur, delta
+    if not ok and strict:
+        raise ConvergenceError(f"{what} did not stabilize at {m} nodes", val)
+    return (val, {"nodes": m, "converged": ok}) if with_info else val
+
+
+def _nested_quadrature(contours, axis_fns, pair_fn, op_factor, pref, nodes, rtol, atol, strict,
+                       with_info):
+    """``pref`` times the k-fold circle quadrature, refined with the per-k node tables.
+
+    The tables are read at call time.
+    """
+    k = contours.k
+
+    def eval_at(m):
+        return pref * tensor_quadrature(contours, m, axis_fns, pair_fn, op_factor)
+
+    cap = _NODE_CAPS.get(k, 32)
+    start = _NODE_STARTS.get(k, 16) if nodes is None else min(nodes, cap)
+    if rtol is None:
+        rtol = _REFINE_RTOL.get(k, 1e-7)
+    return _refine(eval_at, start, rtol, atol, cap, strict, with_info)
 
 
 def qmoment_integral(model, req, contours=None, nodes=None, rtol=None, atol=1e-13, strict=True, with_info=False):
@@ -304,19 +367,8 @@ def qmoment_integral(model, req, contours=None, nodes=None, rtol=None, atol=1e-1
     pair_fn = lambda wa, wb: (wb - wa) / (wb - q * wa)
     pref = (-1) ** k * q ** (k * (k - 1) // 2 - tau.length)
 
-    def eval_at(m):
-        return pref * tensor_quadrature(contours, m, [axis_fn(a) for a in range(k)], pair_fn, op_factor)
-
-    cap = _NODE_CAPS.get(k, 32)
-    start = _NODE_STARTS.get(k, 16) if nodes is None else min(nodes, cap)
-    if rtol is None:
-        rtol = _REFINE_RTOL.get(k, 1e-7)
-    val, m, ok = _refine(contours, eval_at, start, rtol, atol, cap)
-    if not ok and strict:
-        raise ConvergenceError(f"quadrature did not stabilize at {m} nodes per circle", val)
-    if with_info:
-        return val, {"nodes": m, "converged": ok}
-    return val
+    return _nested_quadrature(contours, [axis_fn(a) for a in range(k)], pair_fn, op_factor, pref,
+                              nodes, rtol, atol, strict, with_info)
 
 
 def beta_moment_integral(pmodel, xs, ys, rs, tau=None, contours=None, nodes=None,
@@ -337,19 +389,6 @@ def beta_moment_integral(pmodel, xs, ys, rs, tau=None, contours=None, nodes=None
     if contours is None:
         contours = build_shifted_contours(pmodel, k, max(xs), max(ys))
 
-    def axis_fn(a):
-        def f(v):
-            val = np.ones_like(v)
-            for j in range(1, ys[a] + 1):
-                val = val * (v - pmodel.rho(j))
-            for i in range(0, xs[a] + 1):
-                val = val / (v - pmodel.sigma(i))
-            for d in range(1, ys[a] - xs[a] + 1):
-                val = val / (v - pmodel.omega(d))
-            return val
-
-        return f
-
     def g_fn(a):
         def g(v):
             val = np.ones_like(v)
@@ -363,19 +402,9 @@ def beta_moment_integral(pmodel, xs, ys, rs, tau=None, contours=None, nodes=None
     op_factor = (word, [g_fn(a) for a in range(k)], 1.0, lambda vi, vj: (vj - vi - 1.0) / (vj - vi))
     pair_fn = lambda va, vb: (vb - va) / (vb - va - 1.0)
 
-    def eval_at(m):
-        return tensor_quadrature(contours, m, [axis_fn(a) for a in range(k)], pair_fn, op_factor)
-
-    cap = _NODE_CAPS.get(k, 32)
-    start = _NODE_STARTS.get(k, 16) if nodes is None else min(nodes, cap)
-    if rtol is None:
-        rtol = _REFINE_RTOL.get(k, 1e-7)
-    val, m, ok = _refine(contours, eval_at, start, rtol, atol, cap)
-    if not ok and strict:
-        raise ConvergenceError(f"quadrature did not stabilize at {m} nodes per circle", val)
-    if with_info:
-        return val, {"nodes": m, "converged": ok}
-    return val
+    axis_fns = [GFunction(pmodel, xs[a], ys[a]).f for a in range(k)]
+    return _nested_quadrature(contours, axis_fns, pair_fn, op_factor, 1,
+                              nodes, rtol, atol, strict, with_info)
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +451,7 @@ def single_contour_moment(pmodel, x, y, k, contour=None, nodes=48, rtol=1e-9, at
         raise ValueError("partition-sum quadrature limited to k <= 4 (parts of 1^k)")
     if contour is None:
         contour = small_sigma_circle(pmodel, x, y)
-    center, radius = contour.center, contour.radii[0]
-
-    def f(z):
-        val = np.ones_like(z)
-        for j in range(1, y + 1):
-            val = val * (z - pmodel.rho(j))
-        for i in range(0, x + 1):
-            val = val / (z - pmodel.sigma(i))
-        for d in range(1, y - x + 1):
-            val = val / (z - pmodel.omega(d))
-        return val
+    f = GFunction(pmodel, x, y).f
 
     def h(z, parts):
         val = np.ones_like(z)
@@ -443,9 +462,7 @@ def single_contour_moment(pmodel, x, y, k, contour=None, nodes=48, rtol=1e-9, at
     import itertools
 
     def eval_at(m):
-        theta = 2.0 * np.pi * np.arange(m) / m
-        v = center + radius * np.exp(1j * theta)
-        wts = radius * np.exp(1j * theta) / m
+        (v,), (wts,) = contour.nodes(m), contour.weights(m)
         total = 0.0 + 0.0j
         for lam in _partitions(k):
             ell = len(lam)
@@ -468,7 +485,4 @@ def single_contour_moment(pmodel, x, y, k, contour=None, nodes=48, rtol=1e-9, at
         return total
 
     cap = {1: 4096, 2: 512, 3: 96, 4: 32}[min(k, 4)]
-    val, m, ok = _refine(contour, eval_at, min(nodes, cap), rtol, atol, cap)
-    if not ok and strict:
-        raise ConvergenceError(f"partition-sum quadrature did not stabilize at {m} nodes", val)
-    return val
+    return _refine(eval_at, min(nodes, cap), rtol, atol, cap, strict, what="partition-sum quadrature")

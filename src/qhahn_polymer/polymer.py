@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -422,32 +423,32 @@ def _dp_block(model, r, x, y, n_block, rng, want_log):
     return vals
 
 
+def _replica_blocks(model, r, x, y, samples, rng, seed, block, want_log, mapper=map):
+    """Replica values in blocks of ``block``, block i drawn from ``rng`` or spawn_rng(seed, i).
+
+    ``mapper`` runs the blocks: ``map``, or a process pool's ``map`` when
+    ``rng`` is None (a shared generator must run its blocks in order).  The
+    values depend only on the seed and the block size.
+    """
+    starts = range(0, samples, block)
+    counts = [min(block, samples - start) for start in starts]
+    gens = [rng if rng is not None else spawn_rng(seed, i) for i in range(len(counts))]
+    out = np.empty(samples)
+    blocks = mapper(_dp_block, repeat(model), repeat(r), repeat(x), repeat(y), counts, gens,
+                    repeat(want_log))
+    for start, vals in zip(starts, blocks):
+        out[start : start + vals.size] = vals
+    return out
+
+
 def sample_partition_values(model, r, x, y, samples, rng=None, seed=0, block=4096):
     """Replica values Z^(r)_{x,y} (linear space; small grids)."""
-    out = np.empty(samples)
-    done = 0
-    idx = 0
-    while done < samples:
-        nb = min(block, samples - done)
-        gen = rng if rng is not None else spawn_rng(seed, idx)
-        out[done : done + nb] = _dp_block(model, r, x, y, nb, gen, want_log=False)
-        done += nb
-        idx += 1
-    return out
+    return _replica_blocks(model, r, x, y, samples, rng, seed, block, want_log=False)
 
 
 def sample_log_partition(model, r, x, y, samples, rng=None, seed=0, block=256):
     """Replica values ln Z^(r)_{x,y} (rescaled DP; any grid depth)."""
-    out = np.empty(samples)
-    done = 0
-    idx = 0
-    while done < samples:
-        nb = min(block, samples - done)
-        gen = rng if rng is not None else spawn_rng(seed, idx)
-        out[done : done + nb] = _dp_block(model, r, x, y, nb, gen, want_log=True)
-        done += nb
-        idx += 1
-    return out
+    return _replica_blocks(model, r, x, y, samples, rng, seed, block, want_log=True)
 
 
 @dataclass

@@ -2,9 +2,7 @@
 
 Everything here is written with generic scalar arithmetic: pass
 ``fractions.Fraction`` arguments to evaluate identities exactly, or
-float/complex arguments for numerical work.  ``ExactRational`` is an alias of
-``fractions.Fraction``, which already guarantees a positive denominator,
-reduced form, and exact closed arithmetic.
+float/complex arguments for numerical work.
 """
 
 from __future__ import annotations
@@ -15,10 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-ExactRational = Fraction
-
 __all__ = [
-    "ExactRational",
     "q_pochhammer",
     "q_pochhammer_inf",
     "q_binomial",

@@ -126,3 +126,12 @@ def test_tw_experiment_rejects_tiny_sample():
     fm = FreqModel.homogeneous()
     with pytest.raises(ValueError):
         tw_experiment(fm, 0.3, [16], 50)
+
+
+def test_tw_experiment_samples_independent_of_workers():
+    # 600 replicas are three blocks; each block's stream is fixed by (seed + t, block index)
+    fm = FreqModel.homogeneous(omega=-2.0)
+    (one,) = tw_experiment(fm, 0.3, [16], 600, seed=0, workers=1)
+    (two,) = tw_experiment(fm, 0.3, [16], 600, seed=0, workers=2)
+    assert np.array_equal(one.samples, two.samples)
+    assert one.ks == two.ks

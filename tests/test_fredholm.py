@@ -12,7 +12,7 @@ from qhahn_polymer.fredholm import (
     mb_kernel_matrix,
     tracy_widom_F2,
 )
-from qhahn_polymer.moments import small_sigma_circle
+from qhahn_polymer.moments import ConvergenceError, small_sigma_circle
 from qhahn_polymer.polymer import PolymerModel, moment_annealed, sample_partition_values
 
 
@@ -173,3 +173,27 @@ def test_ks_distance_sanity():
     assert ks < 0.035
     # a shifted sample must have a visibly larger distance
     assert ks_distance_to_F2(samples + 0.5) > 0.1
+
+
+def test_fredholm_det_nonconvergence():
+    # rank one with det = 1 + 1e-3 * m on m nodes: never stabilizes under doubling
+    pm = poly_model()
+    cont = small_sigma_circle(pm, X, Y)
+    s0 = pm.sigma(0)
+    kernel = lambda vr, vc: np.outer(1e-3 * vr.size / (vr - s0), np.ones_like(vc))
+    with pytest.raises(ConvergenceError) as err:
+        fredholm_det(kernel, cont)
+    assert abs(err.value.value - (1.0 + 1e-3 * 1024)) < 1e-9
+    val, info = fredholm_det(kernel, cont, strict=False, with_info=True)
+    assert info == {"nodes": 1024, "converged": False}
+    assert val == err.value.value
+
+
+def test_tracy_widom_F2_nonconvergence_raises(monkeypatch):
+    import qhahn_polymer.fredholm as fr
+
+    # det(I - K) = 1 - 1e-4 * m * (upper - r) changes with every doubling
+    monkeypatch.setattr(fr, "_airy_kernel_matrix", lambda xs: np.full((xs.size, xs.size), 1e-4 * xs.size))
+    with pytest.raises(ConvergenceError) as err:
+        tracy_widom_F2(0.0)
+    assert abs(err.value.value - (1.0 - 1e-4 * 768 * 10.0)) < 1e-9

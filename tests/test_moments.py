@@ -3,6 +3,7 @@ import pytest
 from qhahn_polymer.model import HeightRequest, QHahnModel, base_case_product, enumerate_exact
 from qhahn_polymer.moments import (
     ContourError,
+    ConvergenceError,
     beta_moment_integral,
     build_contours,
     qmoment_integral,
@@ -256,3 +257,16 @@ def test_node_doubling_geometric_convergence():
     d2 = abs(vals[64] - vals[32])
     if d1 > 1e-14:
         assert d2 / d1 < 0.1
+
+
+def test_beta_moment_nonconvergence_honours_node_cap(monkeypatch):
+    import qhahn_polymer.moments as mm
+
+    monkeypatch.setitem(mm._NODE_CAPS, 1, 8)
+    pm = poly_model()
+    with pytest.raises(ConvergenceError) as err:
+        beta_moment_integral(pm, [1], [3], [0], nodes=4)
+    assert err.value.value is not None
+    val, info = beta_moment_integral(pm, [1], [3], [0], nodes=4, strict=False, with_info=True)
+    assert info == {"nodes": 8, "converged": False}
+    assert val == err.value.value

@@ -341,8 +341,8 @@ def _cmd_fredholm(args):
     if args.action == "tw-cdf":
         from .fredholm import tracy_widom_F2
 
-        val = tracy_widom_F2(args.r)
-        records.append({"r": args.r, "F2": val})
+        val, info = tracy_widom_F2(args.r, with_info=True)
+        records.append({"r": args.r, "F2": val, "nodes": info["nodes"], "converged": info["converged"]})
     else:
         pmodel = _polymer_from_args(args)
         x, y = args.x, args.y

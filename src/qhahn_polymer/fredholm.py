@@ -13,6 +13,9 @@ one-step ratio f(z) ... f(z+n-1); ``GFunction`` lives in :mod:`.moments`
 Tracy-Widom GUE distribution is the Airy-kernel determinant on (r, infinity),
 evaluated with Gauss-Legendre quadrature on a truncated interval.  Both
 determinants double their node count with ``moments._refine`` up to 1024.
+The Gauss-Legendre rules (the F2 nodes and the Mellin-Barnes line panels) come
+from one cached ``_gauss_legendre(m)``, so a rule is built once per process;
+its arrays are read-only because every caller shares them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .moments import ContourError, ConvergenceError, GFunction, _refine, small_sigma_circle
-from .specfun import airy_ai, airy_ai_prime
+from .specfun import _airy
 
 __all__ = [
     "GFunction",
@@ -119,9 +122,18 @@ class MBKernel:
         return weighted @ (1.0 / (self.z_nodes[:, None] - v_col[None, :]))
 
 
+@lru_cache(maxsize=16)
+def _gauss_legendre(m):
+    """The m-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    xg, wg = np.polynomial.legendre.leggauss(m)
+    xg.flags.writeable = False
+    wg.flags.writeable = False
+    return xg, wg
+
+
 def _gl_line_nodes(h, T, panel=0.5, order=16):
     """Gauss-Legendre panels along the vertical segment [h - iT, h + iT]."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = _gauss_legendre(order)
     ts = []
     ws = []
     t0 = -T
@@ -193,8 +205,7 @@ def mb_determinant(pmodel, x, y, u, contour=None, nodes=64, rtol=1e-10, T=None, 
 
 
 def _airy_kernel_matrix(xs):
-    ai = np.array([airy_ai(x) for x in xs])
-    aip = np.array([airy_ai_prime(x) for x in xs])
+    ai, aip = _airy(xs)
     diff = xs[:, None] - xs[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         K = (ai[:, None] * aip[None, :] - ai[None, :] * aip[:, None]) / diff
@@ -203,16 +214,22 @@ def _airy_kernel_matrix(xs):
     return K
 
 
-def tracy_widom_F2(r, nodes=96, rtol=1e-9, upper=None):
-    """F_2(r) = det(I - K_Airy) on L^2(r, infinity), Gauss-Legendre Nystrom."""
+def tracy_widom_F2(r, nodes=96, rtol=1e-9, upper=None, with_info=False):
+    """F_2(r) = det(I - K_Airy) on L^2(r, infinity), Gauss-Legendre Nystrom.
+
+    ``r`` must be >= -9, where the Airy evaluation stops; r = +inf gives 1.
+    ``with_info`` adds {"nodes", "converged"} as in ``fredholm_det``.
+    """
     r = float(r)
+    if math.isnan(r) or r < -9.0:
+        raise ValueError(f"tracy_widom_F2 needs r >= -9 (the Airy evaluation range), got r = {r}")
     if upper is None:
         upper = max(r + 4.0, 10.0)
     if upper <= r:
-        return 1.0
+        return (1.0, {"nodes": 0, "converged": True}) if with_info else 1.0
 
     def eval_at(m):
-        xg, wg = np.polynomial.legendre.leggauss(m)
+        xg, wg = _gauss_legendre(m)
         xs = 0.5 * (r + upper) + 0.5 * (upper - r) * xg
         ws = 0.5 * (upper - r) * wg
         K = _airy_kernel_matrix(xs)
@@ -221,7 +238,7 @@ def tracy_widom_F2(r, nodes=96, rtol=1e-9, upper=None):
         sign, logdet = np.linalg.slogdet(A)
         return float(sign * np.exp(logdet))
 
-    return _refine(eval_at, nodes, rtol, 1e-13, 1024, what="Airy-kernel determinant")
+    return _refine(eval_at, nodes, rtol, 1e-13, 1024, with_info=with_info, what="Airy-kernel determinant")
 
 
 @lru_cache(maxsize=8)
@@ -241,6 +258,8 @@ def tw_cdf(x):
 def ks_distance_to_F2(samples):
     """Kolmogorov-Smirnov distance between an empirical sample and F_2."""
     xs = np.sort(np.asarray(samples, dtype=float))
+    if not np.isfinite(xs).all():
+        raise ValueError("ks_distance_to_F2 needs finite samples")
     n = xs.size
     cdf = tw_cdf(xs)
     upper = np.arange(1, n + 1) / n - cdf

@@ -15,6 +15,7 @@ polymer ratio and gamma product ``GFunction`` (re-exported by ``fredholm``).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -279,9 +280,10 @@ def _refine(eval_at, start_nodes, rtol, atol, cap, strict=True, with_info=False,
     Trapezoid error on circles decays geometrically, so the change per
     doubling tracks the error of the coarser level; when successive changes
     shrink fast, the finer value's error is estimated by one more decay factor
-    and accepted if it meets the tolerance.  Without convergence the last
-    value is returned, or carried by ``ConvergenceError`` when ``strict``;
-    ``with_info`` adds {"nodes", "converged"}.
+    and accepted if it meets the tolerance.  A non-finite value is never
+    accepted and stops the doubling, since more nodes do not repair an
+    overflow.  Without convergence the last value is returned, or carried by
+    ``ConvergenceError`` when ``strict``; ``with_info`` adds {"nodes", "converged"}.
     """
     m, val = start_nodes, eval_at(start_nodes)
     prev_delta = None
@@ -289,6 +291,9 @@ def _refine(eval_at, start_nodes, rtol, atol, cap, strict=True, with_info=False,
     while not ok and 2 * m <= cap:
         m *= 2
         cur = eval_at(m)
+        if not cmath.isfinite(cur):
+            val = cur
+            break
         delta = abs(cur - val)
         tol = max(rtol * abs(cur), atol)
         ok = delta <= tol or (
@@ -296,7 +301,8 @@ def _refine(eval_at, start_nodes, rtol, atol, cap, strict=True, with_info=False,
         )
         val, prev_delta = cur, delta
     if not ok and strict:
-        raise ConvergenceError(f"{what} did not stabilize at {m} nodes", val)
+        state = "did not stabilize" if cmath.isfinite(val) else f"is not finite ({val})"
+        raise ConvergenceError(f"{what} {state} at {m} nodes", val)
     return (val, {"nodes": m, "converged": ok}) if with_info else val
 
 

@@ -5,6 +5,9 @@ downward recursion Psi_k(z) = Psi_k(z+1) + (-1)^{k+1} k!/z^{k+1} until the
 argument is large, then a Bernoulli asymptotic expansion.  The complex
 log-gamma is the analytic log-gamma (continuous off the cut (-inf, 0]),
 computed by shifting the argument up and applying the Stirling series.
+The Airy function Ai and its derivative are evaluated together over whole
+arrays (``_airy``): the Maclaurin series up to x = 5.8 and the asymptotic
+series beyond it, on x >= -9.
 """
 
 from __future__ import annotations
@@ -101,7 +104,9 @@ def log_gamma(z):
 
 # ---------------------------------------------------------------------------
 # Airy function: Maclaurin series for moderate arguments, asymptotic series
-# beyond the crossover.  Only the real line is needed.
+# beyond the crossover.  Only the real line is needed.  Both series run over
+# whole arrays; each element stops on its own term test, so its value does not
+# depend on the other elements or on the array's size.
 
 _AI0 = 0.3550280538878172392600631860041831763980  # Ai(0) = 3^{-2/3}/Gamma(2/3)
 _AIP0 = -0.2588194037928067984051835601892039634793  # Ai'(0) = -3^{-1/3}/Gamma(1/3)
@@ -109,40 +114,53 @@ _CROSSOVER = 5.8
 
 
 def airy_ai(x):
-    return _airy(float(x))[0]
+    """Ai(x) for real x >= -9: a float for a scalar, an array of x's shape for an array."""
+    return _scalar_or_array(_airy(x)[0])
 
 
 def airy_ai_prime(x):
-    return _airy(float(x))[1]
+    """Ai'(x) for real x >= -9: a float for a scalar, an array of x's shape for an array."""
+    return _scalar_or_array(_airy(x)[1])
+
+
+def _scalar_or_array(a):
+    return float(a) if a.ndim == 0 else a
 
 
 def _airy(x):
-    if x > _CROSSOVER:
-        return _airy_asymptotic_pos(x)
-    if x < -9.0:
+    """(Ai(x), Ai'(x)) elementwise, as two arrays of x's shape."""
+    x = np.asarray(x, dtype=float)
+    if (x < -9.0).any():
         raise ValueError("Airy series evaluation limited to x >= -9")
-    return _airy_series(x)
+    flat = x.reshape(-1)
+    ai, aip = np.empty_like(flat), np.empty_like(flat)
+    pos = flat > _CROSSOVER
+    ai[pos], aip[pos] = _airy_asymptotic_pos(flat[pos])
+    ai[~pos], aip[~pos] = _airy_series(flat[~pos])
+    return ai.reshape(x.shape), aip.reshape(x.shape)
 
 
 def _airy_series(x):
     # Ai = c1 f - c2 g with f'' = x f, f(0)=1, f'(0)=0 and g(0)=0, g'(0)=1
     x3 = x * x * x
-    f, fp = 1.0, 0.0
-    g, gp = x, 1.0
-    tf = 1.0
-    tg = x
+    xd = np.where(x == 0.0, np.inf, x)  # at x = 0 the f' and g' terms add zero
+    f, fp = np.ones_like(x), np.zeros_like(x)
+    g, gp = x.copy(), np.ones_like(x)
+    tf = np.ones_like(x)
+    tg = x.copy()
+    live = np.ones(x.shape, dtype=bool)
     for k in range(0, 60):
-        # term recurrences: tf_{k+1} = tf_k x^3 /((3k+2)(3k+3)), similarly tg
-        ntf = tf * x3 / ((3 * k + 2) * (3 * k + 3))
-        ntg = tg * x3 / ((3 * k + 3) * (3 * k + 4))
-        f += ntf
-        g += ntg
-        fp += ntf * (3 * k + 3) / x if x != 0.0 else 0.0
-        gp += ntg * (3 * k + 4) / x if x != 0.0 else 0.0
-        tf, tg = ntf, ntg
-        scale = abs(f) + abs(g) + 1.0
-        if abs(ntf) < 1e-18 * scale and abs(ntg) < 1e-18 * scale:
+        if not live.any():
             break
+        # term recurrences: tf_{k+1} = tf_k x^3 /((3k+2)(3k+3)), similarly tg
+        tf = tf * x3 / ((3 * k + 2) * (3 * k + 3))
+        tg = tg * x3 / ((3 * k + 3) * (3 * k + 4))
+        np.add(f, tf, out=f, where=live)
+        np.add(g, tg, out=g, where=live)
+        np.add(fp, tf * (3 * k + 3) / xd, out=fp, where=live)
+        np.add(gp, tg * (3 * k + 4) / xd, out=gp, where=live)
+        scale = np.abs(f) + np.abs(g) + 1.0
+        live &= ~((np.abs(tf) < 1e-18 * scale) & (np.abs(tg) < 1e-18 * scale))
     ai = _AI0 * f + _AIP0 * g
     aip = _AI0 * fp + _AIP0 * gp
     return ai, aip
@@ -150,21 +168,22 @@ def _airy_series(x):
 
 def _airy_asymptotic_pos(x):
     zeta = 2.0 / 3.0 * x**1.5
-    pref = math.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-    su, sv = 1.0, 1.0
+    pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
+    su, sv = np.ones_like(x), np.ones_like(x)
+    live = np.ones(x.shape, dtype=bool)
     u = 1.0
-    term_u = 1.0
     for k in range(1, 40):
+        if not live.any():
+            break
         u *= (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * (2 * k - 1) * k)
         term_u = (-1) ** k * u / zeta**k
         v_over_u = (6 * k + 1) / (1.0 - 6 * k)
         term_v = (-1) ** k * u * v_over_u / zeta**k
-        if abs(term_u) > abs(su) :
-            break
-        su += term_u
-        sv += term_v
-        if abs(term_u) < 1e-18:
-            break
+        # a term larger than the sum so far ends the element's series without being added
+        live &= ~(np.abs(term_u) > np.abs(su))
+        np.add(su, term_u, out=su, where=live)
+        np.add(sv, term_v, out=sv, where=live)
+        live &= ~(np.abs(term_u) < 1e-18)
     ai = pref * x**-0.25 * su
     aip = -pref * x**0.25 * sv
     return ai, aip

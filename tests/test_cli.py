@@ -147,6 +147,16 @@ def test_fredholm_subcommands(tmp_path, polymer_config, capsys):
     assert rec["abs_diff"] < 1e-6
 
 
+def test_fredholm_tw_cdf_record_carries_nodes(tmp_path, capsys):
+    out = tmp_path / "f.jsonl"
+    assert run(["fredholm", "tw-cdf", "--r", "-2", "-o", str(out)]) == EXIT_OK
+    rec = json.loads(out.read_text().splitlines()[0])
+    assert rec["nodes"] == 192 and rec["converged"] is True
+    for bad in ("nan", "-9.5"):
+        assert run(["fredholm", "tw-cdf", "--r", bad, "-o", str(out)]) == EXIT_VALIDATION
+    capsys.readouterr()
+
+
 def test_descent_subcommand(tmp_path, capsys):
     cfg = {"model": {"sigma": [0.0], "alpha": [1.0], "rho": [-1.0], "beta": [1.0],
                      "omega": [-1.5, -3.0], "gamma": [0.5, 0.5]}}

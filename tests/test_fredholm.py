@@ -197,3 +197,42 @@ def test_tracy_widom_F2_nonconvergence_raises(monkeypatch):
     with pytest.raises(ConvergenceError) as err:
         tracy_widom_F2(0.0)
     assert abs(err.value.value - (1.0 - 1e-4 * 768 * 10.0)) < 1e-9
+
+
+def test_fredholm_det_rejects_non_finite_values():
+    # exp(60 v) overflows on the circle: the determinant is inf, never converged
+    cont = small_sigma_circle(poly_model(), 1, 3)
+    kernel = lambda vr, vc: np.outer(np.exp(60 * vr), np.ones_like(vc))
+    with np.errstate(all="ignore"):
+        with pytest.raises(ConvergenceError, match="not finite") as err:
+            fredholm_det(kernel, cont)
+        val, info = fredholm_det(kernel, cont, strict=False, with_info=True)
+    assert not np.isfinite(err.value.value)
+    assert not np.isfinite(val) and info["converged"] is False
+
+
+def test_tracy_widom_F2_rejects_bad_r_and_reports_nodes():
+    for r in (math.nan, -9.5, -math.inf):
+        with pytest.raises(ValueError, match="r"):
+            tracy_widom_F2(r)
+    assert tracy_widom_F2(math.inf) == 1.0
+    val, info = tracy_widom_F2(0.0, with_info=True)
+    assert val == tracy_widom_F2(0.0)
+    assert info == {"nodes": 192, "converged": True}
+
+
+def test_ks_distance_rejects_non_finite_samples():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ks_distance_to_F2([0.1, bad, -1.0])
+
+
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    from qhahn_polymer.fredholm import _gauss_legendre
+
+    xg, wg = _gauss_legendre(96)
+    assert _gauss_legendre(96)[0] is xg
+    assert np.array_equal(xg, np.polynomial.legendre.leggauss(96)[0])
+    for arr in (xg, wg):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

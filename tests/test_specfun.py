@@ -3,8 +3,22 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qhahn_polymer.specfun import airy_ai, airy_ai_prime, digamma, log_gamma, polygamma
+from qhahn_polymer.specfun import (
+    _AI0,
+    _AIP0,
+    _CROSSOVER,
+    _airy,
+    _airy_asymptotic_pos,
+    _airy_series,
+    airy_ai,
+    airy_ai_prime,
+    digamma,
+    log_gamma,
+    polygamma,
+)
 
 
 def test_log_gamma_at_one():
@@ -104,3 +118,44 @@ def test_airy_wronskian():
         _, _, bi, bip = sps.airy(x)
         w = airy_ai(x) * bip - airy_ai_prime(x) * bi
         assert abs(w - 1.0 / math.pi) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-9.0, 40.0), min_size=1, max_size=40))
+def test_airy_array_equals_per_element_calls(values):
+    xs = np.array(values)
+    ai, aip = _airy(xs)
+    assert ai.tolist() == [airy_ai(x) for x in values]
+    assert aip.tolist() == [airy_ai_prime(x) for x in values]
+
+
+def test_airy_shapes_and_scalars():
+    for x in (1.0, np.float64(7.0), np.array(1.5)):
+        assert isinstance(airy_ai(x), float) and isinstance(airy_ai_prime(x), float)
+    for x in (np.linspace(-3.0, 9.0, 7), np.linspace(-3.0, 9.0, 12).reshape(3, 4)):
+        ai, aip = airy_ai(x), airy_ai_prime(x)
+        assert ai.shape == aip.shape == x.shape
+        assert ai.ravel().tolist() == [airy_ai(v) for v in x.ravel()]
+
+
+def test_airy_rejects_any_element_below_minus_nine():
+    with pytest.raises(ValueError):
+        airy_ai(-9.5)
+    with pytest.raises(ValueError):
+        _airy(np.array([0.0, 3.0, -9.0 - 1e-12, 20.0]))
+    assert np.isfinite(airy_ai_prime(np.array([-9.0, 0.0]))).all()
+
+
+def test_airy_at_zero_and_across_the_crossover():
+    ai, aip = _airy(np.array([0.0, -0.0]))
+    assert ai.tolist() == [_AI0, _AI0] and aip.tolist() == [_AIP0, _AIP0]
+    below, above = np.nextafter(_CROSSOVER, -np.inf), np.nextafter(_CROSSOVER, np.inf)
+    xs = np.array([below, _CROSSOVER, above])
+    ai, aip = _airy(xs)
+    # 5.8 itself takes the Maclaurin series, the next float up the asymptotic one
+    series, asym = _airy_series(xs[:2]), _airy_asymptotic_pos(xs[2:])
+    assert ai.tolist() == [*series[0], *asym[0]] and aip.tolist() == [*series[1], *asym[1]]
+    ref = sps.airy(xs)
+    assert np.max(np.abs(ai[:2] - ref[0][:2])) < 2e-12 and np.max(np.abs(aip[:2] - ref[1][:2])) < 2e-12
+    # the asymptotic series runs past its smallest term just above the crossover
+    assert abs(ai[2] - ref[0][2]) < 1e-10 and abs(aip[2] - ref[1][2]) < 1e-10

@@ -279,10 +279,11 @@ def _cmd_moments(args):
         if len(args.x) != 1 or len(args.y) != 1:
             raise ValidationFailure("single-contour needs exactly one --x and one --y value")
         _check_polymer_point(pmodel, int(args.x[0]), int(args.y[0]))
-        val = single_contour_moment(pmodel, int(args.x[0]), int(args.y[0]), args.k)
+        val, info = single_contour_moment(pmodel, int(args.x[0]), int(args.y[0]), args.k, with_info=True)
         records.append({
             "request": {"x": int(args.x[0]), "y": int(args.y[0]), "k": args.k},
-            "value_re": val.real, "value_im": val.imag, "converged": True,
+            "value_re": val.real, "value_im": val.imag,
+            "nodes": info["nodes"], "converged": info["converged"],
         })
     else:
         raise ValidationFailure(f"unknown moments target {args.target!r}")

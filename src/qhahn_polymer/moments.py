@@ -4,8 +4,10 @@ Contours are concentric circles around the pole cluster.  Trapezoid rule on a
 circle is spectrally accurate for analytic integrands, so node counts double
 from a small start until the value stabilizes.  The operator factor is applied
 on the tensor grid by tracking the family of axis-to-circle assignments that
-argument swaps generate; all circles carry the same node count, which turns a
-swap of arguments into a swap of array axes.
+argument swaps generate.  Arrays stay on the physical grid (axis b holds the
+nodes of circle b), so a swap of arguments is a swap of assignments read at the
+same grid index.  The k-fold sum runs over slabs of the first axis in buffers
+allocated once per call: memory is O(k! slab), not O(k! m^k).
 
 This module is the numerical core shared with :mod:`.fredholm`: the circle
 rule (``NestedContours.nodes``/``weights``), the node-doubling routine
@@ -196,6 +198,16 @@ def build_shifted_contours(pmodel, k, x, y, pad_cap=0.35):
 
 # ---------------------------------------------------------------------------
 # Hecke application on tensor grids.
+#
+# Every array lives on the physical grid: axis b holds the nodes of circle b.
+# For an axis-to-circle assignment ``asg``, F_asg holds F at the point whose
+# argument a is taken from circle asg[a], so F(s_i w) is F_{swap(asg, i)} at
+# the same grid index.  The k-fold sum runs over slabs of axis 0, and every
+# slab array is written into buffers allocated once per call.
+
+# grid points per slab (at least one row of axis 0): 512 KB per complex buffer
+# keeps a level's working set near the cache; 2^17 ran about 40% slower at k = 3
+_SLAB_CELLS = 1 << 15
 
 
 def _swap_assign(asg, i):
@@ -210,6 +222,67 @@ def _axis_view(arr1d, axis, k):
     return arr1d.reshape(shape)
 
 
+def _slab(arr, rows):
+    """The rows of axis 0 of a physical-layout array; a broadcast axis 0 is kept whole."""
+    return arr if arr.shape[0] == 1 else arr[rows]
+
+
+def _pair_tables(fn, keys, views, shared=None):
+    """{(b1, b2): fn(views[b1], views[b2])} over ``keys``, reusing the tables in ``shared``."""
+    shared = shared or {}
+    return {key: shared[key] if key in shared else fn(views[key[0]], views[key[1]]) for key in keys}
+
+
+def _product_into(out, factors):
+    """out = factors[0] * factors[1] * ..., left to right, broadcast to out's shape."""
+    if len(factors) == 1:
+        np.copyto(out, factors[0])
+    else:
+        np.multiply(factors[0], factors[1], out=out)
+    for f in factors[2:]:
+        np.multiply(out, f, out=out)
+    return out
+
+
+class _HeckeSlabs:
+    """T_word G for G(w) = prod_a g_a(w_a), one slab at a time in reused buffers.
+
+    ``gviews[a][b]`` is g_{a+1} on the nodes of circle b+1, placed on axis b;
+    ``coeffs[(b1, b2)]`` is coeff(w_i, w_{i+1}) with w_i on circle b1 and
+    w_{i+1} on circle b2, both placed on their own axes.
+    """
+
+    def __init__(self, word, k, const, shape):
+        self.word, self.const = word, const
+        # needed[d]: the assignments that levels d.. of the word reach from the identity
+        self.needed = [{tuple(range(k))}]
+        for i in word:
+            self.needed.append(self.needed[-1] | {_swap_assign(a, i) for a in self.needed[-1]})
+        self.coeff_keys = {(a[i - 1], a[i]) for d, i in enumerate(word) for a in self.needed[d]}
+        # levels alternate between two pools: the last level's sets in one, the one before in the other
+        pools = [self.needed[-1], self.needed[-2] if word else ()]
+        self.pools = [{asg: np.empty(shape, dtype=complex) for asg in keys} for keys in pools]
+        self.tmp = np.empty(shape, dtype=complex)
+
+    def apply(self, n, gviews, coeffs):
+        """The (n, ...) slab of T_word G; a view of a buffer that the next call overwrites."""
+        k = len(gviews)
+        cur, nxt = ({asg: buf[:n] for asg, buf in pool.items()} for pool in self.pools)
+        tmp = self.tmp[:n]
+        for asg in self.needed[-1]:
+            _product_into(cur[asg], [gviews[a][asg[a]] for a in range(k)])
+        for d in range(len(self.word) - 1, -1, -1):
+            i = self.word[d]
+            for asg in self.needed[d]:
+                base = cur[asg]
+                np.subtract(cur[_swap_assign(asg, i)], base, out=tmp)
+                np.multiply(coeffs[(asg[i - 1], asg[i])], tmp, out=tmp)
+                np.multiply(self.const, base, out=nxt[asg])
+                np.add(nxt[asg], tmp, out=nxt[asg])
+            cur, nxt = nxt, cur
+        return cur[tuple(range(k))]
+
+
 def hecke_tensor(word, gvals, nodes, const, coeff):
     """Apply the operator word to G(w) = prod_a g_a(w_a) on the tensor grid.
 
@@ -218,60 +291,56 @@ def hecke_tensor(word, gvals, nodes, const, coeff):
     (T_word G) on the physical grid (axis a <-> circle a).
     """
     k = len(nodes)
-    ident = tuple(range(k))
-    needed = [{ident}]
-    for i in word:
-        prev = needed[-1]
-        needed.append(prev | {_swap_assign(a, i) for a in prev})
-
-    cur = {}
-    for asg in needed[-1]:
-        arr = np.ones((1,) * k, dtype=complex)
-        for a in range(k):
-            arr = arr * _axis_view(gvals[a][asg[a]], a, k)
-        cur[asg] = arr
-    for d in range(len(word) - 1, -1, -1):
-        i = word[d]
-        nxt = {}
-        for asg in needed[d]:
-            base = cur[asg]
-            swapped = np.swapaxes(cur[_swap_assign(asg, i)], i - 1, i)
-            wi = _axis_view(nodes[asg[i - 1]], i - 1, k)
-            wj = _axis_view(nodes[asg[i]], i, k)
-            nxt[asg] = const * base + coeff(wi, wj) * (swapped - base)
-        cur = nxt
-    return cur[ident]
+    views = [_axis_view(np.asarray(nodes[b]), b, k) for b in range(k)]
+    gviews = [[_axis_view(np.asarray(g[b], dtype=complex), b, k) for b in range(k)] for g in gvals]
+    hecke = _HeckeSlabs(tuple(word), k, const, (views[0].size,) * k)
+    return hecke.apply(views[0].size, gviews, _pair_tables(coeff, hecke.coeff_keys, views))
 
 
-def tensor_quadrature(contours, m, axis_fns, pair_fn, op_factor=None, extra_fn=None):
+def tensor_quadrature(contours, m, axis_fns, pair_fn, op_factor=None):
     """Evaluate the k-fold circle quadrature.
 
     axis_fns[a](w) is the per-variable factor (measure weights are added here);
     pair_fn(wa, wb) multiplies over ordered pairs a < b; op_factor is
-    (word, g_fns, const, coeff) for the operator factor; extra_fn(nodes_list)
-    may supply one more full-grid array.
+    (word, g_fns, const, coeff) for the operator factor.  The sum runs over
+    slabs of about ``_SLAB_CELLS`` grid points, so memory is O(k! slab) and
+    not O(k! m^k).
     """
     k = contours.k
     nodes = contours.nodes(m)
     weights = contours.weights(m)
-    total = np.ones((1,) * k, dtype=complex)
-    for a in range(k):
-        vals = np.asarray(axis_fns[a](nodes[a]), dtype=complex) * weights[a]
-        total = total * _axis_view(vals, a, k)
-    for a in range(k):
-        for b in range(a + 1, k):
-            total = total * pair_fn(_axis_view(nodes[a], a, k), _axis_view(nodes[b], b, k))
+    views = [_axis_view(nodes[b], b, k) for b in range(k)]
+    factors = [_axis_view(np.asarray(axis_fns[a](nodes[a]), dtype=complex) * weights[a], a, k)
+               for a in range(k)]
+    pair_keys = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    g_factors, hecke, coeff, coeff_keys = [], None, None, ()
+    rows = min(m, max(1, _SLAB_CELLS // m ** (k - 1)))
+    shape = (rows,) + (m,) * (k - 1)
     if op_factor is not None:
         word, g_fns, const, coeff = op_factor
         if word:
-            gvals = [[np.asarray(g(nodes[b]), dtype=complex) for b in range(k)] for g in g_fns]
-            total = total * hecke_tensor(word, gvals, nodes, const, coeff)
+            gviews = [[_axis_view(np.asarray(g(nodes[b]), dtype=complex), b, k) for b in range(k)]
+                      for g in g_fns]
+            hecke = _HeckeSlabs(tuple(word), k, const, shape)
+            coeff_keys = hecke.coeff_keys
         else:
-            for a in range(k):
-                total = total * _axis_view(np.asarray(g_fns[a](nodes[a]), dtype=complex), a, k)
-    if extra_fn is not None:
-        total = total * extra_fn(nodes)
-    return complex(total.sum())
+            g_factors = [_axis_view(np.asarray(g_fns[a](nodes[a]), dtype=complex), a, k) for a in range(k)]
+    # slabs cut axis 0 only, so the tables off axis 0 serve every slab
+    pairs = _pair_tables(pair_fn, [key for key in pair_keys if 0 not in key], views)
+    coeffs = _pair_tables(coeff, [key for key in coeff_keys if 0 not in key], views)
+    block = np.empty(shape, dtype=complex)
+    total = 0j
+    for r0 in range(0, m, rows):
+        sl = slice(r0, min(r0 + rows, m))
+        vs = [views[0][sl]] + views[1:]
+        slab_pairs = _pair_tables(pair_fn, pair_keys, vs, pairs)
+        out = _product_into(block[:sl.stop - r0], [_slab(f, sl) for f in factors]
+                            + [slab_pairs[key] for key in pair_keys] + [_slab(f, sl) for f in g_factors])
+        if hecke is not None:
+            gs = [[_slab(v, sl) for v in row] for row in gviews]
+            np.multiply(out, hecke.apply(sl.stop - r0, gs, _pair_tables(coeff, coeff_keys, vs, coeffs)), out=out)
+        total += complex(out.sum())
+    return total
 
 
 def _refine(eval_at, start_nodes, rtol, atol, cap, strict=True, with_info=False, what="quadrature"):
@@ -449,10 +518,15 @@ def small_sigma_circle(pmodel, x, y, radius_cap=0.25):
     return NestedContours(center=center, radii=(radius,), margin=radius - spread / 2.0)
 
 
-def single_contour_moment(pmodel, x, y, k, contour=None, nodes=48, rtol=1e-9, atol=1e-13, strict=True):
-    """E[Z_{x,y}^k] as the partition sum over a single small contour."""
+def single_contour_moment(pmodel, x, y, k, contour=None, nodes=48, rtol=1e-9, atol=1e-13, strict=True,
+                          with_info=False):
+    """E[Z_{x,y}^k] as the partition sum over a single small contour.
+
+    ``with_info`` adds the node-doubling record {"nodes", "converged"}; k = 0
+    needs no quadrature and reports 0 nodes.
+    """
     if k == 0:
-        return 1.0 + 0.0j
+        return (1.0 + 0.0j, {"nodes": 0, "converged": True}) if with_info else 1.0 + 0.0j
     if k > 4:
         raise ValueError("partition-sum quadrature limited to k <= 4 (parts of 1^k)")
     if contour is None:
@@ -491,4 +565,4 @@ def single_contour_moment(pmodel, x, y, k, contour=None, nodes=48, rtol=1e-9, at
         return total
 
     cap = {1: 4096, 2: 512, 3: 96, 4: 32}[min(k, 4)]
-    return _refine(eval_at, min(nodes, cap), rtol, atol, cap, strict, what="partition-sum quadrature")
+    return _refine(eval_at, min(nodes, cap), rtol, atol, cap, strict, with_info, "partition-sum quadrature")

@@ -171,6 +171,7 @@ def _airy_asymptotic_pos(x):
     pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
     su, sv = np.ones_like(x), np.ones_like(x)
     live = np.ones(x.shape, dtype=bool)
+    prev = np.ones_like(x)
     u = 1.0
     for k in range(1, 40):
         if not live.any():
@@ -179,8 +180,10 @@ def _airy_asymptotic_pos(x):
         term_u = (-1) ** k * u / zeta**k
         v_over_u = (6 * k + 1) / (1.0 - 6 * k)
         term_v = (-1) ** k * u * v_over_u / zeta**k
-        # a term larger than the sum so far ends the element's series without being added
-        live &= ~(np.abs(term_u) > np.abs(su))
+        # the series is asymptotic: past its smallest term it diverges, so a term
+        # larger than the one before ends the element's series without being added
+        live &= ~(np.abs(term_u) > prev)
+        prev = np.abs(term_u)
         np.add(su, term_u, out=su, where=live)
         np.add(sv, term_v, out=sv, where=live)
         live &= ~(np.abs(term_u) < 1e-18)

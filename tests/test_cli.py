@@ -116,6 +116,24 @@ def test_moments_polymer_and_single(tmp_path, polymer_config, capsys):
     assert abs(rec1["value_re"] - rec2["value_re"]) < 1e-9
 
 
+def test_moments_single_contour_records_refinement(tmp_path, polymer_config, capsys):
+    from qhahn_polymer.moments import single_contour_moment
+    from qhahn_polymer.polymer import PolymerModel
+
+    out = tmp_path / "s.jsonl"
+    code = run(["moments", "single-contour", "--config", polymer_config, "--x", "1",
+                "--y", "3", "--k", "2", "-o", str(out)])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    rec = json.loads(out.read_text().splitlines()[0])
+    cfg = json.loads(open(polymer_config).read())["model"]
+    pmodel = PolymerModel(cfg["sigma"], cfg["rho"], cfg["omega"])
+    val, info = single_contour_moment(pmodel, 1, 3, 2, with_info=True)
+    assert rec["nodes"] == info["nodes"] and rec["nodes"] > 48
+    assert rec["converged"] is info["converged"] is True
+    assert rec["value_re"] == val.real
+
+
 def test_polymer_brute_and_mc(tmp_path, polymer_config, capsys):
     code = run(["polymer", "brute", "--config", polymer_config, "--x", "2", "--y", "5",
                 "--seed", "3", "-o", str(tmp_path / "b.jsonl")])

@@ -270,3 +270,38 @@ def test_beta_moment_nonconvergence_honours_node_cap(monkeypatch):
     val, info = beta_moment_integral(pm, [1], [3], [0], nodes=4, strict=False, with_info=True)
     assert info == {"nodes": 8, "converged": False}
     assert val == err.value.value
+
+
+def test_k3_quadrature_memory_is_bounded():
+    # the full 192^3 grid is 113 MB per array; slabs keep the whole call far below one of them
+    import tracemalloc
+
+    m = lattice_model()
+    req = HeightRequest.make([0.5, 0.5, 0.5], [3.5, 2.5, 1.5], [1, 2, 3], Permutation((3, 1, 2)))
+    tracemalloc.start()
+    try:
+        val, info = qmoment_integral(m, req, nodes=96, with_info=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info == {"nodes": 192, "converged": True}
+    assert abs(val - base_case_product(m, req)) < 1e-8 * abs(val)
+    assert peak < 64 * 2**20
+
+
+def test_slab_size_does_not_change_quadrature(monkeypatch):
+    import qhahn_polymer.moments as mm
+
+    m = lattice_model()
+    cases = [
+        ([0.5], [2.5], [2], (1,)),
+        ([0.5, 0.5], [3.5, 2.5], [1, 2], (2, 1)),
+        ([0.5, 0.5, 0.5], [3.5, 2.5, 1.5], [1, 2, 3], (3, 1, 2)),
+    ]
+    reqs = [HeightRequest.make(xs, ys, cs, Permutation(tauv)) for xs, ys, cs, tauv in cases]
+    default = [qmoment_integral(m, req, with_info=True) for req in reqs]
+    monkeypatch.setattr(mm, "_SLAB_CELLS", 1)  # one row of axis 0 per slab
+    for req, (val, info) in zip(reqs, default):
+        val1, info1 = qmoment_integral(m, req, with_info=True)
+        assert info1 == info
+        assert abs(val1 - val) <= 1e-14 * abs(val)

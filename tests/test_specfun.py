@@ -157,5 +157,13 @@ def test_airy_at_zero_and_across_the_crossover():
     assert ai.tolist() == [*series[0], *asym[0]] and aip.tolist() == [*series[1], *asym[1]]
     ref = sps.airy(xs)
     assert np.max(np.abs(ai[:2] - ref[0][:2])) < 2e-12 and np.max(np.abs(aip[:2] - ref[1][:2])) < 2e-12
-    # the asymptotic series runs past its smallest term just above the crossover
     assert abs(ai[2] - ref[0][2]) < 1e-10 and abs(aip[2] - ref[1][2]) < 1e-10
+
+
+def test_airy_asymptotic_series_stops_at_smallest_term():
+    # just above the crossover the asymptotic series is still short of 1e-18 at its smallest term
+    xs = np.linspace(_CROSSOVER, 6.2, 401)[1:]
+    ai, aip = _airy(xs)
+    ref = sps.airy(xs)
+    assert np.max(np.abs(ai - ref[0])) < 2e-12
+    assert np.max(np.abs(aip - ref[1])) < 2e-12

@@ -360,11 +360,14 @@ def _cmd_fredholm(args):
         elif args.action == "mb-check":
             from .fredholm import laplace_series_det, mb_determinant
 
-            d1 = laplace_series_det(pmodel, x, y, args.u)
-            d2 = mb_determinant(pmodel, x, y, args.u)
+            d1, series = laplace_series_det(pmodel, x, y, args.u, with_info=True)
+            d2, mb = mb_determinant(pmodel, x, y, args.u, with_info=True)
             records.append({
                 "u_re": args.u, "series_re": d1.real, "mb_re": d2.real,
                 "abs_diff": abs(d1 - d2),
+                "series_nodes": series["nodes"], "series_converged": series["converged"],
+                "series_terms": series["terms"],
+                "nodes_C": mb["nodes"], "nodes_L": mb["nodes_L"], "T": mb["T"],
             })
         else:
             raise ValidationFailure(f"unknown fredholm action {args.action!r}")

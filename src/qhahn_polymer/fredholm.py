@@ -85,17 +85,26 @@ def fredholm_det(kernel, contour, nodes=64, rtol=1e-10, atol=1e-13, strict=True,
     return _refine(eval_at, nodes, rtol, atol, 1024, strict, with_info, what="Nystrom determinant")
 
 
-def laplace_series_det(pmodel, x, y, u, contour=None, nodes=64, rtol=1e-10, strict=True):
-    """E[exp(u Z_{x,y})] via the shift-sum kernel determinant on the small circle."""
+def laplace_series_det(pmodel, x, y, u, contour=None, nodes=64, rtol=1e-10, strict=True,
+                       with_info=False):
+    """E[exp(u Z_{x,y})] via the shift-sum kernel determinant on the small circle.
+
+    ``with_info`` adds {"nodes", "converged", "terms"}, ``terms`` being the
+    most shift-sum terms that any kernel evaluation used.
+    """
     gf = GFunction(pmodel, x, y)
     if contour is None:
         contour = small_sigma_circle(pmodel, x, y)
+    terms = 0
 
     def kernel(v_row, v_col):
-        K, _ = _series_kernel_matrix(gf, u, v_row)
+        nonlocal terms
+        K, n = _series_kernel_matrix(gf, u, v_row)
+        terms = max(terms, n)
         return K
 
-    return fredholm_det(kernel, contour, nodes=nodes, rtol=rtol, strict=strict)
+    out = fredholm_det(kernel, contour, nodes=nodes, rtol=rtol, strict=strict, with_info=with_info)
+    return (out[0], dict(out[1], terms=terms)) if with_info else out
 
 
 @dataclass

@@ -18,8 +18,11 @@ uniforms are drawn replica-major, one row of N + N*N*n per replica (N
 boundary draws, then n per vertex in lexicographic order), so a replica's
 configuration depends only on the generator state and its index, not on R or
 on the chunking.  The scalar ``sample_grid``/``sample_vertex`` keep one
-Python call per vertex (exact outcome tables for small boxes) and serve as
-the per-replica oracle and the one-replica API.
+Python call per vertex and serve as the per-replica oracle and the
+one-replica API: boxes prod(A_c + 1) <= 64 draw from the exact outcome table
+``vertex_outcome_table``, larger boxes through ``_sample_vertices`` on one row.
+The outcome tables and ``enumerate_exact`` both read the weights from
+``weights.qhahn_outgoing``.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from .qtools import comp_add, comp_interval, comp_sub, iter_box, q_pochhammer
-from .weights import qhahn_weight
+from .qtools import comp_add, comp_interval, comp_sub, q_pochhammer
+from .weights import qhahn_outgoing
 
 __all__ = [
     "QHahnModel",
@@ -231,69 +234,13 @@ def vertex_outcome_table(model, i, j, A):
     if tab is None:
         tt, ss = model.spin_params(i, j)
         zero = tuple(0 for _ in A)
-        outcomes = []
-        probs = []
-        for D in iter_box(A):
-            w = qhahn_weight(A, zero, comp_sub(A, D), D, model.q, tt, ss)
-            if w > 0:
-                outcomes.append(D)
-                probs.append(w)
-        cum = np.cumsum(probs)
+        weights = {D: w for (_, D), w in qhahn_outgoing(A, zero, model.q, tt, ss).items() if w > 0}
+        cum = np.cumsum(list(weights.values()))
         if abs(cum[-1] - 1.0) > 1e-9:
             raise ValueError("vertex weights do not normalize (parameter violation)")
-        tab = (outcomes, cum / cum[-1])
+        tab = (list(weights), cum / cum[-1])
         model._vertex_tables[key] = tab
     return tab
-
-
-def _sample_size_marginal(m, q, tt, ss, rng):
-    """|D| ~ one-color q-Hahn law on {0..m} via a multiplicative recurrence."""
-    if m == 0:
-        return 0
-    r = ss / tt
-    p = 1.0
-    for i in range(m):
-        p *= (1.0 - r * q**i) / (1.0 - ss * q**i)
-    table = np.empty(m + 1)
-    table[0] = p
-    for d in range(m):
-        p *= r * (1.0 - tt * q**d) * (1.0 - q ** (m - d)) / ((1.0 - r * q ** (m - d - 1)) * (1.0 - q ** (d + 1)))
-        table[d + 1] = p
-    total = table.sum()
-    if not (0.999999 < total < 1.000001) or (table < -1e-12).any():
-        raise ValueError("size marginal fails to normalize (parameter violation)")
-    return int(np.searchsorted(np.cumsum(table / total), rng.random(), side="right"))
-
-
-def _split_size_among_colors(A, d, q, rng):
-    """Distribute |D| = d over colors with the q-Vandermonde conditionals."""
-    n = len(A)
-    D = [0] * n
-    rest = sum(A)
-    for c in range(n):
-        rest -= A[c]
-        if d == 0:
-            break
-        lo = max(0, d - rest)
-        hi = min(A[c], d)
-        if lo == hi:
-            u = lo
-        else:
-            g = np.empty(hi - lo + 1)
-            g[0] = 1.0
-            val = 1.0
-            for u in range(lo, hi):
-                val *= (1.0 - q ** (A[c] - u)) / (1.0 - q ** (u + 1))
-                val *= (1.0 - q ** (d - u)) / (1.0 - q ** (rest - d + u + 1))
-                val *= q ** (rest - d + 2 * u + 1)
-                g[u - lo + 1] = val
-            cum = np.cumsum(g)
-            u = lo + int(np.searchsorted(cum / cum[-1], rng.random(), side="right"))
-        D[c] = u
-        d -= u
-    if d != 0:
-        raise RuntimeError("color split failed to exhaust |D|")
-    return tuple(D)
 
 
 def sample_vertex(A, B, i, j, model, rng):
@@ -310,8 +257,9 @@ def sample_vertex(A, B, i, j, model, rng):
         D = outcomes[int(np.searchsorted(cum, rng.random(), side="right"))]
     else:
         tt, ss = model.spin_params(i, j)
-        d = _sample_size_marginal(sum(A), model.q, tt, ss, rng)
-        D = _split_size_among_colors(A, d, model.q, rng)
+        row = _sample_vertices(np.array([A]), rng.random((1, len(A))), float(tt), float(ss),
+                               _QTables(float(model.q), sum(A)))[0]
+        D = tuple(int(d) for d in row)
     return comp_add(comp_sub(A, D), B), D
 
 
@@ -357,25 +305,25 @@ def sample_grid(model, rng):
 
 def height_field(cfg, c):
     """h_{>=c} on all facets; H[ix, iy] is the value at (ix + 1/2, iy + 1/2)."""
-    N, n = cfg.size, cfg.n
-    H = np.zeros((N + 1, N + 1), dtype=np.int64)
+    N = cfg.size
+    # an edge carries sum(edge[c - 1:]) paths of color >= c
+    H = [[0]]
     for iy in range(1, N + 1):
-        H[0, iy] = H[0, iy - 1] + comp_interval(cfg.B[(0, iy)], c, n)
+        H[0].append(H[0][-1] + sum(cfg.B[(0, iy)][c - 1 :]))
     for ix in range(1, N + 1):
-        for iy in range(0, N + 1):
-            H[ix, iy] = H[ix - 1, iy] - comp_interval(cfg.A[(ix, iy)], c, n)
-    return H
+        H.append([h - sum(cfg.A[(ix, iy)][c - 1 :]) for iy, h in enumerate(H[-1])])
+    return np.array(H, dtype=np.int64)
 
 
 def qmoment_statistic(model, cfg, req):
     """prod_a q^{h_{>= c_{tau^{-1}(a)}}(x_a, y_a)} for one configuration."""
     fields = {c: height_field(cfg, c) for c in set(req.colors)}
-    val = 1.0
+    val = model.q ** 0  # a Fraction q keeps the product exact
     for a in range(1, req.k + 1):
         c = req.colors[req.tau.inv(a) - 1]
         ix = (req.x2[a - 1] - 1) // 2
         iy = (req.y2[a - 1] - 1) // 2
-        val *= model.q ** fields[c][ix, iy]
+        val *= model.q ** int(fields[c][ix, iy])
     return val
 
 
@@ -650,25 +598,15 @@ def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
         rows.append(w)
         tail_total += float(tail) / float(sum(w))
 
-    colors_needed = sorted(set(req.colors))
-    facets = [((req.x2[a] - 1) // 2, (req.y2[a] - 1) // 2) for a in range(req.k)]
-    stat_colors = [req.colors[req.tau.inv(a) - 1] for a in range(1, req.k + 1)]
-
     zero = tuple(0 for _ in range(n))
     tables = {}
 
     def outgoing(i, j, A):
         key = (i, j, A)
-        tab = tables.get(key)
-        if tab is None:
+        if key not in tables:
             tt, ss = model.spin_params(i, j)
-            tab = []
-            for D in iter_box(A):
-                wgt = qhahn_weight(A, zero, comp_sub(A, D), D, q, tt, ss)
-                if wgt != 0:
-                    tab.append((D, wgt))
-            tables[key] = tab
-        return tab
+            tables[key] = qhahn_outgoing(A, zero, q, tt, ss)
+        return tables[key]
 
     total_weight = 0
     total_value = 0
@@ -683,27 +621,13 @@ def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
     A_edges = {}
     B_edges = {}
 
-    def q_statistic():
-        fields = {}
-        for c in colors_needed:
-            H = np.zeros((N + 1, N + 1), dtype=object)
-            for iy in range(1, N + 1):
-                H[0, iy] = H[0, iy - 1] + comp_interval(B_edges[(0, iy)], c, n)
-            for ix in range(1, N + 1):
-                for iy in range(0, N + 1):
-                    H[ix, iy] = H[ix - 1, iy] - comp_interval(A_edges[(ix, iy)], c, n)
-            fields[c] = H
-        val = 1 if not isinstance(q, float) else 1.0
-        for a in range(req.k):
-            ix, iy = facets[a]
-            val = val * q ** int(fields[stat_colors[a]][ix, iy])
-        return val
+    cfg = PathConfiguration(n=n, size=N, A=A_edges, B=B_edges)
 
     def recurse(idx, prob):
         nonlocal total_weight, total_value
         if idx == N * N:
             total_weight += prob
-            total_value += prob * q_statistic()
+            total_value += prob * qmoment_statistic(model, cfg, req)
             return
         i, j = divmod(idx, N)
         i, j = i + 1, j + 1
@@ -714,8 +638,8 @@ def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
             B_edges[(i, j)] = zero
             recurse(idx + 1, prob)
             return
-        for D, wgt in outgoing(i, j, A):
-            A_edges[(i, j)] = comp_add(comp_sub(A, D), B)
+        for (C, D), wgt in outgoing(i, j, A).items():
+            A_edges[(i, j)] = comp_add(C, B)
             B_edges[(i, j)] = D
             recurse(idx + 1, prob * wgt)
 

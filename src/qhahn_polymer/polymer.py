@@ -4,8 +4,10 @@ The partition function Z^(r)_{x,y} sums directed paths from (0, r) to (x, y)
 over products of Beta-environment edge weights, starting at the first vertical
 step.  Equivalently it is the conditional hitting probability of a random walk
 in the same Beta environment; both descriptions are implemented and serve as
-mutual oracles, together with an annealed multi-walker computation of the
-integer moments that is exact for rational parameters.
+mutual oracles.  The third oracle is one annealed-walker transfer matrix,
+``joint_moment_annealed``: walkers with their own delays in a shared Beta
+environment give the joint integer moments, exactly for rational parameters;
+``moment_annealed`` is its case of k identical walkers.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from functools import lru_cache
+from itertools import product, repeat
 
 import numpy as np
 
@@ -242,128 +245,68 @@ def _rising(a, n):
 
 
 def moment_annealed(model, x, y, r, k, exact=False):
-    """E[(Z^(r)_{x,y})^k] by the annealed k-walker transfer matrix.
-
-    Walkers sharing a site share its Beta variable, so joint steps integrate
-    to ratios of rising factorials; exact rationals when requested and the
-    parameters are Fractions.
-    """
-    if k == 0:
-        return Fraction(1) if exact else 1.0
-    one = Fraction(1) if exact else 1.0
-    done = 0 * one
-    states = {tuple([x] * k): one}
-    for j in range(y, r, -1):
-        nxt = {}
-        for cols, p in states.items():
-            # walkers with i >= j - r are guaranteed survivors; drop them
-            cols = tuple(i for i in cols if i < j - r)
-            if not cols:
-                done += p
-                continue
-            groups = {}
-            for i in cols:
-                groups[i] = groups.get(i, 0) + 1
-            outcomes = [((), one)]
-            for i, m in groups.items():
-                a = model.sigma(i) - model.rho(j)
-                b = model.rho(j) - model.omega(j - i)
-                if exact:
-                    a, b = Fraction(a), Fraction(b)
-                denom = _rising(a + b, m)
-                new_outcomes = []
-                for prefix, w in outcomes:
-                    for v in range(m + 1):
-                        pw = w * math.comb(m, v) * _rising(a, v) * _rising(b, m - v) / denom
-                        cols_part = (i,) * v + (i - 1,) * (m - v)
-                        new_outcomes.append((prefix + cols_part, pw))
-                outcomes = new_outcomes
-            for cols_new, w in outcomes:
-                if min(cols_new) < 0:
-                    continue
-                key = tuple(sorted(cols_new))
-                nxt[key] = nxt.get(key, 0 * one) + p * w
-        states = nxt
-    return done + sum(states.values())
+    """E[(Z^(r)_{x,y})^k]: k identical walkers in ``joint_moment_annealed``."""
+    return joint_moment_annealed(model, [(x, y, r)] * k, exact=exact)
 
 
-def joint_moment_annealed(model, specs):
-    """E[prod_a Z^(r_a)_{x_a, y_a}] for labeled walkers with individual delays.
+def joint_moment_annealed(model, specs, exact=False):
+    """E[prod_a Z^(r_a)_{x_a, y_a}] by the annealed multi-walker transfer matrix.
 
     Each factor contributes one walker entering at row y_a in column x_a; a
     walker is absorbed as a success once its column reaches the safe region
     i >= j - r_a, and any walker at column < 0 kills the state.  Walkers
-    sharing a cell share the cell's Beta variable.
+    sharing a cell share its Beta variable, so joint steps integrate to ratios
+    of rising factorials.  Walkers with equal delay are exchangeable: a state
+    holds, per delay, the sorted columns of its live walkers.  Exact rationals
+    when requested and the parameters are Fractions.
     """
-    specs = [tuple(s) for s in specs]
-    if not specs:
-        return 1.0
-    DONE = None
-    y_top = max(s[1] for s in specs)
-    states = {tuple(DONE for _ in specs): 1.0}
-    # place walkers lazily as the sweep reaches their starting rows
-    started = [False] * len(specs)
-    for j in range(y_top, 0, -1):
-        entering = [a for a, (xa, ya, ra) in enumerate(specs) if ya == j and not started[a]]
-        if entering:
-            new_states = {}
-            for cols, p in states.items():
-                cols = list(cols)
-                for a in entering:
-                    cols[a] = specs[a][0]
-                new_states[tuple(cols)] = new_states.get(tuple(cols), 0.0) + p
-            states = new_states
-            for a in entering:
-                started[a] = True
-        nxt = {}
-        for cols, p in states.items():
-            cols = list(cols)
-            for a, i in enumerate(cols):
-                if i is not DONE and started[a] and i >= j - specs[a][2]:
-                    cols[a] = DONE
-            active = [a for a, i in enumerate(cols) if i is not DONE]
-            if not active:
-                key = tuple(cols)
-                nxt[key] = nxt.get(key, 0.0) + p
-                continue
-            groups = {}
-            for a in active:
-                groups.setdefault(cols[a], []).append(a)
-            outcomes = [({}, 1.0)]
-            for i, members in groups.items():
-                m = len(members)
-                aa = model.sigma(i) - model.rho(j)
-                bb = model.rho(j) - model.omega(j - i)
-                denom = _rising(aa + bb, m)
-                new_outcomes = []
-                import itertools as _it
+    one = Fraction(1) if exact else 1.0
+    specs = list(specs)
+    delays = sorted({r for _, _, r in specs})
+    entering = {}
+    for x, y, r in specs:
+        entering.setdefault(y, []).append((delays.index(r), x))
 
-                for assign, w in outcomes:
-                    for stay_set in _it.chain.from_iterable(
-                        _it.combinations(members, v) for v in range(m + 1)
-                    ):
-                        v = len(stay_set)
-                        pw = w * float(_rising(aa, v) * _rising(bb, m - v)) / float(denom)
-                        upd = dict(assign)
-                        for a in members:
-                            upd[a] = i if a in stay_set else i - 1
-                        new_outcomes.append((upd, pw))
-                    # combinations over subsets already counts each pattern once
-                outcomes = new_outcomes
-            for assign, w in outcomes:
-                cols_new = list(cols)
-                dead = False
-                for a, i_new in assign.items():
-                    if i_new < 0:
-                        dead = True
-                        break
-                    cols_new[a] = i_new
-                if dead:
-                    continue
-                key = tuple(cols_new)
-                nxt[key] = nxt.get(key, 0.0) + p * w
+    @lru_cache(maxsize=None)
+    def column_moves(i, j, counts):
+        """(stayers per delay, weight) for the walkers in cell (i, j), counts per delay."""
+        a = model.sigma(i) - model.rho(j)
+        b = model.rho(j) - model.omega(j - i)
+        if exact:
+            a, b = Fraction(a), Fraction(b)
+        m = sum(counts)
+        out = []
+        for stay in product(*(range(mc + 1) for mc in counts)):
+            v = sum(stay)
+            if i > 0 or v == m:  # a walker leaving column 0 kills the state
+                w = _rising(a, v) * _rising(b, m - v) / _rising(a + b, m)
+                out.append((stay, w * math.prod(map(math.comb, counts, stay))))
+        return out
+
+    states = {((),) * len(delays): one}
+    for j in range(max(entering, default=0), 0, -1):
+        nxt = {}
+        for state, p in states.items():
+            live = [list(cols) for cols in state]
+            for c, x in entering.get(j, ()):
+                live[c].append(x)
+            counts = {}
+            for c, (cols, r) in enumerate(zip(live, delays)):
+                for i in cols:
+                    if i < j - r:  # walkers with i >= j - r are certain successes; drop them
+                        counts.setdefault(i, [0] * len(delays))[c] += 1
+            # columns in ascending order keep every delay's tuple sorted
+            branches = [(((),) * len(delays), p)]
+            for i in sorted(counts):
+                cnt = tuple(counts[i])
+                branches = [
+                    (tuple(cols + (i - 1,) * (m - v) + (i,) * v for cols, m, v in zip(prev, cnt, stay)), w * wm)
+                    for prev, w in branches for stay, wm in column_moves(i, j, cnt)
+                ]
+            for key, w in branches:
+                nxt[key] = nxt.get(key, 0 * one) + w
         states = nxt
-    return sum(states.values())
+    return sum(states.values(), 0 * one)
 
 
 # ---------------------------------------------------------------------------

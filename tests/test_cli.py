@@ -165,6 +165,25 @@ def test_fredholm_subcommands(tmp_path, polymer_config, capsys):
     assert rec["abs_diff"] < 1e-6
 
 
+def test_fredholm_mb_check_record_carries_diagnostics(tmp_path, polymer_config, capsys):
+    from qhahn_polymer.fredholm import laplace_series_det, mb_determinant
+    from qhahn_polymer.polymer import PolymerModel
+
+    out = tmp_path / "f.jsonl"
+    assert run(["fredholm", "mb-check", "--config", polymer_config, "--u", "-2.0", "-o", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    rec = json.loads(out.read_text().splitlines()[0])
+    model = json.loads(open(polymer_config).read())["model"]
+    pm = PolymerModel(model["sigma"], model["rho"], model["omega"])
+    d1, series = laplace_series_det(pm, 2, 5, -2.0, with_info=True)
+    d2, mb = mb_determinant(pm, 2, 5, -2.0, with_info=True)
+    assert rec["abs_diff"] == abs(d1 - d2)
+    assert (rec["series_nodes"], rec["series_converged"], rec["series_terms"]) == (
+        series["nodes"], series["converged"], series["terms"])
+    assert rec["series_converged"] is True and 0 < rec["series_terms"] < 2000
+    assert (rec["nodes_C"], rec["nodes_L"], rec["T"]) == (mb["nodes"], mb["nodes_L"], mb["T"])
+
+
 def test_fredholm_tw_cdf_record_carries_nodes(tmp_path, capsys):
     out = tmp_path / "f.jsonl"
     assert run(["fredholm", "tw-cdf", "--r", "-2", "-o", str(out)]) == EXIT_OK

@@ -66,6 +66,15 @@ def test_series_det_u_zero_limit():
     assert abs(laplace_series_det(pm, X, Y, 0.0) - 1.0) < 1e-14
 
 
+def test_series_det_info_reports_nodes_and_terms():
+    pm = poly_model()
+    det, info = laplace_series_det(pm, X, Y, -2.0, with_info=True)
+    assert det == laplace_series_det(pm, X, Y, -2.0)
+    assert set(info) == {"nodes", "converged", "terms"}
+    assert info["converged"] is True and info["nodes"] >= 128 and 0 < info["terms"] < 2000
+    assert laplace_series_det(pm, X, Y, 0.0, with_info=True)[1]["terms"] == 0
+
+
 def test_series_det_matches_moment_series():
     pm = poly_model()
     u = 0.3

@@ -15,7 +15,6 @@ from qhahn_polymer.model import (
     _boundary_table,
     _QTables,
     _sample_vertices,
-    _split_size_among_colors,
     base_case_product,
     boundary_pmf,
     enumerate_exact,
@@ -96,22 +95,21 @@ def test_vertex_tables_nonnegative_normalized():
 
 
 def test_sequential_sampler_matches_table_frequencies():
-    # force the sequential path and compare against the outcome table at 4 sigma
+    # a box above _BOX_CAP sends the scalar sample_vertex through _sample_vertices on one
+    # row; compare its draws against the outcome table at 4.5 sigma
     m = small_model(colors=(1, 1, 1), n_rows=3)
-    A = (2, 1, 2)
+    A = (4, 3, 4)
+    assert math.prod(a + 1 for a in A) > model_module._BOX_CAP
     i, j = 1, 3
-    tt, ss = m.spin_params(i, j)
     outcomes, cum = vertex_outcome_table(m, i, j, A)
     probs = np.diff(np.concatenate([[0.0], cum]))
     rng = spawn_rng(7)
-    from qhahn_polymer.model import _sample_size_marginal
-
     counts = {}
     n_draws = 40000
     for _ in range(n_draws):
-        d = _sample_size_marginal(sum(A), m.q, tt, ss, rng)
-        D = _split_size_among_colors(A, d, m.q, rng)
+        _, D = sample_vertex(A, (0, 0, 0), i, j, m, rng)
         counts[D] = counts.get(D, 0) + 1
+    assert sum(counts.get(D, 0) for D in outcomes) == n_draws
     for D, p in zip(outcomes, probs):
         if p < 1e-4:
             continue

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from qhahn_polymer.polymer import (
     PolymerModel,
     beta_draws,
+    joint_moment_annealed,
     mc_statistics,
     moment_annealed,
     partition_bruteforce,
@@ -133,6 +135,54 @@ def test_moment_annealed_exact_rational():
     # cross-check against dense float recomputation
     fval = moment_annealed(PolymerModel((1.5, 1.5), (0.25, 1 / 3), (-1.0, -1.0)), 1, 2, 0, 2)
     assert abs(float(val) - fval) < 1e-12
+
+
+def frac_model():
+    return PolymerModel(
+        (Fraction(3, 2), Fraction(7, 4), Fraction(2), Fraction(9, 4)),
+        (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 5)),
+        (Fraction(-1), Fraction(-5, 4), Fraction(-1), Fraction(-3, 2), Fraction(-1), Fraction(-2)),
+    )
+
+
+def float_copy(m):
+    return PolymerModel(*(tuple(float(v) for v in vals) for vals in (m.sigma_list, m.rho_list, m.omega_list)))
+
+
+def test_moment_annealed_exact_pinned_values():
+    # values of the two former transfer matrices, which agreed on these inputs
+    m = frac_model()
+    assert moment_annealed(m, 2, 5, 0, 2, exact=True) == Fraction(45496279, 158841540)
+    assert moment_annealed(m, 1, 4, 1, 3, exact=True) == Fraction(39545668453, 289607788800)
+    assert moment_annealed(m, 3, 6, 0, 2, exact=True) == Fraction(646734238521143, 1232149709934000)
+
+
+def test_joint_moment_annealed_pinned_mixed_delays():
+    m = tri_model()
+    for specs, value in [
+        ([(1, 4, 0), (2, 5, 1), (1, 3, 2)], 0.14386700637118),
+        ([(2, 6, 0), (0, 3, 1), (2, 6, 0)], 0.019999564150826758),
+    ]:
+        assert abs(joint_moment_annealed(m, specs) - value) < 1e-14 * value
+
+
+def test_joint_moment_annealed_exact_is_symmetric_and_matches_float():
+    m = frac_model()
+    specs = [(1, 4, 0), (2, 5, 1), (1, 3, 2), (2, 5, 1)]
+    exact = joint_moment_annealed(m, specs, exact=True)
+    assert isinstance(exact, Fraction) and 0 < exact < 1
+    for perm in itertools.permutations(specs):
+        assert joint_moment_annealed(m, list(perm), exact=True) == exact
+    approx = joint_moment_annealed(float_copy(m), specs)
+    assert abs(approx - float(exact)) < 1e-12 * float(exact)
+
+
+def test_joint_moment_annealed_identical_walkers_give_moment():
+    m = frac_model()
+    for x, y, r, k in [(2, 5, 0, 2), (1, 4, 1, 3), (0, 3, 2, 4)]:
+        specs = [[x, y, r] for _ in range(k)]
+        assert joint_moment_annealed(m, specs, exact=True) == moment_annealed(m, x, y, r, k, exact=True)
+    assert joint_moment_annealed(m, [], exact=True) == 1
 
 
 def test_moment_annealed_vs_mc():

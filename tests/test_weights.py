@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhahn_polymer.qtools import comp_add, comp_sub, iter_box, unit_comp
 from qhahn_polymer.weights import (
@@ -272,3 +274,41 @@ def test_master_ybe_exact_zero():
         assert resid == 0
         checked += 1
     assert checked == 20
+
+
+# ---------------------------------------------------------------------------
+# Property tests: the exact identities over generated rational inputs.
+
+
+def unit_fractions(max_den=20):
+    """Rationals strictly inside (0, 1)."""
+    return st.integers(2, max_den).flatmap(lambda d: st.builds(Fraction, st.integers(1, d - 1), st.just(d)))
+
+
+compositions = st.integers(1, 3).flatmap(lambda n: st.tuples(*[st.integers(0, 3)] * n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=unit_fractions(), ratio=unit_fractions(), tt=unit_fractions(), data=st.data())
+def test_qhahn_stochasticity_property(q, ratio, tt, data):
+    # model regime 0 < ss < tt < 1 (ss = lam/mu, tt = lam/kappa), ss = ratio * tt
+    A = data.draw(compositions)
+    B = data.draw(st.tuples(*[st.integers(0, 3)] * len(A)))
+    assert sum(qhahn_outgoing(A, B, q, tt, ratio * tt).values()) == 1
+
+
+@pytest.mark.parametrize("kind", YBE_KINDS)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ybe_residual_property(kind, seed):
+    boundary, params = random_ybe_instance(kind, np.random.default_rng(seed), colors=2, max_entry=2)
+    assert ybe_residual(kind, boundary, params) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=unit_fractions(15), tt=unit_fractions(15), ss=unit_fractions(15), data=st.data())
+def test_local_relation_property(q, tt, ss, data):
+    A = data.draw(st.integers(1, 3).flatmap(lambda n: st.tuples(*[st.integers(0, 2)] * n)))
+    B = data.draw(st.tuples(*[st.integers(0, 2)] * len(A)))
+    R = data.draw(st.tuples(*[st.integers(0, 2)] * len(A)).filter(lambda r: sum(r) <= 4))
+    assert local_relation_residual(A, B, R, q, tt, ss) == 0

@@ -22,7 +22,14 @@ Python call per vertex and serve as the per-replica oracle and the
 one-replica API: boxes prod(A_c + 1) <= 64 draw from the exact outcome table
 ``vertex_outcome_table``, larger boxes through ``_sample_vertices`` on one row.
 The outcome tables and ``enumerate_exact`` both read the weights from
-``weights.qhahn_outgoing``.
+``weights.qhahn_outgoing``, and the boundary tables and ``enumerate_exact``
+both take the boundary weights from the one recurrence ``_boundary_ratios``.
+
+``enumerate_exact`` is the exact oracle.  The q-moment statistic is a product
+of one power of q per boundary edge and per vertical edge, so the expectation
+with capped boundary draws is a transfer-matrix sum over frontier states, in
+the samplers' vertex order, restricted to the vertices that can reach the
+requested facets.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as _iproduct
+from itertools import count, islice
+from operator import mul
 
 import numpy as np
 
@@ -74,6 +82,7 @@ class QHahnModel:
 
     _vertex_tables: dict = field(default_factory=dict, repr=False, compare=False)
     _boundary_tables: dict = field(default_factory=dict, repr=False, compare=False)
+    _integrals: dict = field(default_factory=dict, repr=False, compare=False)  # verify_shift_invariance
 
     def __post_init__(self):
         self.mu = tuple(self.mu)
@@ -178,17 +187,29 @@ class HeightRequest:
 # Boundary sampling.
 
 
+def _boundary_ratios(model, j):
+    """x and the ratios w_{b+1}/w_b, b = 0, 1, ..., of row j's unnormalized boundary weights (w_0 = 1).
+
+    The ratio is x (1 - y q^b) / (1 - q^{b+1}) with x = kappa_j/mu_0 and y = lam_j/kappa_j,
+    in the scalar type of the model (a Fraction q keeps every weight exact).  Every ratio
+    from b on is at most x / (1 - q^{b+1}), which bounds the geometric tails.
+    """
+    q = model.q
+    one = q**0
+    x = model.kappa_of(j) / model.mu_of(0)
+    y = model.lam_of(j) / model.kappa_of(j)
+    return x, (x * (one - y * q**b) / (one - q ** (b + 1)) for b in count())
+
+
 def _boundary_table(model, j, tol=1e-14, cap=200000):
     key = (j, tol)
     if key in model._boundary_tables:
         return model._boundary_tables[key]
     q = model.q
-    x = model.kappa_of(j) / model.mu_of(0)
-    y = model.lam_of(j) / model.kappa_of(j)
+    x, ratios = _boundary_ratios(model, j)
     w = 1.0
     weights = [w]
-    for b in range(cap):
-        ratio = x * (1.0 - y * q**b) / (1.0 - q ** (b + 1))
+    for b, ratio in zip(range(cap), ratios):
         w *= ratio
         weights.append(w)
         # geometric tail bound, valid only once the ratio majorant drops below 1
@@ -541,7 +562,7 @@ def estimate_qmoment(model, req, samples, rng):
 
 
 # ---------------------------------------------------------------------------
-# Exact enumeration (brute-force oracle) and the closed-form base case.
+# Exact enumeration (frontier-state transfer matrix) and the closed-form base case.
 
 
 def base_case_product(model, req):
@@ -557,17 +578,28 @@ def base_case_product(model, req):
     return val
 
 
-def _boundary_weights_raw(model, j, b_cap):
-    """Unnormalized boundary weights w_b (without the infinite-product constant)."""
-    q, x, y = model.q, model.kappa_of(j) / model.mu_of(0), model.lam_of(j) / model.kappa_of(j)
-    w = [x**0]
-    for b in range(b_cap):
-        w.append(w[-1] * x * (1 - y * q**b) / (1 - q ** (b + 1)))
-    ratio = x / (1 - q ** (b_cap + 1))
-    if ratio >= 1:
-        raise ValueError("boundary tail not geometric at this cap; raise b_cap")
-    tail = w[-1] * ratio / (1 - ratio)
-    return w, tail
+def _truncated_boundary(model, j, b_cap, tol):
+    """Row j's weights w_0..w_cap and the geometric bound on the weight beyond the cap.
+
+    Without b_cap the cap doubles from 4 until the tail is below tol / (2N) of the kept weight.
+    """
+    q = model.q
+    one = q**0
+    x, ratios = _boundary_ratios(model, j)
+    w = [one]
+    cap = 4 if b_cap is None else b_cap
+    while True:
+        for ratio in islice(ratios, cap + 1 - len(w)):
+            w.append(w[-1] * ratio)
+        rho = x / (one - q ** (cap + 1))
+        if rho >= 1:
+            raise ValueError("boundary tail not geometric at this cap; raise b_cap")
+        tail = w[-1] * rho / (one - rho)
+        if b_cap is not None or tail / float(sum(w)) < tol / (2 * model.size):
+            return w, tail
+        cap *= 2
+        if cap > 4096:
+            raise ValueError("boundary truncation cap exceeded")
 
 
 def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
@@ -575,86 +607,113 @@ def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
 
     All arithmetic follows the scalar type of the model parameters: Fraction
     parameters give an exact rational conditional expectation.
+
+    The statistic is a product of per-edge factors: by height_field, boundary
+    edge b_j contributes q^{s_j b_j} and vertical edge A(i, j) contributes
+    q^{-e_ij . A(i, j)}, with s_j and e_ij counting the facets a whose height
+    reads that edge.  So the expectation is a transfer-matrix sum over frontier
+    states, in the samplers' vertex order: within column i, the D outputs
+    kept so far, the current vertical edge and the inputs still to be read.
+    Each state carries (weight, weight * statistic), equal states merge, and
+    the result is their ratio.  Only the staircase of vertices (i, j) with
+    i <= x_a - 1/2 and j <= y_a - 1/2 for some a can reach the statistic; the
+    others are skipped, since their outcome weights sum to 1, and b_j enters
+    at vertex (1, j).  Outputs that leave the staircase are dropped.  A
+    vertical output that is only scored splits its factor into q^{-e.B} and
+    q^{-e.C}, so the sums over B and over the outcomes factor, and a vertex
+    with both outputs dropped contracts to g(A) = sum of weight * q^{-e.C}.
+    ``leaf_guard`` bounds the number of transitions.
     """
     req.validate_against(model)
     N, n = model.size, model.n_colors
     q = model.q
+    one = q**0
+    zero = (0,) * n
 
-    rows = []
-    tail_total = 0.0
-    for j in range(1, N + 1):
-        cap = b_cap
-        if cap is None:
-            cap = 4
-            while True:
-                w, tail = _boundary_weights_raw(model, j, cap)
-                if tail / float(sum(w)) < tol / (2 * N):
-                    break
-                cap *= 2
-                if cap > 4096:
-                    raise ValueError("boundary truncation cap exceeded")
-        else:
-            w, tail = _boundary_weights_raw(model, j, cap)
-        rows.append(w)
-        tail_total += float(tail) / float(sum(w))
+    # facet a reads color >= c at (ix, iy) = (x_a - 1/2, y_a - 1/2)
+    facets = [(req.colors[req.tau.inv(a) - 1], (req.x2[a - 1] - 1) // 2, (req.y2[a - 1] - 1) // 2)
+              for a in range(1, req.k + 1)]
 
-    zero = tuple(0 for _ in range(n))
+    def height(i):  # rows 1..height(i) of column i lie in the staircase
+        return max((iy for _, ix, iy in facets if ix >= i), default=0)
+
+    def exponents(i, j):  # e_ij by color
+        return tuple(sum(1 for c, ix, iy in facets if i <= ix and iy == j and col >= c) for col in range(1, n + 1))
+
+    def exponent(e, E):  # e . E for an exponent vector and an edge composition
+        return sum(map(mul, e, E))
+
     tables = {}
+    merged = {}
 
     def outgoing(i, j, A):
         key = (i, j, A)
         if key not in tables:
             tt, ss = model.spin_params(i, j)
-            tables[key] = qhahn_outgoing(A, zero, q, tt, ss)
+            tables[key] = list(qhahn_outgoing(A, zero, q, tt, ss).items())
         return tables[key]
 
-    total_weight = 0
-    total_value = 0
+    def read_once(i, j, A, e, keep_D):
+        """Outcomes when A(i, j) is scored and dropped: kept D (None if dropped) -> (weight, weight q^{-e.C})."""
+        key = (i, j, A)
+        if key not in merged:
+            out = {}
+            for (C, D), wt in outgoing(i, j, A):
+                D = D if keep_D else None
+                ow, ov = out.get(D, (0, 0))
+                out[D] = (ow + wt, ov + wt * q ** (-exponent(e, C)))
+            merged[key] = list(out.items())
+        return merged[key]
 
-    b_ranges = [range(len(w)) for w in rows]
-    est_leaves = 1
-    for r in b_ranges:
-        est_leaves *= len(r)
-    if est_leaves > leaf_guard:
-        raise ValueError("enumeration guard exceeded; shrink the grid or b_cap")
+    W = V = one  # weight and weight * statistic of the rows read only through b_j
+    inputs = {}  # rows j <= height(1): (B, w_b, w_b q^{s_j b}) for b_j = b <= cap
+    tail_total = 0.0
+    for j in range(1, N + 1):
+        w, tail = _truncated_boundary(model, j, b_cap, tol)
+        tail_total += float(tail) / float(sum(w))
+        s_j = sum(1 for c, _, iy in facets if j <= iy and model.row_color(j) >= c)
+        col = model.row_color(j) - 1
+        law = [(zero[:col] + (b,) + zero[col + 1 :], wb, wb * q ** (s_j * b)) for b, wb in enumerate(w)]
+        if j <= height(1):
+            inputs[j] = law
+        elif s_j:
+            W *= sum(w)
+            V *= sum(fv for _, _, fv in law)
 
-    A_edges = {}
-    B_edges = {}
-
-    cfg = PathConfiguration(n=n, size=N, A=A_edges, B=B_edges)
-
-    def recurse(idx, prob):
-        nonlocal total_weight, total_value
-        if idx == N * N:
-            total_weight += prob
-            total_value += prob * qmoment_statistic(model, cfg, req)
-            return
-        i, j = divmod(idx, N)
-        i, j = i + 1, j + 1
-        A = A_edges[(i, j - 1)]
-        B = B_edges[(i - 1, j)]
-        if sum(A) == 0:
-            A_edges[(i, j)] = B
-            B_edges[(i, j)] = zero
-            recurse(idx + 1, prob)
-            return
-        for (C, D), wgt in outgoing(i, j, A).items():
-            A_edges[(i, j)] = comp_add(C, B)
-            B_edges[(i, j)] = D
-            recurse(idx + 1, prob * wgt)
-
-    for i in range(1, N + 1):
-        A_edges[(i, 0)] = zero
-    for bvec in _iproduct(*b_ranges):
-        wprod = 1
-        for j, b in enumerate(bvec, start=1):
-            wprod = wprod * rows[j - 1][b]
-            comp = list(zero)
-            comp[model.row_color(j) - 1] = b
-            B_edges[(0, j)] = tuple(comp)
-        recurse(0, wprod)
-
-    return total_value / total_weight, 2.0 * tail_total
+    steps = 0
+    states = {(): (one, one)}  # D outputs the next column reads -> (weight, weight * statistic)
+    for i in range(1, max(ix for _, ix, _ in facets) + 1):
+        rows, rows_next = height(i), height(i + 1)
+        front = {((), zero, ins): wv for ins, wv in states.items()}  # (outputs kept, A, inputs left)
+        for j in range(1, rows + 1):
+            e = exponents(i, j)
+            keep_D, keep_A = j <= rows_next, j < rows
+            nxt = {}
+            for (outs, A, ins), (w, v) in front.items():
+                laws, rest = (inputs[j], ins) if i == 1 else (((ins[0], one, one),), ins[1:])
+                table = outgoing(i, j, A) if keep_A else read_once(i, j, A, e, keep_D)
+                steps += len(laws) * len(table) if keep_A else len(laws) + len(table)
+                if steps > leaf_guard:
+                    raise ValueError("enumeration guard exceeded; shrink the grid or b_cap")
+                if keep_A:
+                    for B, fw, fv in laws:
+                        wb, vb = w * fw, v * fv
+                        for (C, D), wt in table:
+                            A_out = comp_add(C, B)
+                            key = (outs + (D,) if keep_D else outs, A_out, rest)
+                            old = nxt.get(key, (0, 0))
+                            nxt[key] = (old[0] + wb * wt, old[1] + vb * wt * q ** (-exponent(e, A_out)))
+                else:  # A_out = C + B is read once, so the sums over B and over C factor
+                    w *= sum(fw for _, fw, _ in laws)
+                    v *= sum(fv * q ** (-exponent(e, B)) for B, _, fv in laws)
+                    for D, (gw, gv) in table:
+                        key = (outs + (D,) if keep_D else outs, zero, rest)
+                        old = nxt.get(key, (0, 0))
+                        nxt[key] = (old[0] + w * gw, old[1] + v * gv)
+            front = nxt
+        states = {outs: wv for (outs, _, _), wv in front.items()}
+    w, v = states[()]
+    return (V * v) / (W * w), 2.0 * tail_total
 
 
 # ---------------------------------------------------------------------------
@@ -768,8 +827,14 @@ def verify_shift_invariance(model_a, req_a, model_b, req_b, samples, rng, nodes=
 
     from .moments import build_contours, qmoment_integral
 
-    ia = qmoment_integral(model_a, req_a, build_contours(model_a, req_a.k), nodes=nodes)
-    ib = qmoment_integral(model_b, req_b, build_contours(model_b, req_b.k), nodes=nodes)
+    def integral(model, req):  # cached per model, keyed by request and nodes
+        key = (req.x2, req.y2, req.colors, req.tau.values, nodes)
+        if key not in model._integrals:
+            model._integrals[key] = qmoment_integral(model, req, build_contours(model, req.k), nodes=nodes)
+        return model._integrals[key]
+
+    ia = integral(model_a, req_a)
+    ib = integral(model_b, req_b)
 
     return ShiftReport(
         hypotheses_ok=True,

@@ -1,6 +1,6 @@
 """Smoke test: the quick demos run to completion as scripts.
 
-Demos 03 and 06 take several seconds each and are left to manual runs.
+Demo 06 takes several seconds and is left to manual runs.
 """
 
 import os
@@ -13,8 +13,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_exact_identities.py", "02_sample_heights.py", "04_beta_polymer.py",
-                                  "05_laplace_fredholm.py"])
+@pytest.mark.parametrize("demo", ["01_exact_identities.py", "02_sample_heights.py", "03_moment_formulas.py",
+                                  "04_beta_polymer.py", "05_laplace_fredholm.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

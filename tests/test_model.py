@@ -371,3 +371,88 @@ def test_welford_merge_matches_numpy():
     w1.merge(w2)
     assert abs(w1.mean - xs.mean()) < 1e-12
     assert abs(w1.variance - xs.var(ddof=1)) < 1e-12
+
+
+# Exact enumeration as a frontier-state sum: values pinned from the leaf-by-leaf enumeration
+# it replaced (Fraction values exactly, float values to 1e-12 relative).
+
+def _frac_model(colors):
+    F = Fraction
+    if sum(colors) == 2:
+        return QHahnModel(q=F(1, 2), mu=(F(2), F(3), F(5, 2)), kappa=(F(1), F(5, 4)), lam=(F(1, 4), F(1, 3)),
+                          colors=colors)
+    return QHahnModel(q=F(1, 2), mu=(F(2), F(3), F(5, 2), F(11, 4)), kappa=(F(1), F(5, 4), F(6, 5)),
+                      lam=(F(1, 4), F(1, 3), F(1, 5)), colors=colors)
+
+
+@pytest.mark.parametrize("colors, b_cap, xs, ys, cs, tau, value, tail", [
+    ((1, 1), 5, [1.5], [2.5], [1], (1,), "523/616", 0.22886767748182055),  # partial cone
+    ((1, 1), 5, [0.5, 1.5], [2.5, 1.5], [1, 2], (2, 1), "73868495/151211728", 0.22886767748182055),
+    ((1, 1), 5, [1.5, 2.5], [2.5, 2.5], [1, 2], (2, 1), "1", 0.22886767748182055),  # full cone
+    ((2,), 5, [1.5, 1.5], [2.5, 1.5], [1, 1], (2, 1), "523/616", 0.22886767748182055),
+    ((1, 1, 1), 2, [1.5, 2.5], [3.5, 3.5], [1, 2], (2, 1), "2869257/3431120", 2.9877275182087546),
+    ((1, 1, 1), 2, [2.5], [3.5], [1], (1,), "366/385", 2.9877275182087546),
+    ((1, 1, 1), 3, [1.5, 2.5], [3.5, 3.5], [1, 2], (2, 1), "20831713/25832400", 1.3386784323185874),
+])
+def test_enumerate_exact_fraction_pins(colors, b_cap, xs, ys, cs, tau, value, tail):
+    req = HeightRequest.make(xs, ys, cs, Permutation(tau))
+    val, bound = enumerate_exact(_frac_model(colors), req, b_cap=b_cap)
+    assert isinstance(val, Fraction)
+    assert val == Fraction(value)
+    assert bound == tail
+
+
+@pytest.mark.parametrize("xs, ys, cs, tau, value", [
+    ([1.5], [2.5], [1], (1,), 0.7629349816850164),
+    ([0.5, 1.5], [2.5, 1.5], [1, 2], (1, 2), 0.2543838481338668),
+    ([0.5, 1.5], [2.5, 1.5], [1, 2], (2, 1), 0.49549549549551836),
+])
+def test_enumerate_exact_criterion6_float_pins(xs, ys, cs, tau, value):
+    m = QHahnModel(q=0.6, mu=(2.4, 2.5, 2.6), kappa=(1.25, 1.3), lam=(0.16, 0.18), colors=(1, 1))
+    val, tail = enumerate_exact(m, HeightRequest.make(xs, ys, cs, Permutation(tau)), tol=1e-11)
+    assert abs(val - value) < 1e-12 * value
+    assert abs(tail - 2.518989116173141e-17) < 1e-12 * 2.518989116173141e-17
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_enumerate_exact_boundary_only_matches_base_case(exact):
+    m = _frac_model((1, 1, 1)) if exact else small_model(q=0.5, n_rows=3, colors=(1, 1, 1))
+    for ys, cs, tau in [([2.5], [1], (1,)), ([3.5, 1.5], [1, 2], (2, 1)), ([3.5, 2.5, 1.5], [1, 2, 3], (3, 1, 2))]:
+        req = HeightRequest.make([0.5] * len(ys), ys, cs, Permutation(tau))
+        val, tail = enumerate_exact(m, req, b_cap=40 if exact else None)
+        assert tail < 1e-6
+        assert abs(float(val - base_case_product(m, req))) <= tail
+
+
+def test_enumerate_exact_guard_raises():
+    m = small_model(q=0.5, n_rows=2, colors=(1, 1))
+    req = HeightRequest.make([1.5], [2.5], [1])
+    enumerate_exact(m, req, b_cap=8, leaf_guard=1000)
+    with pytest.raises(ValueError, match="enumeration guard exceeded"):
+        enumerate_exact(m, req, b_cap=8, leaf_guard=20)
+
+
+def test_shift_invariance_integrals_cached_per_model(monkeypatch):
+    from qhahn_polymer import moments
+
+    def shift_model():
+        return QHahnModel(q=0.55, mu=(2.3, 2.32, 2.34, 2.36), kappa=(1.30, 1.34, 1.38), lam=(0.20, 0.22, 0.24),
+                          colors=(1, 1, 1))
+
+    model_a, model_b = shift_model(), shift_model()
+    req = HeightRequest.make([0.5], [2.5], [1])
+    calls = []
+    real = moments.qmoment_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "qmoment_integral", counted)
+    first = verify_shift_invariance(model_a, req, model_b, req, 50, spawn_rng(4), nodes=16)
+    assert len(calls) == 2
+    second = verify_shift_invariance(model_a, req, model_b, req, 50, spawn_rng(5), nodes=16)
+    assert len(calls) == 2
+    assert (second.integral_a, second.integral_b) == (first.integral_a, first.integral_b)
+    verify_shift_invariance(model_a, req, model_b, req, 50, spawn_rng(5), nodes=32)
+    assert len(calls) == 4

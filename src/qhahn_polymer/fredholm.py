@@ -13,6 +13,9 @@ one-step ratio f(z) ... f(z+n-1); ``GFunction`` lives in :mod:`.moments`
 Tracy-Widom GUE distribution is the Airy-kernel determinant on (r, infinity),
 evaluated with Gauss-Legendre quadrature on a truncated interval.  Both
 determinants double their node count with ``moments._refine`` up to 1024.
+F2 is evaluated for a chunk of r at a time (one r for ``tracy_widom_F2``, 32
+for the table): one ``_airy`` call covers the nodes of both start levels of
+every r in the chunk, and only a level past those calls ``_airy`` again.
 The Gauss-Legendre rules (the F2 nodes and the Mellin-Barnes line panels) come
 from one cached ``_gauss_legendre(m)``, so a rule is built once per process;
 its arrays are read-only because every caller shares them.
@@ -48,7 +51,11 @@ def _circle(contour):
     return contour.center, contour.radii[0]
 
 
-def _series_kernel_matrix(gf, u, v, tol=1e-16, n_cap=2000):
+# the shift sum's term cap; its terms behave like u^n / n!, so it needs about e |u| of them
+_SHIFT_TERMS = 2000
+
+
+def _series_kernel_matrix(gf, u, v, tol=1e-16, n_cap=_SHIFT_TERMS):
     """K(v_a, v_b) = sum_n g(v_a)/g(v_a + n) u^n / (v_a + n - v_b)."""
     lg_v = gf.log_g(v)
     K = np.zeros((v.size, v.size), dtype=complex)
@@ -90,8 +97,13 @@ def laplace_series_det(pmodel, x, y, u, contour=None, nodes=64, rtol=1e-10, stri
     """E[exp(u Z_{x,y})] via the shift-sum kernel determinant on the small circle.
 
     ``with_info`` adds {"nodes", "converged", "terms"}, ``terms`` being the
-    most shift-sum terms that any kernel evaluation used.
+    most shift-sum terms that any kernel evaluation used.  A u with
+    e |u| > 2000 is rejected up front: its shift sum cannot converge within the
+    term cap, and ``mb_determinant`` (the Mellin-Barnes route) serves it.
     """
+    if math.e * abs(u) > _SHIFT_TERMS:
+        raise ValueError(f"|u| = {abs(u):.4g} needs about e|u| = {math.e * abs(u):.4g} shift-sum terms, more "
+                         f"than the {_SHIFT_TERMS}-term cap; use mb_determinant (the Mellin-Barnes route)")
     gf = GFunction(pmodel, x, y)
     if contour is None:
         contour = small_sigma_circle(pmodel, x, y)
@@ -213,8 +225,8 @@ def mb_determinant(pmodel, x, y, u, contour=None, nodes=64, rtol=1e-10, T=None, 
 # Tracy-Widom GUE.
 
 
-def _airy_kernel_matrix(xs):
-    ai, aip = _airy(xs)
+def _airy_kernel_matrix(xs, ai, aip):
+    """K_Airy on the nodes xs, from their values Ai(xs) and Ai'(xs)."""
     diff = xs[:, None] - xs[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         K = (ai[:, None] * aip[None, :] - ai[None, :] * aip[:, None]) / diff
@@ -223,31 +235,66 @@ def _airy_kernel_matrix(xs):
     return K
 
 
+def _airy_nodes(r, upper, m):
+    return 0.5 * (r + upper) + 0.5 * (upper - r) * _gauss_legendre(m)[0]
+
+
+def _airy_det(r, upper, m, airy=None):
+    """det(I - K_Airy) on (r, upper) with the m-point rule; ``airy`` is (xs, Ai, Ai') if precomputed."""
+    if airy is None:
+        xs = _airy_nodes(r, upper, m)
+        airy = (xs, *_airy(xs))
+    K = _airy_kernel_matrix(*airy)
+    sw = np.sqrt(0.5 * (upper - r) * _gauss_legendre(m)[1])
+    A = np.eye(m) - K * (sw[:, None] * sw[None, :])
+    sign, logdet = np.linalg.slogdet(A)
+    return float(sign * np.exp(logdet))
+
+
+def _tracy_widom_chunk(rs, nodes=96, rtol=1e-9, upper=None, with_info=False):
+    """``tracy_widom_F2`` at every r of ``rs``, with one ``_airy`` call for the chunk.
+
+    ``_refine`` always evaluates the levels ``nodes`` and ``2 * nodes`` (only
+    ``nodes`` when ``2 * nodes`` passes the 1024 cap), so the Airy values at those
+    nodes for every r come from one array call; a finer level calls ``_airy`` on
+    its own nodes.  ``_airy`` stops each element on its own term test, so every
+    value equals the one-point evaluation.
+    """
+    bounds = []
+    for r in rs:
+        r = float(r)
+        if math.isnan(r) or r < -9.0:
+            raise ValueError(f"tracy_widom_F2 needs r >= -9 (the Airy evaluation range), got r = {r}")
+        bounds.append((r, max(r + 4.0, 10.0) if upper is None else upper))
+    levels = [nodes] if 2 * nodes > 1024 else [nodes, 2 * nodes]
+    xs = [_airy_nodes(r, up, m) for r, up in bounds if up > r for m in levels]
+    if xs:
+        ai, aip = _airy(np.concatenate(xs))
+        cuts = np.cumsum([x.size for x in xs])[:-1]
+        airy = iter(zip(xs, np.split(ai, cuts), np.split(aip, cuts)))
+    out = []
+    for r, up in bounds:
+        if up <= r:
+            out.append((1.0, {"nodes": 0, "converged": True}) if with_info else 1.0)
+            continue
+        pre = {m: next(airy) for m in levels}
+        out.append(_refine(lambda m: _airy_det(r, up, m, pre.get(m)), nodes, rtol, 1e-13, 1024,
+                           with_info=with_info, what="Airy-kernel determinant"))
+    return out
+
+
 def tracy_widom_F2(r, nodes=96, rtol=1e-9, upper=None, with_info=False):
     """F_2(r) = det(I - K_Airy) on L^2(r, infinity), Gauss-Legendre Nystrom.
 
     ``r`` must be >= -9, where the Airy evaluation stops; r = +inf gives 1.
     ``with_info`` adds {"nodes", "converged"} as in ``fredholm_det``.
     """
-    r = float(r)
-    if math.isnan(r) or r < -9.0:
-        raise ValueError(f"tracy_widom_F2 needs r >= -9 (the Airy evaluation range), got r = {r}")
-    if upper is None:
-        upper = max(r + 4.0, 10.0)
-    if upper <= r:
-        return (1.0, {"nodes": 0, "converged": True}) if with_info else 1.0
+    return _tracy_widom_chunk([r], nodes, rtol, upper, with_info)[0]
 
-    def eval_at(m):
-        xg, wg = _gauss_legendre(m)
-        xs = 0.5 * (r + upper) + 0.5 * (upper - r) * xg
-        ws = 0.5 * (upper - r) * wg
-        K = _airy_kernel_matrix(xs)
-        sw = np.sqrt(ws)
-        A = np.eye(m) - K * (sw[:, None] * sw[None, :])
-        sign, logdet = np.linalg.slogdet(A)
-        return float(sign * np.exp(logdet))
 
-    return _refine(eval_at, nodes, rtol, 1e-13, 1024, with_info=with_info, what="Airy-kernel determinant")
+# r values per ``_airy`` call in the table: 32 x (96 + 192) nodes keep the Airy
+# temporaries under 1 MB
+_TABLE_CHUNK = 32
 
 
 @lru_cache(maxsize=8)
@@ -255,7 +302,8 @@ def tracy_widom_cdf_table(lo=-8.5, hi=6.0, step=0.05):
     """Cached grid of F_2 for interpolation (F_2(-8.5) ~ 1e-10, so the left
     tail is indistinguishable from zero at sampling resolutions)."""
     grid = np.arange(lo, hi + step / 2, step)
-    vals = np.array([tracy_widom_F2(float(rr)) for rr in grid])
+    vals = np.array([v for k in range(0, grid.size, _TABLE_CHUNK)
+                     for v in _tracy_widom_chunk(grid[k:k + _TABLE_CHUNK])])
     return grid, np.clip(vals, 0.0, 1.0)
 
 

@@ -581,7 +581,8 @@ def base_case_product(model, req):
 def _truncated_boundary(model, j, b_cap, tol):
     """Row j's weights w_0..w_cap and the geometric bound on the weight beyond the cap.
 
-    Without b_cap the cap doubles from 4 until the tail is below tol / (2N) of the kept weight.
+    Without b_cap the cap doubles from 4 until the tail is geometric and below tol / (2N) of
+    the kept weight.
     """
     q = model.q
     one = q**0
@@ -592,11 +593,12 @@ def _truncated_boundary(model, j, b_cap, tol):
         for ratio in islice(ratios, cap + 1 - len(w)):
             w.append(w[-1] * ratio)
         rho = x / (one - q ** (cap + 1))
-        if rho >= 1:
+        if rho < 1:
+            tail = w[-1] * rho / (one - rho)
+            if b_cap is not None or tail / float(sum(w)) < tol / (2 * model.size):
+                return w, tail
+        elif b_cap is not None:
             raise ValueError("boundary tail not geometric at this cap; raise b_cap")
-        tail = w[-1] * rho / (one - rho)
-        if b_cap is not None or tail / float(sum(w)) < tol / (2 * model.size):
-            return w, tail
         cap *= 2
         if cap > 4096:
             raise ValueError("boundary truncation cap exceeded")

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,37 +86,61 @@ class GFunction:
     """Gamma-product g for a polymer corner (x, y); evaluates log g stably.
 
     ``f`` is the one-step ratio prod_j (z - rho_j) / (prod_i (z - sigma_i)
-    prod_d (z - omega_d)) with g(z)/g(z+n) = f(z) ... f(z+n-1).
+    prod_d (z - omega_d)) with g(z)/g(z+n) = f(z) ... f(z+n-1).  Equal
+    parameter values are grouped once per instance, so each distinct value
+    costs one ``log_gamma`` times its count, or one logarithm times its count in
+    ``f``; a value that occurs once keeps its direct factor.
     """
 
     pmodel: object
     x: int
     y: int
 
+    @cached_property
+    def _groups(self):
+        """The sigma, rho and omega slots as (value, count) pairs, in first-seen order."""
+        pm = self.pmodel
+        return tuple(tuple(Counter(vals).items()) for vals in (
+            [pm.sigma(i) for i in range(0, self.x + 1)],
+            [pm.rho(j) for j in range(1, self.y + 1)],
+            [pm.omega(d) for d in range(1, self.y - self.x + 1)]))
+
     def log_g(self, z):
         z = np.asarray(z, dtype=complex)
         out = np.zeros_like(z)
-        for i in range(0, self.x + 1):
-            out += log_gamma(z - self.pmodel.sigma(i))
-        for j in range(1, self.y + 1):
-            out -= log_gamma(z - self.pmodel.rho(j))
-        for d in range(1, self.y - self.x + 1):
-            out += log_gamma(z - self.pmodel.omega(d))
+        sigma, rho, omega = self._groups
+        for v, c in sigma:
+            out += _times(c, log_gamma(z - v))
+        for v, c in rho:
+            out -= _times(c, log_gamma(z - v))
+        for v, c in omega:
+            out += _times(c, log_gamma(z - v))
         return out
 
     def f(self, z):
         z = np.asarray(z, dtype=complex)
-        val = np.ones_like(z)
-        for j in range(1, self.y + 1):
-            val = val * (z - self.pmodel.rho(j))
-        for i in range(0, self.x + 1):
-            val = val / (z - self.pmodel.sigma(i))
-        for d in range(1, self.y - self.x + 1):
-            val = val / (z - self.pmodel.omega(d))
-        return val
+        val, log_rep = np.ones_like(z), None
+        sigma, rho, omega = self._groups
+        for groups, sign in ((rho, 1), (sigma, -1), (omega, -1)):
+            for v, c in groups:
+                if c > 1:
+                    # repeated values enter as c log(z - v), summed before one exp: a
+                    # power such as (z - v)^700 overflows where the ratio is finite
+                    term = sign * c * np.log(z - v)
+                    log_rep = term if log_rep is None else log_rep + term
+                elif sign > 0:
+                    val = val * (z - v)
+                else:
+                    val = val / (z - v)
+        return val if log_rep is None else val * np.exp(log_rep)
 
     def sigma_values(self):
         return [self.pmodel.sigma(i) for i in range(0, self.x + 1)]
+
+
+def _times(c, a):
+    # a count of 1 takes no multiply, so all-distinct schedules keep the ungrouped arithmetic
+    return a if c == 1 else c * a
 
 
 def build_contours(model, k, pad=0.3):

@@ -1,7 +1,4 @@
-"""Smoke test: the quick demos run to completion as scripts.
-
-Demo 06 takes several seconds and is left to manual runs.
-"""
+"""Smoke test: every demo runs to completion as a script."""
 
 import os
 import subprocess
@@ -14,7 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["01_exact_identities.py", "02_sample_heights.py", "03_moment_formulas.py",
-                                  "04_beta_polymer.py", "05_laplace_fredholm.py"])
+                                  "04_beta_polymer.py", "05_laplace_fredholm.py",
+                                  "06_tracy_widom_experiment.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

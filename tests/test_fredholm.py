@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from qhahn_polymer.asymptotics import FreqModel, scheduled_polymer_model, theta_constants
 from qhahn_polymer.fredholm import (
     GFunction,
     fredholm_det,
@@ -10,10 +12,12 @@ from qhahn_polymer.fredholm import (
     laplace_series_det,
     mb_determinant,
     mb_kernel_matrix,
+    tracy_widom_cdf_table,
     tracy_widom_F2,
 )
 from qhahn_polymer.moments import ConvergenceError, small_sigma_circle
 from qhahn_polymer.polymer import PolymerModel, moment_annealed, sample_partition_values
+from qhahn_polymer.specfun import log_gamma
 
 
 def poly_model():
@@ -38,6 +42,40 @@ def test_g_ratio_telescopes_f():
         lhs = np.exp(gf.log_g(z) - gf.log_g(z + n))
         rhs = np.prod([gf.f(z + m) for m in range(n)])
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
+
+
+def _ungrouped(gf, z):
+    """log g and f with one log_gamma call and one factor per scheduled slot."""
+    pm = gf.pmodel
+    lg, f = np.zeros_like(z), np.ones_like(z)
+    for i in range(0, gf.x + 1):
+        lg += log_gamma(z - pm.sigma(i))
+    for j in range(1, gf.y + 1):
+        lg -= log_gamma(z - pm.rho(j))
+    for d in range(1, gf.y - gf.x + 1):
+        lg += log_gamma(z - pm.omega(d))
+    for j in range(1, gf.y + 1):
+        f = f * (z - pm.rho(j))
+    for i in range(0, gf.x + 1):
+        f = f / (z - pm.sigma(i))
+    for d in range(1, gf.y - gf.x + 1):
+        f = f / (z - pm.omega(d))
+    return lg, f
+
+
+def test_gfunction_groups_equal_parameters():
+    fm = FreqModel.homogeneous(sigma=0.0, rho=-1.0, omega=-2.0)
+    pm, x, y = scheduled_polymer_model(fm, theta_constants(fm, 0.3), 64)
+    gf = GFunction(pm, x, y)
+    z = 0.5 + 0.4 * np.exp(2j * np.pi * np.arange(16) / 16)
+    lg, f = _ungrouped(gf, z)
+    assert np.abs(gf.log_g(z) - lg).max() < 1e-13 * np.abs(lg).max()
+    # f multiplies some 1,500 factors: each route is about 1e-13 (relative) from exact
+    assert (np.abs(gf.f(z) - f) < 1e-12 * np.abs(f)).all()
+    # all-distinct parameters: every count is 1, so the arithmetic is the ungrouped one
+    gf = GFunction(poly_model(), X, Y)
+    lg, f = _ungrouped(gf, z + 1.3)
+    assert np.array_equal(gf.log_g(z + 1.3), lg) and np.array_equal(gf.f(z + 1.3), f)
 
 
 def test_fredholm_det_zero_and_rank_one():
@@ -73,6 +111,14 @@ def test_series_det_info_reports_nodes_and_terms():
     assert set(info) == {"nodes", "converged", "terms"}
     assert info["converged"] is True and info["nodes"] >= 128 and 0 < info["terms"] < 2000
     assert laplace_series_det(pm, X, Y, 0.0, with_info=True)[1]["terms"] == 0
+
+
+def test_series_det_rejects_u_beyond_the_term_cap():
+    # the shift sum needs about e|u| = 2718 terms, past its 2000-term cap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Mellin-Barnes"):
+            laplace_series_det(poly_model(), X, Y, -1000.0)
 
 
 def test_series_det_matches_moment_series():
@@ -159,6 +205,20 @@ def test_tracy_widom_values_and_shape():
     assert (np.diff(vals) >= -1e-12).all()
 
 
+def test_tracy_widom_pinned_values():
+    # the LU inside slogdet moves these by up to 4e-14 with the BLAS build and thread count
+    for r, value in ((-2.0, 0.4132241425050997), (0.0, 0.9693728283552604), (2.0, 0.9998875536983092)):
+        assert abs(tracy_widom_F2(r) - value) < 1e-13
+
+
+def test_tracy_widom_table_equals_single_points():
+    # the table evaluates its grid in chunks; each value must be the one-point value
+    grid, vals = tracy_widom_cdf_table()
+    assert grid.size == 291
+    for r, v in zip(grid, vals):
+        assert v == min(max(tracy_widom_F2(float(r)), 0.0), 1.0)
+
+
 def test_tracy_widom_refinement_and_second_grid():
     for r in (-2.0, 0.0, 2.0):
         a = tracy_widom_F2(r, nodes=96)
@@ -202,7 +262,7 @@ def test_tracy_widom_F2_nonconvergence_raises(monkeypatch):
     import qhahn_polymer.fredholm as fr
 
     # det(I - K) = 1 - 1e-4 * m * (upper - r) changes with every doubling
-    monkeypatch.setattr(fr, "_airy_kernel_matrix", lambda xs: np.full((xs.size, xs.size), 1e-4 * xs.size))
+    monkeypatch.setattr(fr, "_airy_kernel_matrix", lambda xs, ai, aip: np.full((xs.size, xs.size), 1e-4 * xs.size))
     with pytest.raises(ConvergenceError) as err:
         tracy_widom_F2(0.0)
     assert abs(err.value.value - (1.0 - 1e-4 * 768 * 10.0)) < 1e-9

@@ -424,6 +424,16 @@ def test_enumerate_exact_boundary_only_matches_base_case(exact):
         assert abs(float(val - base_case_product(m, req))) <= tail
 
 
+def test_enumerate_exact_doubles_cap_until_tail_is_geometric():
+    # x / (1 - q^(cap+1)) >= 1 at the starting cap 4 (and at 8 for row 2)
+    m = QHahnModel(q=0.7, mu=(1.0, 1.1, 1.2), kappa=(0.95, 0.96), lam=(0.1, 0.1), colors=(1, 1))
+    req = HeightRequest.make([0.5], [1.5], [1])
+    val, tail = enumerate_exact(m, req)
+    assert abs(val - 0.05555555555555573) < 1e-9 and tail < 1e-10
+    with pytest.raises(ValueError, match="raise b_cap"):
+        enumerate_exact(m, req, b_cap=8)
+
+
 def test_enumerate_exact_guard_raises():
     m = small_model(q=0.5, n_rows=2, colors=(1, 1))
     req = HeightRequest.make([1.5], [2.5], [1])

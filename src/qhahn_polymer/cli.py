@@ -356,6 +356,7 @@ def _cmd_fredholm(args):
                 "u_re": args.u, "u_im": 0.0,
                 "det_re": det_mb.real, "det_im": det_mb.imag,
                 "nodes_C": info["nodes"], "nodes_L": info["nodes_L"], "T": info["T"],
+                "converged": info["converged"], "panels": info["panels"], "tail": info["tail"],
             })
         elif args.action == "mb-check":
             from .fredholm import laplace_series_det, mb_determinant
@@ -368,6 +369,7 @@ def _cmd_fredholm(args):
                 "series_nodes": series["nodes"], "series_converged": series["converged"],
                 "series_terms": series["terms"],
                 "nodes_C": mb["nodes"], "nodes_L": mb["nodes_L"], "T": mb["T"],
+                "mb_converged": mb["converged"], "panels": mb["panels"], "tail": mb["tail"],
             })
         else:
             raise ValidationFailure(f"unknown fredholm action {args.action!r}")

@@ -10,6 +10,15 @@ Two independent routes compute E[exp(u Z)]:
 Both rest on the gamma-product function g with g(z)/g(z+n) telescoping the
 one-step ratio f(z) ... f(z+n-1); ``GFunction`` lives in :mod:`.moments`
 (where the moment quadratures share its f) and is re-exported here.  The
+shift-sum kernel builds its columns by that telescoping, so it evaluates no
+gamma function; its terms reach about e^{|u|} and cancel, which limits the
+series route to moderate |u| (at u = -30 on a small model it no longer
+stabilizes by 1024 nodes).  The Mellin-Barnes kernel is factored through
+sin pi(z - v) = sin(pi z) (cos(pi v) - cot(pi z) sin(pi v)) into a line factor,
+scaled by its largest exponent and computed once per ``MBKernel``, and a
+circle factor computed per Nystrom level, so no entry evaluates a complex sin
+or exp.  For real u both routes count a value outside the range of
+E[exp(uZ)], 0 < Z <= 1, as not converged.  The
 Tracy-Widom GUE distribution is the Airy-kernel determinant on (r, infinity),
 evaluated with Gauss-Legendre quadrature on a truncated interval.  Both
 determinants double their node count with ``moments._refine`` up to 1024.
@@ -25,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,18 +65,24 @@ _SHIFT_TERMS = 2000
 
 
 def _series_kernel_matrix(gf, u, v, tol=1e-16, n_cap=_SHIFT_TERMS):
-    """K(v_a, v_b) = sum_n g(v_a)/g(v_a + n) u^n / (v_a + n - v_b)."""
-    lg_v = gf.log_g(v)
+    """K(v_a, v_b) = sum_n g(v_a)/g(v_a + n) u^n / (v_a + n - v_b).
+
+    The column g(v)/g(v + n) u^n is telescoped as col_{n-1} u f(v + n - 1), so
+    no gamma function is evaluated; each term is divided in one reused buffer.
+    """
     K = np.zeros((v.size, v.size), dtype=complex)
-    quiet = 0
-    lu = np.log(complex(u)) if u != 0 else None
     if u == 0:
         return K, 0
+    diff = v[:, None] - v[None, :]
+    term = np.empty_like(K)
+    col = np.ones(v.size, dtype=complex)
+    quiet = 0
     n = 0
     while n < n_cap:
         n += 1
-        col = np.exp(lg_v - gf.log_g(v + n) + n * lu)
-        term = col[:, None] / (v[:, None] + n - v[None, :])
+        col *= u * gf.f(v + (n - 1))
+        np.add(diff, n, out=term)
+        np.divide(col[:, None], term, out=term)
         K += term
         mx = np.abs(term).max()
         quiet = quiet + 1 if mx < tol else 0
@@ -115,13 +130,42 @@ def laplace_series_det(pmodel, x, y, u, contour=None, nodes=64, rtol=1e-10, stri
         terms = max(terms, n)
         return K
 
-    out = fredholm_det(kernel, contour, nodes=nodes, rtol=rtol, strict=strict, with_info=with_info)
-    return (out[0], dict(out[1], terms=terms)) if with_info else out
+    val, info = fredholm_det(kernel, contour, nodes=nodes, rtol=rtol, strict=strict, with_info=True)
+    return _laplace_checked(u, val, dict(info, terms=terms), strict, with_info)
+
+
+# slack of the range test on a converged Laplace transform
+_RANGE_SLACK = 1e-8
+
+
+def _laplace_checked(u, val, info, strict, with_info):
+    """Demote a converged value that no Laplace transform of 0 < Z <= 1 can take.
+
+    For real u, E[exp(u Z)] is real and lies between e^u and 1.  A value outside
+    that interval or with an imaginary part, beyond ``_RANGE_SLACK``, counts as
+    not converged: ``ConvergenceError`` when ``strict``, else ``converged`` False.
+    """
+    u = complex(u)
+    if info["converged"] and u.imag == 0:
+        edge = math.exp(u.real) if u.real < 700.0 else math.inf
+        lo, hi = min(1.0, edge) - _RANGE_SLACK, max(1.0, edge) + _RANGE_SLACK
+        if not (lo <= val.real <= hi and abs(val.imag) <= _RANGE_SLACK):
+            if strict:
+                raise ConvergenceError(f"determinant {val} is not a Laplace transform of 0 < Z <= 1 at "
+                                       f"u = {u.real:.6g}: it must be real and lie between e^u and 1", val)
+            info = dict(info, converged=False)
+    return (val, info) if with_info else val
 
 
 @dataclass
 class MBKernel:
-    """Mellin-Barnes kernel data: circle nodes and a truncated vertical line."""
+    """Mellin-Barnes kernel data: circle nodes and a truncated vertical line.
+
+    The line integrand -pi/sin(pi(z - v)) exp((z - v) log(-u)) g(v)/g(z) splits
+    into a line factor a_z, a circle factor b_v and a denominator, using
+    sin pi(z - v) = sin(pi z) (cos(pi v) - cot(pi z) sin(pi v)).  The line side
+    is the same at every Nystrom level, so it is computed once per instance.
+    """
 
     gf: GFunction
     u: complex
@@ -131,15 +175,30 @@ class MBKernel:
     z_weights: np.ndarray
     tail_estimate: float
 
+    @cached_property
+    def _line_side(self):
+        """(a_z, cot(pi z), c): a_z = w_z (-pi) exp(z log(-u) - log g(z) - log sin(pi z) - c),
+        c being the largest real part of that exponent, so max |a_z| = pi max w_z."""
+        z = self.z_nodes
+        # exp(2 pi i s z) with s = sign(Im z) has modulus <= 1, so log sin(pi z) and
+        # cot(pi z) stay finite however far the line reaches
+        s = np.where(z.imag >= 0, 1.0, -1.0)
+        e = np.exp(2j * np.pi * s * z)
+        log_sin = -1j * np.pi * s * z + np.log((e - 1.0) / (2j * s))
+        cot = 1j * s * (1.0 + e) / (e - 1.0)
+        expo = z * np.log(-self.u) - self.gf.log_g(z) - log_sin
+        c = float(expo.real.max())
+        return -np.pi * self.z_weights * np.exp(expo - c), cot, c
+
     def matrix(self, v_row, v_col):
-        lu = np.log(-complex(self.u))
-        lg_v = self.gf.log_g(v_row)
-        lg_z = self.gf.log_g(self.z_nodes)
-        zz = self.z_nodes[None, :]
-        vv = v_row[:, None]
-        core = (-np.pi / np.sin(np.pi * (zz - vv))) * np.exp((zz - vv) * lu + lg_v[:, None] - lg_z[None, :])
+        a, cot, c = self._line_side
+        b = np.exp(self.gf.log_g(v_row) - v_row * np.log(-self.u) + c)
+        # row v, line node z: b_v a_z / (cos(pi v) - cot(pi z) sin(pi v))
+        den = np.multiply.outer(np.sin(np.pi * v_row), -cot)
+        den += np.cos(np.pi * v_row)[:, None]
+        weighted = np.multiply.outer(b, a)
+        weighted /= den
         # integrate over z against 1/(z - v'): result (row v, col v')
-        weighted = core * self.z_weights[None, :]
         return weighted @ (1.0 / (self.z_nodes[:, None] - v_col[None, :]))
 
 
@@ -152,7 +211,11 @@ def _gauss_legendre(m):
     return xg, wg
 
 
-def _gl_line_nodes(h, T, panel=0.5, order=16):
+# Gauss-Legendre nodes per panel of the Mellin-Barnes line
+_LINE_ORDER = 16
+
+
+def _gl_line_nodes(h, T, panel=0.5, order=_LINE_ORDER):
     """Gauss-Legendre panels along the vertical segment [h - iT, h + iT]."""
     xg, wg = _gauss_legendre(order)
     ts = []
@@ -186,14 +249,14 @@ def mb_kernel_matrix(pmodel, x, y, u, contour=None, T=None, h=None, tail_tol=1e-
         raise ContourError("vertical line does not separate the circle from its +1 shift")
 
     T_cur = 8.0 if T is None else T
+    # integrand envelope at the truncation endpoints, maximized over the circle
+    v_probe = center + radius * np.exp(1j * np.linspace(0, 2 * np.pi, 8, endpoint=False))
+    lgv = gf.log_g(v_probe)
+    lu = np.log(-u)
     while True:
         z, w = _gl_line_nodes(h, T_cur)
-        # integrand envelope at the truncation endpoints, maximized over the circle
-        v_probe = center + radius * np.exp(1j * np.linspace(0, 2 * np.pi, 8, endpoint=False))
         ends = np.array([h + 1j * T_cur, h - 1j * T_cur])
-        lgv = gf.log_g(v_probe)
         lgz = gf.log_g(ends)
-        lu = np.log(-u)
         mags = []
         for e, lge in zip(ends, lgz):
             val = np.abs(-np.pi / np.sin(np.pi * (e - v_probe))) * np.abs(
@@ -210,15 +273,19 @@ def mb_kernel_matrix(pmodel, x, y, u, contour=None, T=None, h=None, tail_tol=1e-
 
 def mb_determinant(pmodel, x, y, u, contour=None, nodes=64, rtol=1e-10, T=None, strict=True,
                    with_info=False):
-    """E[exp(u Z_{x,y})] via the Mellin-Barnes kernel determinant."""
+    """E[exp(u Z_{x,y})] via the Mellin-Barnes kernel determinant.
+
+    ``with_info`` adds {"nodes", "converged", "nodes_L", "T", "panels", "tail"}:
+    the circle nodes, the line nodes, the line's half-length, its
+    Gauss-Legendre panels and ``MBKernel.tail_estimate`` at the truncation.
+    Only the circle nodes are refined, so a caller-fixed ``T`` whose ``tail``
+    is large gives a converged but truncated value.
+    """
     kern, contour = mb_kernel_matrix(pmodel, x, y, u, contour=contour, T=T)
-    out = fredholm_det(kern.matrix, contour, nodes=nodes, rtol=rtol, strict=strict,
-                       with_info=with_info)
-    if with_info:
-        val, info = out
-        info = dict(info, nodes_L=int(kern.z_nodes.size), T=kern.T)
-        return val, info
-    return out
+    val, info = fredholm_det(kern.matrix, contour, nodes=nodes, rtol=rtol, strict=strict, with_info=True)
+    info = dict(info, nodes_L=int(kern.z_nodes.size), T=kern.T, panels=int(kern.z_nodes.size) // _LINE_ORDER,
+                tail=kern.tail_estimate)
+    return _laplace_checked(kern.u, val, info, strict, with_info)
 
 
 # ---------------------------------------------------------------------------

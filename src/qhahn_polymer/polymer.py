@@ -390,7 +390,14 @@ def sample_partition_values(model, r, x, y, samples, rng=None, seed=0, block=409
 
 
 def sample_log_partition(model, r, x, y, samples, rng=None, seed=0, block=256):
-    """Replica values ln Z^(r)_{x,y} (rescaled DP; any grid depth)."""
+    """Replica values ln Z^(r)_{x,y} (DP rescaled by each replica's row maximum).
+
+    The rescaling keeps ln Z finite, but a column more than about e^-708 below
+    its row's maximum underflows, and on very deep grids such columns still
+    carry the dominant paths: for the homogeneous model (sigma 0, rho -1,
+    omega -2, theta 0.3) ln Z agrees with extended precision to 1e-13 at
+    t <= 128 and is low by about 2.3 on average at t = 256.
+    """
     return _replica_blocks(model, r, x, y, samples, rng, seed, block, want_log=True)
 
 

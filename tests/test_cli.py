@@ -184,6 +184,26 @@ def test_fredholm_mb_check_record_carries_diagnostics(tmp_path, polymer_config, 
     assert (rec["nodes_C"], rec["nodes_L"], rec["T"]) == (mb["nodes"], mb["nodes_L"], mb["T"])
 
 
+def test_fredholm_laplace_records_carry_line_diagnostics(tmp_path, polymer_config, capsys):
+    from qhahn_polymer.fredholm import mb_determinant
+    from qhahn_polymer.polymer import PolymerModel
+
+    model = json.loads(open(polymer_config).read())["model"]
+    det, mb = mb_determinant(PolymerModel(model["sigma"], model["rho"], model["omega"]), 2, 5, -2.0,
+                             with_info=True)
+    out = tmp_path / "f.jsonl"
+    assert run(["fredholm", "laplace", "--config", polymer_config, "--u", "-2.0", "-o", str(out)]) == EXIT_OK
+    rec = json.loads(out.read_text().splitlines()[0])
+    assert (rec["det_re"], rec["det_im"]) == (det.real, det.imag)
+    assert (rec["nodes_C"], rec["nodes_L"], rec["T"]) == (mb["nodes"], mb["nodes_L"], mb["T"])
+    assert (rec["converged"], rec["panels"], rec["tail"]) == (True, mb["panels"], mb["tail"])
+    assert run(["fredholm", "mb-check", "--config", polymer_config, "--u", "-2.0", "-o", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    rec = json.loads(out.read_text().splitlines()[0])
+    assert (rec["mb_converged"], rec["panels"], rec["tail"]) == (True, mb["panels"], mb["tail"])
+    assert rec["panels"] * 16 == rec["nodes_L"] and rec["tail"] < 1e-12
+
+
 def test_fredholm_tw_cdf_record_carries_nodes(tmp_path, capsys):
     out = tmp_path / "f.jsonl"
     assert run(["fredholm", "tw-cdf", "--r", "-2", "-o", str(out)]) == EXIT_OK

@@ -147,6 +147,100 @@ def test_mb_matches_series_kernel_pointwise():
     assert kern.tail_estimate < 1e-12
 
 
+def _circle_nodes(cont, m):
+    return cont.center + cont.radii[0] * np.exp(1j * 2 * np.pi * np.arange(m) / m)
+
+
+@pytest.mark.parametrize("u", [-2.0, -2.0 + 1.5j])
+def test_series_kernel_matches_log_gamma_sum(u):
+    # the telescoped column against g(v)/g(v + n) u^n from log_gamma, term by term
+    from qhahn_polymer.fredholm import _series_kernel_matrix
+
+    pm = poly_model()
+    gf = GFunction(pm, X, Y)
+    v = _circle_nodes(small_sigma_circle(pm, X, Y), 16)
+    K, n_used = _series_kernel_matrix(gf, u, v)
+    ref = np.zeros_like(K)
+    for n in range(1, n_used + 1):
+        col = np.exp(gf.log_g(v) - gf.log_g(v + n) + n * np.log(complex(u)))
+        ref += col[:, None] / (v[:, None] + n - v[None, :])
+    assert np.abs(K - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def test_series_det_precise_at_u_minus_20():
+    # terms near e^20 cancel: the telescoped kernel keeps 128 nodes and 1e-11 agreement
+    pm = poly_model()
+    det, info = laplace_series_det(pm, X, Y, -20.0, with_info=True)
+    assert info["nodes"] == 128 and info["converged"] is True
+    assert abs(det - mb_determinant(pm, X, Y, -20.0)) < 1e-11
+
+
+def _mb_matrix_per_entry(kern, v_row, v_col):
+    """The Mellin-Barnes kernel with one sin and one exp per (v, z) entry."""
+    lu = np.log(-complex(kern.u))
+    lg_v = kern.gf.log_g(v_row)
+    lg_z = kern.gf.log_g(kern.z_nodes)
+    zz = kern.z_nodes[None, :]
+    vv = v_row[:, None]
+    core = (-np.pi / np.sin(np.pi * (zz - vv))) * np.exp((zz - vv) * lu + lg_v[:, None] - lg_z[None, :])
+    return (core * kern.z_weights[None, :]) @ (1.0 / (kern.z_nodes[:, None] - v_col[None, :]))
+
+
+def _scheduled_t64():
+    fm = FreqModel.homogeneous(sigma=0.0, rho=-1.0, omega=-2.0)
+    const = theta_constants(fm, 0.3)
+    pm, x, y = scheduled_polymer_model(fm, const, 64)
+    # u = -exp(I t - c t^{1/3} r): E[exp(uZ)] is the Gumbel-smoothed law of the rescaled ln Z at r
+    return pm, x, y, lambda r: -math.exp(const.rate * 64 - const.c * 64 ** (1.0 / 3.0) * r)
+
+
+def test_mb_factored_kernel_matches_per_entry_formula():
+    pm = poly_model()
+    cases = [(pm, X, Y, u) for u in (-0.5, -5.0, -2.0 + 1.5j)]
+    pm64, x64, y64, u_of = _scheduled_t64()
+    # here the unscaled line factor spans e^-94 to e^-1181 and the circle factor reaches e^101
+    cases += [(pm64, x64, y64, u_of(r)) for r in (-2.0, 0.0)]
+    for pmodel, x, y, u in cases:
+        kern, cont = mb_kernel_matrix(pmodel, x, y, u)
+        v = _circle_nodes(cont, 32)
+        ref = _mb_matrix_per_entry(kern, v, v)
+        assert np.abs(kern.matrix(v, v) - ref).max() < 1e-13 * np.abs(ref).max()
+
+
+def test_mb_determinant_pinned_at_tracy_widom_scale():
+    pm, x, y, u_of = _scheduled_t64()
+    for r, value in ((-2.0, 0.404989686198095), (0.0, 0.963406554147449)):
+        assert abs(mb_determinant(pm, x, y, u_of(r)) - value) < 1e-12
+
+
+def test_mb_info_reports_line_panels_and_tail():
+    pm = poly_model()
+    det, info = mb_determinant(pm, X, Y, -2.0, with_info=True)
+    assert info["panels"] * 16 == info["nodes_L"] and info["tail"] < 1e-12
+    # a caller-fixed short line converges on the circle but is truncated: the tail shows it
+    short, info = mb_determinant(pm, X, Y, -2.0, T=0.5, with_info=True)
+    assert info["converged"] is True and abs(short - det) > 0.02
+    assert (info["panels"], info["nodes_L"]) == (2, 32) and info["tail"] > 1.0
+
+
+@pytest.mark.parametrize("det_fn", [laplace_series_det, mb_determinant])
+def test_determinant_outside_laplace_range_is_not_converged(det_fn, monkeypatch):
+    import qhahn_polymer.fredholm as fr
+
+    pm = poly_model()
+    for u, val in ((-2.0, 2.0), (-2.0, 0.5 + 1e-6j), (-2.0, 0.1)):
+        monkeypatch.setattr(fr, "fredholm_det", lambda *a, **k: (val, {"nodes": 64, "converged": True}))
+        with pytest.raises(ConvergenceError, match="Laplace transform") as err:
+            det_fn(pm, X, Y, u)
+        assert err.value.value == val
+        out, info = det_fn(pm, X, Y, u, strict=False, with_info=True)
+        assert out == val and info["converged"] is False
+    # in range, with the slack at the edges: accepted as it is
+    for u, val in ((-2.0, 1.0 + 5e-9), (-2.0, math.exp(-2.0) - 5e-9 + 5e-9j), (-2.0 + 1.0j, 2.0)):
+        monkeypatch.setattr(fr, "fredholm_det", lambda *a, **k: (val, {"nodes": 64, "converged": True}))
+        assert det_fn(pm, X, Y, u, with_info=True)[1]["converged"] is True
+
+
 def test_mb_tiny_u_kernel_small():
     # |K_u| is controlled by |u|^{Re(z - v)} with Re(z - v) >= line separation
     pm = poly_model()

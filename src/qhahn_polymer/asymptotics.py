@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .fredholm import ks_distance_to_F2
-from .polymer import PolymerModel, _replica_blocks, sample_log_partition, schedule_values
+from .polymer import PolymerModel, _replica_blocks, schedule_values
 from .specfun import log_gamma, polygamma
 
 __all__ = [
@@ -253,6 +254,12 @@ def check_steep_descent(hf, which, grid=200, b_max=10.0, eps=0.05):
 _TW_BLOCK = 256
 
 
+# sqrt(n) times the KS distance of n exact draws tends to the Kolmogorov law:
+# its mean sqrt(pi/2) ln 2 and its 95% point
+_KS_NULL_MEAN = 0.8687
+_KS_NULL_95 = 1.3581
+
+
 @dataclass
 class TWBatch:
     t: int
@@ -261,6 +268,20 @@ class TWBatch:
     sd: float
     samples: np.ndarray
     regime: str
+
+    @property
+    def n(self):
+        return self.samples.size
+
+    @property
+    def ks_null_mean(self):
+        """Mean KS distance of n exact F2 draws: the scale of ``ks``."""
+        return _KS_NULL_MEAN / math.sqrt(self.n)
+
+    @property
+    def ks_null_95(self):
+        """95% point of the KS distance of n exact F2 draws."""
+        return _KS_NULL_95 / math.sqrt(self.n)
 
 
 def scheduled_polymer_model(fm, const, t):
@@ -317,27 +338,25 @@ def tw_experiment(fm, theta, t_list, samples, seed=0, workers=1, slot_correction
     const = theta_constants(fm, theta)
     regime = "proven" if fm.satisfies_assumption(theta) else "conjectural"
     out = []
-    for t in t_list:
-        model, X, Y = scheduled_polymer_model(fm, const, t)
-        if X < 1 or Y <= X:
-            raise ValueError(f"t={t} too small for the slope")
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                mapper = partial(pool.map, chunksize=max(1, samples // (4 * workers * _TW_BLOCK)))
-                logz = _replica_blocks(model, 0, X, Y, samples, None, seed + t, _TW_BLOCK,
-                                       want_log=True, mapper=mapper)
-        else:
-            logz = sample_log_partition(model, 0, X, Y, samples, seed=seed + t, block=_TW_BLOCK)
-        shift = slot_centering_correction(fm, const, model, t) if slot_correction else 0.0
-        rescaled = (logz + const.rate * t - shift) / (const.c * t ** (1.0 / 3.0))
-        out.append(
-            TWBatch(
-                t=t,
-                ks=ks_distance_to_F2(rescaled),
-                mean=float(rescaled.mean()),
-                sd=float(rescaled.std(ddof=1)),
-                samples=rescaled,
-                regime=regime,
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for t in t_list:
+            model, X, Y = scheduled_polymer_model(fm, const, t)
+            if X < 1 or Y <= X:
+                raise ValueError(f"t={t} too small for the slope")
+            mapper = map if pool is None else partial(
+                pool.map, chunksize=max(1, samples // (4 * workers * _TW_BLOCK)))
+            logz = _replica_blocks(model, 0, X, Y, samples, None, seed + t, _TW_BLOCK,
+                                   want_log=True, mapper=mapper)
+            shift = slot_centering_correction(fm, const, model, t) if slot_correction else 0.0
+            rescaled = (logz + const.rate * t - shift) / (const.c * t ** (1.0 / 3.0))
+            out.append(
+                TWBatch(
+                    t=t,
+                    ks=ks_distance_to_F2(rescaled),
+                    mean=float(rescaled.mean()),
+                    sd=float(rescaled.std(ddof=1)),
+                    samples=rescaled,
+                    regime=regime,
+                )
             )
-        )
     return out

@@ -55,12 +55,19 @@ def _emit(records, path, header=None):
 
 
 def _manifest(args, extra=None):
+    # F2 and the determinants move at the 1e-14 level with the BLAS build and
+    # its thread count, so both are recorded
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     rec = {
         "manifest": True,
         "version": __version__,
         "seed": args.seed,
         "workers": getattr(args, "workers", 1),
         "argv": sys.argv[1:],
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
     if getattr(args, "config", None):
         rec["config"] = _load_config(args.config)
@@ -389,7 +396,8 @@ def _cmd_tw(args):
             rows.append((b.t, i, float(v)))
     if args.export:
         _emit(rows, args.export, header=("t", "replica", "rescaled_value"))
-    records = [{"t": b.t, "ks": b.ks, "mean": b.mean, "sd": b.sd, "regime": b.regime}
+    records = [{"t": b.t, "ks": b.ks, "n": b.n, "ks_null_mean": b.ks_null_mean,
+                "ks_null_95": b.ks_null_95, "mean": b.mean, "sd": b.sd, "regime": b.regime}
                for b in batches]
     records.append(_manifest(args))
     _emit(records, args.output)

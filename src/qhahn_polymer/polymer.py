@@ -76,14 +76,6 @@ class PolymerModel:
         if not (w_hi < r_lo and r_hi < s_lo):
             raise ValueError("need omega < rho < sigma across all scheduled values")
 
-    @classmethod
-    def from_frequencies(cls, sigma, alpha, rho, beta, omega, gamma, n_sigma, n_rho, n_omega):
-        return cls(
-            schedule_values(sigma, alpha, n_sigma),
-            schedule_values(rho, beta, n_rho),
-            schedule_values(omega, gamma, n_omega),
-        )
-
     def sigma(self, i):
         if not 0 <= i < len(self.sigma_list):
             raise IndexError(f"sigma index {i} outside the schedule")
@@ -120,13 +112,21 @@ class Environment:
 
 
 def beta_draws(rng, a, b, size=None):
-    """Beta(a, b) variates; inverse-CDF fast path for a = 1, two-Gamma ratio otherwise."""
+    """Beta(a, b) variates; inverse-CDF fast path for a = 1, two-Gamma ratio otherwise.
+
+    The a = 1 path takes all of ``size`` from one ``rng.random`` call, so a
+    leading axis of rows consumes the stream as one call per row would; with
+    b = 1 as well it skips the power, since x ** 1.0 == x.
+    """
     a_arr, b_arr = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
     if size is None:
         size = a_arr.shape
     if np.all(a_arr == 1.0):
-        u = rng.random(size)
-        return 1.0 - np.power(1.0 - u, 1.0 / np.broadcast_to(b_arr, size))
+        w = rng.random(size)
+        np.subtract(1.0, w, out=w)
+        if not np.all(b_arr == 1.0):
+            np.power(w, 1.0 / np.broadcast_to(b_arr, size), out=w)
+        return np.subtract(1.0, w, out=w)
     g1 = rng.gamma(np.broadcast_to(a_arr, size))
     g2 = rng.gamma(np.broadcast_to(b_arr, size))
     out = g1 / np.maximum(g1 + g2, 1e-300)
@@ -313,55 +313,92 @@ def joint_moment_annealed(model, specs, exact=False):
 # Vectorized Monte Carlo over environments.
 
 
+# Rows per batched uniform draw, and rows between renormalisations of the
+# column exponents once the diagonal has left the window.
+_ROW_CHUNK = 8
+
+
 def _dp_block(model, r, x, y, n_block, rng, want_log):
     """DP over a block of replicas; returns ln Z (or Z) at the corner (x, y).
 
-    Convex row recursion with per-replica rescaling: a scalar log offset is
-    exact for the linear recurrence, so values stay in float range for any
-    depth.  The row maximum includes the diagonal boundary cell (= 1) while it
-    exists, so rescaling only activates after the diagonal leaves the window.
+    The state is column-major, shape (x+1, n_block).  Each column of each
+    replica keeps a power-of-two exponent, Z = s * 2**E, so the update of
+    column c is eta s[c] + (1 - eta) s[c-1] 2**(E[c-1] - E[c]).  ``np.frexp``
+    renormalises s every ``_ROW_CHUNK`` rows, and on every row while the
+    diagonal boundary cell (= 1) is inside the window.  Scaling by a power of
+    two is exact, so the values equal the unscaled recurrence wherever that
+    stays in float range, and stay in float range for any depth; linear mode
+    raises if a corner value falls below the normal float range.  The draws
+    are those of ``beta_draws`` row by row; rows with a = 1 in every cell and
+    the full width draw ``_ROW_CHUNK`` rows per call, which consumes the same
+    stream.
     """
     band = y - x
     if band == 0:
         return np.zeros(n_block) if want_log else np.ones(n_block)
     if band > len(model.omega_list):
         raise IndexError("omega schedule shorter than the diagonal range y - x")
+    if x > y - r:
+        raise IndexError("corner outside the domain: need r <= y - x")
     sigma = np.array([model.sigma(i) for i in range(0, x + 1)])
     omega = np.array([model.omega(d) for d in range(1, band + 1)])
-    cur = np.zeros((n_block, x + 1))
-    cur[:, 0] = 1.0  # Z_{0, r} = 1
-    offset = np.zeros(n_block)
-    for yy in range(r + 1, y + 1):
-        hi = min(x, yy - r)
-        xs = np.arange(0, hi + 1)
-        rho = model.rho(yy)
-        a = sigma[: hi + 1] - rho
+
+    def shapes(k0, k1):
+        """Beta shapes (a, b) of rows r+1+k0 .. r+k1 on all x + 1 columns."""
+        yy = np.arange(r + 1 + k0, r + 1 + k1)[:, None]
+        rho = np.array([[model.rho(j)] for j in range(r + 1 + k0, r + 1 + k1)])
         # out-of-band cells (yy - x' > band) never reach the corner; clamping
         # their diagonal index keeps the vector draw simple and is harmless
-        dgrid = np.clip(yy - xs, 1, band)
-        b = rho - omega[dgrid - 1]
-        eta = beta_draws(rng, a, b, size=(n_block, hi + 1))
-        new = np.empty((n_block, hi + 1))
-        new[:, 0] = eta[:, 0] * cur[:, 0]
-        if hi >= 1:
-            reach = min(hi, cur.shape[1] - 1)
-            new[:, 1 : reach + 1] = (
-                eta[:, 1 : reach + 1] * cur[:, 1 : reach + 1]
-                + (1.0 - eta[:, 1 : reach + 1]) * cur[:, 0:reach]
-            )
-        if yy - r <= x:
-            new[:, yy - r] = 1.0  # diagonal boundary
-        cur = new
-        m = cur.max(axis=1)
-        small = m < 1e-200
-        if small.any():
-            scale = np.where(small, m, 1.0)
-            cur = cur / scale[:, None]
-            offset += np.where(small, np.log(scale), 0.0)
-    vals = cur[:, x]
+        return sigma - rho, rho - omega[np.clip(yy - np.arange(x + 1), 1, band) - 1]
+
+    s = np.zeros((x + 1, n_block))
+    s[0] = 1.0  # Z_{0, r} = 1
+    E = np.zeros((x + 1, n_block), dtype=np.intc)
+    ex = np.empty_like(E)
+    ratio = np.ones((x + 1, n_block))  # 2**(E[c-1] - E[c]) for column c >= 1
+    eta = np.empty((x + 1, n_block))
+    tmp = np.empty((x + 1, n_block))
+
+    def step(draw, m, cols):
+        """One row of width m: columns 1..cols-1 by the recurrence, column 0 by eta."""
+        np.copyto(eta[:m], draw.T)
+        diag = np.subtract(1.0, eta[1:cols], out=tmp[1:cols])
+        diag *= ratio[1:cols]
+        diag *= s[: cols - 1]
+        s[1:cols] *= eta[1:cols]
+        s[1:cols] += diag
+        s[0] *= eta[0]
+
+    def renormalise(m):
+        np.frexp(s[:m], out=(s[:m], ex[:m]))
+        E[:m] += ex[:m]
+        np.subtract(E[: m - 1], E[1:m], out=ex[1:m])
+        np.ldexp(1.0, ex[1:m], out=ratio[1:m])
+
+    # while the diagonal is inside the window, row i has width i + 2 and
+    # ends in the boundary cell Z = 1
+    for i in range(x):
+        m = i + 2
+        a, b = shapes(i, i + 1)
+        step(beta_draws(rng, a[0, :m], b[0, :m], size=(n_block, m)), m, m - 1)
+        s[m - 1] = 1.0
+        E[m - 1] = 0
+        renormalise(m)
+    m = x + 1
+    for k0 in range(x, y - r, _ROW_CHUNK):
+        k1 = min(k0 + _ROW_CHUNK, y - r)
+        a, b = shapes(k0, k1)
+        if np.all(a == 1.0):
+            draws = beta_draws(rng, 1.0, b[:, None, :], size=(k1 - k0, n_block, m))
+        else:
+            draws = [beta_draws(rng, ak, bk, size=(n_block, m)) for ak, bk in zip(a, b)]
+        for draw in draws:
+            step(draw, m, m)
+        renormalise(m)
     if want_log:
-        return np.log(vals) + offset
-    if (offset != 0.0).any():
+        return np.log(s[x]) + E[x] * math.log(2.0)
+    vals = np.ldexp(s[x], E[x])
+    if ((vals < np.finfo(float).tiny) & (s[x] > 0.0)).any():
         raise OverflowError("partition values underflow linear space; use log mode")
     return vals
 
@@ -385,18 +422,17 @@ def _replica_blocks(model, r, x, y, samples, rng, seed, block, want_log, mapper=
 
 
 def sample_partition_values(model, r, x, y, samples, rng=None, seed=0, block=4096):
-    """Replica values Z^(r)_{x,y} (linear space; small grids)."""
+    """Replica values Z^(r)_{x,y} (linear space; raises ``OverflowError`` below the float range)."""
     return _replica_blocks(model, r, x, y, samples, rng, seed, block, want_log=False)
 
 
 def sample_log_partition(model, r, x, y, samples, rng=None, seed=0, block=256):
-    """Replica values ln Z^(r)_{x,y} (DP rescaled by each replica's row maximum).
+    """Replica values ln Z^(r)_{x,y} (DP with a power-of-two exponent per column).
 
-    The rescaling keeps ln Z finite, but a column more than about e^-708 below
-    its row's maximum underflows, and on very deep grids such columns still
-    carry the dominant paths: for the homogeneous model (sigma 0, rho -1,
-    omega -2, theta 0.3) ln Z agrees with extended precision to 1e-13 at
-    t <= 128 and is low by about 2.3 on average at t = 256.
+    The exponents keep every column in float range for any depth, so ln Z
+    stays accurate where one row spans more than the float range: for the
+    homogeneous model (sigma 0, rho -1, omega -2, theta 0.3) at t = 256 it
+    agrees with extended precision on the same draws to about 2e-13.
     """
     return _replica_blocks(model, r, x, y, samples, rng, seed, block, want_log=True)
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from qhahn_polymer.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
@@ -234,6 +235,31 @@ def test_tw_subcommand_small(tmp_path, capsys):
     rec = json.loads(out.read_text().splitlines()[0])
     assert rec["regime"] == "proven"
     assert 0 <= rec["ks"] <= 1
+
+
+def test_tw_records_carry_ks_scale(tmp_path, capsys):
+    out = tmp_path / "tw.jsonl"
+    assert run(["tw", "--theta", "0.3", "--t", "12", "16", "--samples", "144", "--seed", "2",
+                "--workers", "1", "-o", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    *recs, manifest = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [rec["t"] for rec in recs] == [12, 16]
+    for rec in recs:
+        assert set(rec) == {"t", "ks", "n", "ks_null_mean", "ks_null_95", "mean", "sd", "regime"}
+        assert rec["n"] == 144
+        assert rec["ks_null_mean"] == pytest.approx(0.8687 / 12)
+        assert rec["ks_null_95"] == pytest.approx(1.3581 / 12)
+    assert manifest["manifest"]
+
+
+def test_manifest_records_blas_build_and_threads(monkeypatch, capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert run(["verify", "stochastic", "--trials", "2", "--seed", "1"]) == EXIT_OK
+    manifest = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert isinstance(manifest["blas"], str) and manifest["blas"]
+    assert "blas_version" in manifest
+    assert manifest["blas_threads"] == "3"
+    assert manifest["numpy"] == np.__version__
 
 
 def test_nonconvergence_exit_code(tmp_path, qhahn_config, capsys, monkeypatch):

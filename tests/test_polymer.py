@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qhahn_polymer.asymptotics import FreqModel, scheduled_polymer_model, theta_constants
 from qhahn_polymer.polymer import (
     PolymerModel,
     beta_draws,
@@ -210,6 +211,84 @@ def test_log_sampling_handles_deep_grids():
     vals = sample_log_partition(m, 0, 8, 900, 8, seed=23)
     assert np.isfinite(vals).all()
     assert (vals < -700).all()  # linear space would underflow
+
+
+def test_linear_sampling_raises_below_float_range():
+    m = PolymerModel((0.0,) * 9, (-1.0,) * 900, (-2.0,) * 900)
+    with pytest.raises(OverflowError):
+        sample_partition_values(m, 0, 8, 900, 8, seed=23)
+
+
+def test_sampling_rejects_corner_outside_domain():
+    # r > y - x: no path from (0, r) reaches the corner
+    with pytest.raises(IndexError):
+        sample_log_partition(tri_model(), 5, 0, 3, 4)
+
+
+def tw_model(t):
+    fm = FreqModel.homogeneous(sigma=0.0, rho=-1.0, omega=-2.0)
+    return scheduled_polymer_model(fm, theta_constants(fm, 0.3), t)
+
+
+def logaddexp_dp(model, x, y, n, rng):
+    """ln Z at (x, y), r = 0, by the row recursion in log space, one ``beta_draws`` call per row."""
+    band = y - x
+    lz = np.full((n, x + 1), -np.inf)
+    lz[:, 0] = 0.0
+    for yy in range(1, y + 1):
+        hi = min(x, yy)
+        xs = np.arange(hi + 1)
+        a = np.array([model.sigma(i) for i in xs]) - model.rho(yy)
+        b = model.rho(yy) - np.array([model.omega(d) for d in np.clip(yy - xs, 1, band)])
+        eta = beta_draws(rng, a, b, size=(n, hi + 1))
+        new = lz.copy()
+        new[:, 0] = np.log(eta[:, 0]) + lz[:, 0]
+        new[:, 1:hi + 1] = np.logaddexp(np.log(eta[:, 1:]) + lz[:, 1:hi + 1],
+                                        np.log1p(-eta[:, 1:]) + lz[:, :hi])
+        if yy <= x:
+            new[:, yy] = 0.0  # diagonal boundary
+        lz = new
+    return lz[:, x]
+
+
+def test_log_sampling_exact_at_t256():
+    # one row spans more than the float range here (X = 151, Y = 2995)
+    model, X, Y = tw_model(256)
+    vals = sample_log_partition(model, 0, X, Y, 12, seed=7)
+    assert np.abs(vals - logaddexp_dp(model, X, Y, 12, spawn_rng(7, 0))).max() < 1e-9
+
+
+@pytest.mark.parametrize("t, pinned", [
+    (32, [-236.07979633423707, -232.55075036044724, -234.19692229819998, -229.78270184677274,
+          -229.52926746426354, -238.19304939821902, -218.15803295562935, -232.65399188757993]),
+    (128, [-860.2994682521805, -867.7104234305511, -858.1099807077198, -834.9794116775324,
+           -871.4501701230811, -855.1083380484167, -860.6512614537569, -873.4351621926633]),
+])
+def test_log_sampling_pinned_values(t, pinned):
+    model, X, Y = tw_model(t)
+    vals = sample_log_partition(model, 0, X, Y, 8, seed=11)
+    assert np.abs(vals - pinned).max() < 1e-12
+
+
+def test_linear_sampling_pinned_values():
+    # a != 1: the two-Gamma draws; 40 rows cross several renormalisations
+    vals = sample_partition_values(tri_model(40, 6), 0, 6, 40, 5, seed=9)
+    assert vals.tolist() == [7.45120297300095e-07, 1.461079013898721e-09, 1.5610080030854248e-10,
+                             8.326689675142215e-10, 1.5642026664149415e-08]
+    vals = sample_partition_values(tri_model(), 1, 2, 6, 6, seed=4)
+    assert vals.tolist() == [0.4209882110946999, 0.402698492735156, 0.502174274061959,
+                             0.46444600351735155, 0.5204612688115153, 0.16888915382376546]
+
+
+def test_beta_draws_unit_shapes_skip_the_power():
+    b = np.ones((3, 1, 5))
+    fast = beta_draws(np.random.default_rng(8), 1.0, b, size=(3, 4, 5))
+    u = np.random.default_rng(8).random((3, 4, 5))
+    assert np.array_equal(fast, 1.0 - np.power(1.0 - u, 1.0 / np.broadcast_to(b, u.shape)))
+    # rows drawn in one call consume the stream as one call per row
+    rng = np.random.default_rng(8)
+    rows = [beta_draws(rng, 1.0, b[k], size=(4, 5)) for k in range(3)]
+    assert np.array_equal(fast, np.stack(rows))
 
 
 def test_sampling_deterministic():

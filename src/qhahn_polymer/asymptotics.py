@@ -2,11 +2,21 @@
 
 A frequency model fixes finitely many parameter values with weights; the
 auxiliary parameter theta > max sigma determines the slope, the linear rate,
-and the t^{1/3} fluctuation scale through polygamma evaluations.  The steep
-descent of the saddle-point function h along the vertical line and (under the
-restricted assumption) along the circle |z| = theta is checked numerically,
-and the rescaled log partition function is compared against the Tracy-Widom
-GUE law by Kolmogorov-Smirnov distance.
+and the t^{1/3} fluctuation scale through polygamma evaluations.  All of
+them come from one saddle-point function, a weighted log-gamma sum
+
+    h(z) = I z + sum w log Gamma(z - v),
+
+with weight -x alpha at each sigma, +y beta at each rho and -(y - x) gamma at
+each omega: x and y are trigamma sums, h'(theta) = 0 fixes the rate I and
+h'''(theta) = 2 c^3 the scale c.  At finite t the weights become the
+scheduled slots, h^[t](z) = I z - log g(z) / t with g the polymer's gamma
+product (``GFunction``), and the slope mismatch at theta gives the centering
+shift D = t (h'(theta) - h^[t]'(theta)) = (log g)'(theta) - I t.  The steep
+descent of h along the vertical line and (under the restricted assumption)
+along the circle |z| = theta is checked numerically, and the rescaled log
+partition function is compared against the Tracy-Widom GUE law by
+Kolmogorov-Smirnov distance.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from functools import partial
 import numpy as np
 
 from .fredholm import ks_distance_to_F2
+from .moments import GFunction
 from .polymer import PolymerModel, _replica_blocks, schedule_values
 from .specfun import log_gamma, polygamma
 
@@ -88,24 +99,23 @@ def _weighted(fun, values, freqs, theta):
     return sum(f * fun(theta - v) for v, f in zip(values, freqs))
 
 
+def _atoms(fm, x, y):
+    """The log-gamma terms of h as (v, w): h(z) = I z + sum w log Gamma(z - v)."""
+    return ([(s, -x * a) for s, a in zip(fm.sigma, fm.alpha)]
+            + [(r, y * b) for r, b in zip(fm.rho, fm.beta)]
+            + [(w, -(y - x) * g) for w, g in zip(fm.omega, fm.gamma)])
+
+
 def theta_constants(fm, theta):
+    """x and y from trigamma sums, then I from h'(theta) = 0 and c from h'''(theta) = 2 c^3."""
     if theta <= max(fm.sigma):
         raise ValueError("need theta > max sigma")
     psi1 = lambda z: polygamma(1, z)
-    psi0 = lambda z: polygamma(0, z)
-    psi2 = lambda z: polygamma(2, z)
     x = _weighted(psi1, fm.rho, fm.beta, theta) - _weighted(psi1, fm.omega, fm.gamma, theta)
     y = _weighted(psi1, fm.sigma, fm.alpha, theta) - _weighted(psi1, fm.omega, fm.gamma, theta)
-    rate = (
-        x * _weighted(psi0, fm.sigma, fm.alpha, theta)
-        - y * _weighted(psi0, fm.rho, fm.beta, theta)
-        + (y - x) * _weighted(psi0, fm.omega, fm.gamma, theta)
-    )
-    c3 = (
-        -x / 2.0 * _weighted(psi2, fm.sigma, fm.alpha, theta)
-        + y / 2.0 * _weighted(psi2, fm.rho, fm.beta, theta)
-        - (y - x) / 2.0 * _weighted(psi2, fm.omega, fm.gamma, theta)
-    )
+    atoms = _atoms(fm, x, y)
+    rate = -sum(w * polygamma(0, theta - v) for v, w in atoms)
+    c3 = 0.5 * sum(w * polygamma(2, theta - v) for v, w in atoms)
     if c3 <= 0:
         raise ValueError("c^3 <= 0: inconsistent parametrization")
     return ThetaConstants(theta=theta, x=x, y=y, rate=rate, c=c3 ** (1.0 / 3.0))
@@ -132,47 +142,23 @@ class HFunction:
     fm: FreqModel
     const: ThetaConstants
 
+    @property
+    def atoms(self):
+        """The (v, w) terms of h at these constants."""
+        return _atoms(self.fm, self.const.x, self.const.y)
+
     def h(self, z):
         z = np.asarray(z, dtype=complex)
-        tc = self.const
-        out = tc.rate * z
-        for s, a in zip(self.fm.sigma, self.fm.alpha):
-            out = out - tc.x * a * log_gamma(z - s)
-        for r, b in zip(self.fm.rho, self.fm.beta):
-            out = out + tc.y * b * log_gamma(z - r)
-        for w, g in zip(self.fm.omega, self.fm.gamma):
-            out = out - (tc.y - tc.x) * g * log_gamma(z - w)
-        return out
+        return sum((w * log_gamma(z - v) for v, w in self.atoms), self.const.rate * z)
 
     def h_scheduled(self, z, t):
-        """h^[t]: empirical frequencies from the deterministic schedules."""
-        tc = self.const
-        X = math.floor(tc.x * t)
-        Y = math.floor(tc.y * t)
-        sig = schedule_values(self.fm.sigma, self.fm.alpha, X + 1)
-        rho = schedule_values(self.fm.rho, self.fm.beta, Y)
-        ome = schedule_values(self.fm.omega, self.fm.gamma, Y - X)
-        z = np.asarray(z, dtype=complex)
-        out = tc.rate * z
-        for s in sig:
-            out = out - log_gamma(z - s) / t
-        for r in rho:
-            out = out + log_gamma(z - r) / t
-        for w in ome:
-            out = out - log_gamma(z - w) / t
-        return out
+        """h^[t] = I z - log g(z) / t, g the gamma product of the scheduled slots."""
+        model, X, Y = scheduled_polymer_model(self.fm, self.const, t)
+        return self.const.rate * np.asarray(z, dtype=complex) - GFunction(model, X, Y).log_g(z) / t
 
     def h_real(self, u):
         """Real-axis evaluation via math.lgamma (machine accurate, for FD checks)."""
-        tc = self.const
-        out = tc.rate * u
-        for s, a in zip(self.fm.sigma, self.fm.alpha):
-            out -= tc.x * a * math.lgamma(u - s)
-        for r, b in zip(self.fm.rho, self.fm.beta):
-            out += tc.y * b * math.lgamma(u - r)
-        for w, g in zip(self.fm.omega, self.fm.gamma):
-            out -= (tc.y - tc.x) * g * math.lgamma(u - w)
-        return out
+        return sum((w * math.lgamma(u - v) for v, w in self.atoms), self.const.rate * u)
 
 
 def h_checks(hf, step=None):
@@ -219,11 +205,15 @@ def _arc_start_angle(theta, eps):
     return math.atan2(im, re)
 
 
-def check_steep_descent(hf, which, grid=200, b_max=10.0, eps=0.05):
+# the vertical line is sampled at theta + i b for 0 < b <= _LINE_B_MAX
+_LINE_B_MAX = 10.0
+
+
+def check_steep_descent(hf, which, grid=200, eps=0.05):
     """Sampled monotonicity/positivity profiles for the descent contours."""
     th = hf.const.theta
     if which == "line":
-        bs = np.linspace(b_max / grid, b_max, grid)
+        bs = np.linspace(_LINE_B_MAX / grid, _LINE_B_MAX, grid)
         prof = hf.h(th + 1j * bs).real
         ok = bool((np.diff(prof) < 0).all())
         return ok, (bs, prof)
@@ -285,45 +275,25 @@ class TWBatch:
 
 
 def scheduled_polymer_model(fm, const, t):
-    X = math.floor(const.x * t)
-    Y = math.floor(const.y * t)
-    return (
-        PolymerModel(
-            schedule_values(fm.sigma, fm.alpha, X + 1),
-            schedule_values(fm.rho, fm.beta, Y),
-            schedule_values(fm.omega, fm.gamma, Y - X),
-        ),
-        X,
-        Y,
-    )
+    """The polymer of time t with its corner (X, Y) = (floor(x t), floor(y t))."""
+    X, Y = math.floor(const.x * t), math.floor(const.y * t)
+    model = PolymerModel(schedule_values(fm.sigma, fm.alpha, X + 1), schedule_values(fm.rho, fm.beta, Y),
+                         schedule_values(fm.omega, fm.gamma, Y - X))
+    return model, X, Y
 
 
-def slot_centering_correction(fm, const, model, t):
-    """First-order finite-size centering shift from the scheduled slot counts.
+def slot_centering_correction(const, model, t):
+    """First-order finite-size centering shift D = (log g)'(theta) - I t.
 
+    ``model`` is the scheduled polymer of time t (``scheduled_polymer_model``).
     The scheduled saddle function differs from its limit by O(1/t); its slope
     mismatch at theta tilts the kernel exactly like a shift of the rescaled
-    variable by D/(c t^{1/3}) with
-
-        D = [sum_slots Psi(th - sg~) - x t E_alpha Psi(th - sg)]
-          - [sum_slots Psi(th - rh~) - y t E_beta Psi(th - rh)]
-          + [sum_slots Psi(th - om~) - (y-x) t E_gamma Psi(th - om)].
-
+    variable by D/(c t^{1/3}), with D = t (h'(theta) - h^[t]'(theta)).
     Subtracting D from ln Z + I t removes the dominant oscillating-in-t bias;
     D stays O(1), so the corrected and plain rescalings share the same limit.
     """
-    th = const.theta
-    psi = lambda v: polygamma(0, th - v)
-    D = sum(psi(s) for s in model.sigma_list) - const.x * t * sum(
-        a * psi(s) for s, a in zip(fm.sigma, fm.alpha)
-    )
-    D -= sum(psi(r) for r in model.rho_list) - const.y * t * sum(
-        b * psi(r) for r, b in zip(fm.rho, fm.beta)
-    )
-    D += sum(psi(w) for w in model.omega_list) - (const.y - const.x) * t * sum(
-        g * psi(w) for w, g in zip(fm.omega, fm.gamma)
-    )
-    return D
+    gf = GFunction(model, len(model.sigma_list) - 1, len(model.rho_list))
+    return gf.dlog_g(const.theta) - const.rate * t
 
 
 def tw_experiment(fm, theta, t_list, samples, seed=0, workers=1, slot_correction=True):
@@ -345,18 +315,10 @@ def tw_experiment(fm, theta, t_list, samples, seed=0, workers=1, slot_correction
                 raise ValueError(f"t={t} too small for the slope")
             mapper = map if pool is None else partial(
                 pool.map, chunksize=max(1, samples // (4 * workers * _TW_BLOCK)))
-            logz = _replica_blocks(model, 0, X, Y, samples, None, seed + t, _TW_BLOCK,
+            logz = _replica_blocks(model, 0, X, Y, samples, seed + t, _TW_BLOCK,
                                    want_log=True, mapper=mapper)
-            shift = slot_centering_correction(fm, const, model, t) if slot_correction else 0.0
+            shift = slot_centering_correction(const, model, t) if slot_correction else 0.0
             rescaled = (logz + const.rate * t - shift) / (const.c * t ** (1.0 / 3.0))
-            out.append(
-                TWBatch(
-                    t=t,
-                    ks=ks_distance_to_F2(rescaled),
-                    mean=float(rescaled.mean()),
-                    sd=float(rescaled.std(ddof=1)),
-                    samples=rescaled,
-                    regime=regime,
-                )
-            )
+            out.append(TWBatch(t=t, ks=ks_distance_to_F2(rescaled), mean=float(rescaled.mean()),
+                               sd=float(rescaled.std(ddof=1)), samples=rescaled, regime=regime))
     return out

@@ -91,7 +91,7 @@ def _series_kernel_matrix(gf, u, v, tol=1e-16, n_cap=_SHIFT_TERMS):
     raise ConvergenceError(f"shift sum did not converge within {n_cap} terms", None)
 
 
-def fredholm_det(kernel, contour, nodes=64, rtol=1e-10, atol=1e-13, strict=True, with_info=False):
+def fredholm_det(kernel, contour, nodes=64, rtol=1e-10, strict=True, with_info=False):
     """det(I + K) over a closed contour with the dz/(2*pi*i) measure.
 
     ``kernel`` maps (v_row, v_col) node arrays to the kernel matrix.
@@ -104,7 +104,7 @@ def fredholm_det(kernel, contour, nodes=64, rtol=1e-10, atol=1e-13, strict=True,
         A = np.eye(m, dtype=complex) + K * w[None, :]
         return complex(np.linalg.det(A))
 
-    return _refine(eval_at, nodes, rtol, atol, 1024, strict, with_info, what="Nystrom determinant")
+    return _refine(eval_at, nodes, rtol, 1024, strict, with_info, what="Nystrom determinant")
 
 
 def laplace_series_det(pmodel, x, y, u, contour=None, nodes=64, rtol=1e-10, strict=True,
@@ -211,18 +211,21 @@ def _gauss_legendre(m):
     return xg, wg
 
 
-# Gauss-Legendre nodes per panel of the Mellin-Barnes line
+# Gauss-Legendre nodes per panel of the Mellin-Barnes line, and the panel length
 _LINE_ORDER = 16
+_LINE_PANEL = 0.5
+# the line grows until the integrand envelope at its ends is below this
+_MB_TAIL_TOL = 1e-12
 
 
-def _gl_line_nodes(h, T, panel=0.5, order=_LINE_ORDER):
+def _gl_line_nodes(h, T):
     """Gauss-Legendre panels along the vertical segment [h - iT, h + iT]."""
-    xg, wg = _gauss_legendre(order)
+    xg, wg = _gauss_legendre(_LINE_ORDER)
     ts = []
     ws = []
     t0 = -T
     while t0 < T - 1e-12:
-        t1 = min(t0 + panel, T)
+        t1 = min(t0 + _LINE_PANEL, T)
         mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
         ts.append(mid + half * xg)
         ws.append(half * wg)
@@ -233,7 +236,7 @@ def _gl_line_nodes(h, T, panel=0.5, order=_LINE_ORDER):
     return h + 1j * t, w / (2.0 * math.pi)
 
 
-def mb_kernel_matrix(pmodel, x, y, u, contour=None, T=None, h=None, tail_tol=1e-12):
+def mb_kernel_matrix(pmodel, x, y, u, contour=None, T=None, h=None):
     """Build the Mellin-Barnes kernel with a validated line truncation."""
     u = complex(u)
     if not (u.real < 0 and abs(np.angle(-u)) < math.pi / 2 - 1e-12):
@@ -264,7 +267,7 @@ def mb_kernel_matrix(pmodel, x, y, u, contour=None, T=None, h=None, tail_tol=1e-
             )
             mags.append(val.max() / max(T_cur - abs(np.imag(v_probe)).max(), 1.0))
         tail = float(max(mags)) * 2.0 / math.pi
-        if T is not None or tail < tail_tol or T_cur >= 64.0:
+        if T is not None or tail < _MB_TAIL_TOL or T_cur >= 64.0:
             break
         T_cur *= 1.6
     kern = MBKernel(gf=gf, u=u, h=h, T=T_cur, z_nodes=z, z_weights=w, tail_estimate=tail)
@@ -345,7 +348,7 @@ def _tracy_widom_chunk(rs, nodes=96, rtol=1e-9, upper=None, with_info=False):
             out.append((1.0, {"nodes": 0, "converged": True}) if with_info else 1.0)
             continue
         pre = {m: next(airy) for m in levels}
-        out.append(_refine(lambda m: _airy_det(r, up, m, pre.get(m)), nodes, rtol, 1e-13, 1024,
+        out.append(_refine(lambda m: _airy_det(r, up, m, pre.get(m)), nodes, rtol, 1024,
                            with_info=with_info, what="Airy-kernel determinant"))
     return out
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qtools import Permutation, q_pochhammer, shuffles
+from .qtools import Permutation, shuffles
+from .weights import _qhahn_coefficient
 
 __all__ = ["HeckeWord", "apply_T", "apply_t", "local_rational_residual", "hecke_suite"]
 
@@ -136,9 +137,7 @@ def local_rational_residual(r, t, s, lam, w, q):
 
     rhs = 0
     for p in range(r + 1):
-        coeff = (ss / tt) ** p
-        coeff *= q_pochhammer(ss / tt, q, r - p) * q_pochhammer(tt, q, p)
-        coeff /= q_pochhammer(ss, q, r)
+        coeff = _qhahn_coefficient(p, r, q, tt, ss)
 
         def f_p(pt, p=p):
             val = 1

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .qtools import Permutation
-from .specfun import log_gamma
+from .specfun import log_gamma, polygamma
 
 __all__ = [
     "ContourError",
@@ -45,6 +45,14 @@ _NODE_CAPS = {1: 4096, 2: 2048, 3: 192, 4: 32}
 _NODE_STARTS = {1: 64, 2: 64, 3: 48, 4: 16}
 # relative node-doubling stabilization thresholds; looser where the node cap binds
 _REFINE_RTOL = {1: 1e-10, 2: 1e-10, 3: 3e-9, 4: 1e-7}
+# absolute stabilization threshold of every node-doubling loop
+_REFINE_ATOL = 1e-13
+# lattice circles: each radius sits this fraction of the way from its lower bound to the clearance
+_LATTICE_PAD = 0.3
+# polymer circles: largest gap between a circle and the cluster or the previous shifted circle
+_SHIFTED_PAD_CAP = 0.35
+# largest radius of the small circle around the sigma cluster
+_SIGMA_RADIUS_CAP = 0.25
 
 
 class ContourError(ValueError):
@@ -117,6 +125,11 @@ class GFunction:
             out += _times(c, log_gamma(z - v))
         return out
 
+    def dlog_g(self, theta):
+        """(log g)'(theta) at real theta: one digamma per distinct value, times its count."""
+        return sum(sign * c * polygamma(0, theta - v)
+                   for groups, sign in zip(self._groups, (1, -1, 1)) for v, c in groups)
+
     def f(self, z):
         z = np.asarray(z, dtype=complex)
         val, log_rep = np.ones_like(z), None
@@ -143,7 +156,7 @@ def _times(c, a):
     return a if c == 1 else c * a
 
 
-def build_contours(model, k, pad=0.3):
+def build_contours(model, k):
     """Circle family for the lattice q-moment integrals.
 
     All 1/mu_i and 1/kappa_j lie inside every circle; 0 and the 1/lam_d stay
@@ -164,7 +177,7 @@ def build_contours(model, k, pad=0.3):
         )
     q = model.q
     radii = []
-    r = r_cluster + pad * (clearance - r_cluster)
+    r = r_cluster + _LATTICE_PAD * (clearance - r_cluster)
     radii.append(r)
     for _ in range(k - 1):
         lower = max(r, center * (1.0 - q) + q * r)
@@ -174,7 +187,7 @@ def build_contours(model, k, pad=0.3):
                 f"(needed > {lower:.4g}, clearance {clearance:.4g}); the binding "
                 "constraint is " + ("'0 outside'" if center <= outside_right - center else "'1/lam outside'")
             )
-        r = lower + pad * (clearance - lower)
+        r = lower + _LATTICE_PAD * (clearance - lower)
         radii.append(r)
     cont = NestedContours(center=center, radii=tuple(radii), margin=clearance - radii[-1])
     _validate_lattice_contours(cont, model, k)
@@ -198,7 +211,7 @@ def _validate_lattice_contours(cont, model, k):
             raise ContourError("q-scaled circle not strictly inside the next circle")
 
 
-def build_shifted_contours(pmodel, k, x, y, pad_cap=0.35):
+def build_shifted_contours(pmodel, k, x, y):
     """Circle family for the polymer moment integrals (unit-shift containment)."""
     inside = [pmodel.sigma(i) for i in range(0, x + 1)] + [pmodel.rho(j) for j in range(1, y + 1)]
     omegas = [pmodel.omega(d) for d in range(1, y - x + 1)] if y > x else []
@@ -213,7 +226,7 @@ def build_shifted_contours(pmodel, k, x, y, pad_cap=0.35):
             f"omega cluster too close: need clearance > cluster + {k - 1} for {k} "
             f"unit-shifted circles, have {clearance:.4g} vs {r_cluster:.4g} + {k - 1}"
         )
-    delta = min(slack / (k + 1), pad_cap)
+    delta = min(slack / (k + 1), _SHIFTED_PAD_CAP)
     radii = [r_cluster + delta]
     for _ in range(k - 1):
         radii.append(radii[-1] + 1.0 + delta)
@@ -369,16 +382,17 @@ def tensor_quadrature(contours, m, axis_fns, pair_fn, op_factor=None):
     return total
 
 
-def _refine(eval_at, start_nodes, rtol, atol, cap, strict=True, with_info=False, what="quadrature"):
+def _refine(eval_at, start_nodes, rtol, cap, strict=True, with_info=False, what="quadrature"):
     """Double nodes from ``start_nodes`` up to ``cap`` until the change stabilizes.
 
     Trapezoid error on circles decays geometrically, so the change per
     doubling tracks the error of the coarser level; when successive changes
     shrink fast, the finer value's error is estimated by one more decay factor
-    and accepted if it meets the tolerance.  A non-finite value is never
-    accepted and stops the doubling, since more nodes do not repair an
-    overflow.  Without convergence the last value is returned, or carried by
-    ``ConvergenceError`` when ``strict``; ``with_info`` adds {"nodes", "converged"}.
+    and accepted if it meets the tolerance max(rtol |value|, ``_REFINE_ATOL``).
+    A non-finite value is never accepted and stops the doubling, since more
+    nodes do not repair an overflow.  Without convergence the last value is
+    returned, or carried by ``ConvergenceError`` when ``strict``;
+    ``with_info`` adds {"nodes", "converged"}.
     """
     m, val = start_nodes, eval_at(start_nodes)
     prev_delta = None
@@ -390,7 +404,7 @@ def _refine(eval_at, start_nodes, rtol, atol, cap, strict=True, with_info=False,
             val = cur
             break
         delta = abs(cur - val)
-        tol = max(rtol * abs(cur), atol)
+        tol = max(rtol * abs(cur), _REFINE_ATOL)
         ok = delta <= tol or (
             prev_delta is not None and delta < 0.2 * prev_delta and delta * (delta / prev_delta) <= tol
         )
@@ -401,7 +415,7 @@ def _refine(eval_at, start_nodes, rtol, atol, cap, strict=True, with_info=False,
     return (val, {"nodes": m, "converged": ok}) if with_info else val
 
 
-def _nested_quadrature(contours, axis_fns, pair_fn, op_factor, pref, nodes, rtol, atol, strict,
+def _nested_quadrature(contours, axis_fns, pair_fn, op_factor, pref, nodes, rtol, strict,
                        with_info):
     """``pref`` times the k-fold circle quadrature, refined with the per-k node tables.
 
@@ -416,10 +430,10 @@ def _nested_quadrature(contours, axis_fns, pair_fn, op_factor, pref, nodes, rtol
     start = _NODE_STARTS.get(k, 16) if nodes is None else min(nodes, cap)
     if rtol is None:
         rtol = _REFINE_RTOL.get(k, 1e-7)
-    return _refine(eval_at, start, rtol, atol, cap, strict, with_info)
+    return _refine(eval_at, start, rtol, cap, strict, with_info)
 
 
-def qmoment_integral(model, req, contours=None, nodes=None, rtol=None, atol=1e-13, strict=True, with_info=False):
+def qmoment_integral(model, req, contours=None, nodes=None, rtol=None, strict=True, with_info=False):
     """Contour-integral value of the joint q-moment observable.
 
     Returns a complex number; its imaginary part is a quadrature sanity
@@ -469,11 +483,11 @@ def qmoment_integral(model, req, contours=None, nodes=None, rtol=None, atol=1e-1
     pref = (-1) ** k * q ** (k * (k - 1) // 2 - tau.length)
 
     return _nested_quadrature(contours, [axis_fn(a) for a in range(k)], pair_fn, op_factor, pref,
-                              nodes, rtol, atol, strict, with_info)
+                              nodes, rtol, strict, with_info)
 
 
 def beta_moment_integral(pmodel, xs, ys, rs, tau=None, contours=None, nodes=None,
-                         rtol=None, atol=1e-13, strict=True, with_info=False):
+                         rtol=None, strict=True, with_info=False):
     """Joint moment E[prod_a Z^{(r_{tau^{-1}(a)})}_{x_a, y_a}] by nested quadrature."""
     xs, ys, rs = tuple(xs), tuple(ys), tuple(rs)
     k = len(xs)
@@ -505,7 +519,7 @@ def beta_moment_integral(pmodel, xs, ys, rs, tau=None, contours=None, nodes=None
 
     axis_fns = [GFunction(pmodel, xs[a], ys[a]).f for a in range(k)]
     return _nested_quadrature(contours, axis_fns, pair_fn, op_factor, 1,
-                              nodes, rtol, atol, strict, with_info)
+                              nodes, rtol, strict, with_info)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +540,7 @@ def _partitions(n):
     yield from rec(n, n)
 
 
-def small_sigma_circle(pmodel, x, y, radius_cap=0.25):
+def small_sigma_circle(pmodel, x, y):
     """Small circle around the sigma cluster with the +1 shift strictly outside."""
     sig = [pmodel.sigma(i) for i in range(0, x + 1)]
     spread = max(sig) - min(sig)
@@ -537,14 +551,14 @@ def small_sigma_circle(pmodel, x, y, radius_cap=0.25):
     if y > x:
         others += [pmodel.omega(d) for d in range(1, y - x + 1)]
     gap = min(abs(p - center) for p in others) if others else math.inf
-    radius = min(radius_cap, 0.5 * (1.0 - spread / 2.0), 0.5 * gap)
+    radius = min(_SIGMA_RADIUS_CAP, 0.5 * (1.0 - spread / 2.0), 0.5 * gap)
     if radius <= spread / 2.0:
         raise ContourError("sigma cluster does not fit: nearest rho/omega too close")
     radius = max(radius, 0.6 * radius + 0.4 * (spread / 2.0))
     return NestedContours(center=center, radii=(radius,), margin=radius - spread / 2.0)
 
 
-def single_contour_moment(pmodel, x, y, k, contour=None, nodes=48, rtol=1e-9, atol=1e-13, strict=True,
+def single_contour_moment(pmodel, x, y, k, contour=None, nodes=48, rtol=1e-9, strict=True,
                           with_info=False):
     """E[Z_{x,y}^k] as the partition sum over a single small contour.
 
@@ -591,4 +605,4 @@ def single_contour_moment(pmodel, x, y, k, contour=None, nodes=48, rtol=1e-9, at
         return total
 
     cap = {1: 4096, 2: 512, 3: 96, 4: 32}[min(k, 4)]
-    return _refine(eval_at, min(nodes, cap), rtol, atol, cap, strict, with_info, "partition-sum quadrature")
+    return _refine(eval_at, min(nodes, cap), rtol, cap, strict, with_info, "partition-sum quadrature")

@@ -102,7 +102,6 @@ class Environment:
     x_max: int
     y_max: int
     eta: np.ndarray  # shape (x_max+1, y_max+1); NaN where not sampled
-    seed_info: tuple = ()
 
     def value(self, i, j):
         v = self.eta[i, j]
@@ -270,8 +269,7 @@ def joint_moment_annealed(model, specs, exact=False):
     @lru_cache(maxsize=None)
     def column_moves(i, j, counts):
         """(stayers per delay, weight) for the walkers in cell (i, j), counts per delay."""
-        a = model.sigma(i) - model.rho(j)
-        b = model.rho(j) - model.omega(j - i)
+        a, b = model.beta_shapes(i, j)
         if exact:
             a, b = Fraction(a), Fraction(b)
         m = sum(counts)
@@ -403,16 +401,15 @@ def _dp_block(model, r, x, y, n_block, rng, want_log):
     return vals
 
 
-def _replica_blocks(model, r, x, y, samples, rng, seed, block, want_log, mapper=map):
-    """Replica values in blocks of ``block``, block i drawn from ``rng`` or spawn_rng(seed, i).
+def _replica_blocks(model, r, x, y, samples, seed, block, want_log, mapper=map):
+    """Replica values in blocks of ``block``, block i drawn from spawn_rng(seed, i).
 
-    ``mapper`` runs the blocks: ``map``, or a process pool's ``map`` when
-    ``rng`` is None (a shared generator must run its blocks in order).  The
+    ``mapper`` runs the blocks: ``map`` or a process pool's ``map``.  The
     values depend only on the seed and the block size.
     """
     starts = range(0, samples, block)
     counts = [min(block, samples - start) for start in starts]
-    gens = [rng if rng is not None else spawn_rng(seed, i) for i in range(len(counts))]
+    gens = [spawn_rng(seed, i) for i in range(len(counts))]
     out = np.empty(samples)
     blocks = mapper(_dp_block, repeat(model), repeat(r), repeat(x), repeat(y), counts, gens,
                     repeat(want_log))
@@ -421,12 +418,12 @@ def _replica_blocks(model, r, x, y, samples, rng, seed, block, want_log, mapper=
     return out
 
 
-def sample_partition_values(model, r, x, y, samples, rng=None, seed=0, block=4096):
+def sample_partition_values(model, r, x, y, samples, seed=0, block=4096):
     """Replica values Z^(r)_{x,y} (linear space; raises ``OverflowError`` below the float range)."""
-    return _replica_blocks(model, r, x, y, samples, rng, seed, block, want_log=False)
+    return _replica_blocks(model, r, x, y, samples, seed, block, want_log=False)
 
 
-def sample_log_partition(model, r, x, y, samples, rng=None, seed=0, block=256):
+def sample_log_partition(model, r, x, y, samples, seed=0, block=256):
     """Replica values ln Z^(r)_{x,y} (DP with a power-of-two exponent per column).
 
     The exponents keep every column in float range for any depth, so ln Z
@@ -434,7 +431,7 @@ def sample_log_partition(model, r, x, y, samples, rng=None, seed=0, block=256):
     homogeneous model (sigma 0, rho -1, omega -2, theta 0.3) at t = 256 it
     agrees with extended precision on the same draws to about 2e-13.
     """
-    return _replica_blocks(model, r, x, y, samples, rng, seed, block, want_log=True)
+    return _replica_blocks(model, r, x, y, samples, seed, block, want_log=True)
 
 
 @dataclass
@@ -447,20 +444,20 @@ class MCStats:
     samples: np.ndarray | None = None
 
 
-def mc_statistics(model, r, x, y, samples, rng=None, seed=0, mode="moments", max_power=3,
+def mc_statistics(model, r, x, y, samples, seed=0, mode="moments", max_power=3,
                   keep_samples=False):
     """Monte Carlo statistics of Z or ln Z over independent environments."""
     if mode not in ("moments", "logZ"):
         raise ValueError("mode must be 'moments' or 'logZ'")
     if mode == "moments":
-        vals = sample_partition_values(model, r, x, y, samples, rng=rng, seed=seed)
+        vals = sample_partition_values(model, r, x, y, samples, seed=seed)
         moments = {}
         for k in range(1, max_power + 1):
             pk = vals**k
             moments[k] = (float(pk.mean()), float(pk.std(ddof=1) / math.sqrt(samples)))
         return MCStats(mode=mode, n=samples, moments=moments,
                        samples=vals if keep_samples else None)
-    vals = sample_log_partition(model, r, x, y, samples, rng=rng, seed=seed)
+    vals = sample_log_partition(model, r, x, y, samples, seed=seed)
     return MCStats(mode=mode, n=samples, log_mean=float(vals.mean()),
                    log_sd=float(vals.std(ddof=1)), samples=vals if keep_samples else None)
 

@@ -46,6 +46,14 @@ __all__ = [
 ]
 
 
+def _qhahn_coefficient(p, r, q, tt, ss):
+    """One-colour q-Hahn weight (ss/tt)^p (ss/tt; q)_{r-p} (tt; q)_p / (ss; q)_r."""
+    val = (ss / tt) ** p
+    val *= q_pochhammer(ss / tt, q, r - p) * q_pochhammer(tt, q, p)
+    val /= q_pochhammer(ss, q, r)
+    return val
+
+
 def qhahn_weight(A, B, C, D, q, tt, ss):
     """Weight W(A, B; C, D) with tt = t^2, ss = s^2.
 
@@ -56,11 +64,8 @@ def qhahn_weight(A, B, C, D, q, tt, ss):
         return 0
     if any(x < 0 for x in A + B + C + D):
         return 0
-    a, d = sum(A), sum(D)
     n = len(A)
-    val = (ss / tt) ** d
-    val *= q_pochhammer(ss / tt, q, a - d) * q_pochhammer(tt, q, d)
-    val /= q_pochhammer(ss, q, a)
+    val = _qhahn_coefficient(sum(D), sum(A), q, tt, ss)
     twist = sum(D[i] * (A[j] - D[j]) for i in range(n) for j in range(i + 1, n))
     val *= q**twist
     for Ai, Di in zip(A, D):
@@ -221,26 +226,30 @@ def ybe_residual(kind, boundary, params):
     """LHS - RHS of the requested Yang-Baxter equation; exactly zero when valid.
 
     ``boundary`` is (A1, A2, A3, B1, B2, B3); ``params`` is a dict with q and,
-    per kind, t1/t2/t3 (+ eta) or x/s/t (+ eta).
+    per kind, t1/t2/t3 (+ eta) or x/s/t (+ eta).  The plain kinds are the
+    deformed equations at eta = 1 (any eta in ``params`` is ignored there).
     """
     kind = canonical_ybe_kind(kind)
-    if kind in ("qhahn", "qhahn-deformed"):
-        return _ybe_residual_fat(boundary, deformed=(kind == "qhahn-deformed"), **params)
-    return _ybe_residual_thin(boundary, deformed=(kind == "sixvertex-deformed"), **params)
-
-
-def _ybe_residual_fat(boundary, q, t1, t2, t3, eta=None, deformed=False):
-    A1, A2, A3, B1, B2, B3 = boundary
-    if deformed:
-        if eta is None:
+    params = dict(params)
+    if kind.endswith("-deformed"):
+        if params.get("eta") is None:
             raise ValueError("deformed equation requires eta")
-        e2 = eta * eta
+    else:
+        params["eta"] = 1
+    residual = _ybe_residual_fat if kind.startswith("qhahn") else _ybe_residual_thin
+    return residual(boundary, **params)
+
+
+def _ybe_residual_fat(boundary, q, t1, t2, t3, eta):
+    A1, A2, A3, B1, B2, B3 = boundary
     one = Fraction(1) if isinstance(q, Fraction) else 1
 
     def W(A, B, C, D, ta, tb):
         return qhahn_weight(A, B, C, D, q, ta, tb)
 
     tt1, tt2, tt3 = t1 * t1, t2 * t2, t3 * t3
+    e2 = eta * eta
+    ett1, ett2, ett3 = e2 * tt1, e2 * tt2, e2 * tt3
     lhs = 0 * one
     for K1 in iter_box(A2):
         K2 = comp_add(comp_sub(A2, K1), A1)
@@ -250,10 +259,7 @@ def _ybe_residual_fat(boundary, q, t1, t2, t3, eta=None, deformed=False):
         w1 = W(A2, A1, K2, K1, tt1, tt2)
         if w1 == 0:
             continue
-        if deformed:
-            w2 = W(A3, K1, K3, B1, e2 * tt1, e2 * tt3)
-        else:
-            w2 = W(A3, K1, K3, B1, tt1, tt3)
+        w2 = W(A3, K1, K3, B1, ett1, ett3)
         if w2 == 0:
             continue
         lhs += w1 * w2 * W(K3, K2, B3, B2, tt2, tt3)
@@ -264,29 +270,23 @@ def _ybe_residual_fat(boundary, q, t1, t2, t3, eta=None, deformed=False):
         K1 = comp_sub(comp_add(K3, A1), B3)
         if any(x < 0 for x in K3 + K1):
             continue
-        if deformed:
-            w1 = W(A3, A2, K3, K2, e2 * tt2, e2 * tt3)
-        else:
-            w1 = W(A3, A2, K3, K2, tt2, tt3)
+        w1 = W(A3, A2, K3, K2, ett2, ett3)
         if w1 == 0:
             continue
         w2 = W(K3, A1, B3, K1, tt1, tt3)
         if w2 == 0:
             continue
-        if deformed:
-            rhs += w1 * w2 * W(K2, K1, B2, B1, e2 * tt1, e2 * tt2)
-        else:
-            rhs += w1 * w2 * W(K2, K1, B2, B1, tt1, tt2)
+        rhs += w1 * w2 * W(K2, K1, B2, B1, ett1, ett2)
     return lhs - rhs
 
 
-def _ybe_residual_thin(boundary, q, x, s, t, eta=None, deformed=False):
+def _ybe_residual_thin(boundary, q, x, s, t, eta):
     a1, A2, A3, b1, B2, B3 = boundary
     n = len(A2)
-    if deformed and eta is None:
-        raise ValueError("deformed equation requires eta")
     one = Fraction(1) if isinstance(q, Fraction) else 1
     tt, ss = t * t, s * s
+    xt_eta, t_eta = x * t / eta, t * eta
+    xs_eta, s_eta = x * s / eta, s * eta
 
     lhs = 0 * one
     for k1 in range(n + 1):
@@ -294,10 +294,7 @@ def _ybe_residual_thin(boundary, q, x, s, t, eta=None, deformed=False):
         K3 = comp_sub(comp_add(A3, unit_comp(n, k1)), unit_comp(n, b1))
         if any(v < 0 for v in K2 + K3):
             continue
-        if deformed:
-            w_cross = sixv_weight(A2, a1, K2, k1, q, x * t / eta, t * eta)
-        else:
-            w_cross = sixv_weight(A2, a1, K2, k1, q, x * t, t)
+        w_cross = sixv_weight(A2, a1, K2, k1, q, xt_eta, t_eta)
         if w_cross == 0:
             continue
         w_vert = sixv_weight(A3, k1, K3, b1, q, x * s, s)
@@ -314,10 +311,7 @@ def _ybe_residual_thin(boundary, q, x, s, t, eta=None, deformed=False):
         w_bot = qhahn_weight(A3, A2, K3, K2, q, tt, ss)
         if w_bot == 0:
             continue
-        if deformed:
-            w_vert = sixv_weight(K3, a1, B3, k1, q, x * s / eta, s * eta)
-        else:
-            w_vert = sixv_weight(K3, a1, B3, k1, q, x * s, s)
+        w_vert = sixv_weight(K3, a1, B3, k1, q, xs_eta, s_eta)
         if w_vert == 0:
             continue
         rhs += w_bot * w_vert * sixv_weight(K2, k1, B2, b1, q, x * t, t)
@@ -477,10 +471,7 @@ def local_relation_residual(A, B, R, q, tt, ss):
     r = sum(R)
     rhs = 0 * (q * 0 + 1)
     for P in iter_box(R):
-        p = sum(P)
-        term = (ss / tt) ** p
-        term *= q_pochhammer(ss / tt, q, r - p) * q_pochhammer(tt, q, p)
-        term /= q_pochhammer(ss, q, r)
+        term = _qhahn_coefficient(sum(P), r, q, tt, ss)
         e1 = sum((R[i] - P[i]) * P[j] for i in range(n) for j in range(i + 1, n))
         e2 = sum(P[i] * A[j] for i in range(n) for j in range(i, n))
         term *= q ** (e1 + e2)
@@ -495,9 +486,7 @@ def local_relation_shuffle_rhs(c, A, q, tt, ss):
     r = len(c)
     rhs = 0 * (q * 0 + 1)
     for p in range(r + 1):
-        coeff = (ss / tt) ** p
-        coeff *= q_pochhammer(ss / tt, q, r - p) * q_pochhammer(tt, q, p)
-        coeff /= q_pochhammer(ss, q, r)
+        coeff = _qhahn_coefficient(p, r, q, tt, ss)
         for tau in shuffles(p, r):
             sub = tuple(c[tau.inv(a) - 1] for a in range(1, p + 1))
             rhs += coeff * q**tau.length * local_qmoment(sub, A, q)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,13 @@ from qhahn_polymer.asymptotics import (
     HFunction,
     check_steep_descent,
     h_checks,
+    scheduled_polymer_model,
+    slot_centering_correction,
     solve_theta,
     theta_constants,
     tw_experiment,
 )
+from qhahn_polymer.specfun import log_gamma, polygamma
 
 
 def general_model():
@@ -135,3 +140,43 @@ def test_tw_experiment_samples_independent_of_workers():
     (two,) = tw_experiment(fm, 0.3, [16], 600, seed=0, workers=2)
     assert np.array_equal(one.samples, two.samples)
     assert one.ks == two.ks
+
+
+def _signed_slots(model):
+    """(value, sign) for every scheduled slot: +1 on sigma and omega, -1 on rho, as in log g."""
+    return ([(v, 1) for v in model.sigma_list] + [(v, -1) for v in model.rho_list]
+            + [(v, 1) for v in model.omega_list])
+
+
+@pytest.mark.parametrize("fm, theta", [(FreqModel.homogeneous(), 0.3), (general_model(), 0.8)])
+def test_slot_correction_matches_per_slot_sum(fm, theta):
+    const = theta_constants(fm, theta)
+    for t in (32, 64, 96, 256):
+        model = scheduled_polymer_model(fm, const, t)[0]
+        per_slot = math.fsum(sign * polygamma(0, theta - v) for v, sign in _signed_slots(model))
+        assert abs(slot_centering_correction(const, model, t) - (per_slot - const.rate * t)) < 1e-10
+
+
+def test_scheduled_h_matches_per_slot_sum():
+    fm = assumption_model()
+    hf = HFunction(fm, theta_constants(fm, 0.3))
+    z = 0.45 + 0.2j
+    for t in (64, 128, 256):
+        vals, signs = np.array(_signed_slots(scheduled_polymer_model(fm, hf.const, t)[0])).T
+        per_slot = hf.const.rate * z - np.sum(signs * log_gamma(z - vals)) / t
+        assert abs(hf.h_scheduled(z, t) - per_slot) < 1e-12
+
+
+def test_theta_constants_pinned():
+    # rate and c from the separate psi_0 and psi_2 sums over sigma, rho and omega
+    for fm, theta, rate, c in ((FreqModel.homogeneous(), 0.3, 6.574621959237353, 2.5641025641025634),
+                               (general_model(), 0.8, 0.6487809531762221, 0.7775329956171583)):
+        tc = theta_constants(fm, theta)
+        assert abs(tc.rate - rate) < 1e-14 and abs(tc.c - c) < 1e-14
+
+
+def test_tw_experiment_pinned_with_slot_correction():
+    (b,) = tw_experiment(FreqModel.homogeneous(), 0.3, [32], 300, seed=5)
+    assert abs(b.ks - 0.10473381084015271) < 1e-12
+    pinned = [-2.4285935318162752, -2.0926360912492115, -3.4343233771178, -2.6074582748656585, -3.09652291297385]
+    assert np.abs(b.samples[:5] - pinned).max() < 1e-12

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ def test_moments_single_contour_records_refinement(tmp_path, polymer_config, cap
     capsys.readouterr()
     assert code == EXIT_OK
     rec = json.loads(out.read_text().splitlines()[0])
-    cfg = json.loads(open(polymer_config).read())["model"]
+    cfg = json.loads(Path(polymer_config).read_text())["model"]
     pmodel = PolymerModel(cfg["sigma"], cfg["rho"], cfg["omega"])
     val, info = single_contour_moment(pmodel, 1, 3, 2, with_info=True)
     assert rec["nodes"] == info["nodes"] and rec["nodes"] > 48
@@ -174,7 +175,7 @@ def test_fredholm_mb_check_record_carries_diagnostics(tmp_path, polymer_config, 
     assert run(["fredholm", "mb-check", "--config", polymer_config, "--u", "-2.0", "-o", str(out)]) == EXIT_OK
     capsys.readouterr()
     rec = json.loads(out.read_text().splitlines()[0])
-    model = json.loads(open(polymer_config).read())["model"]
+    model = json.loads(Path(polymer_config).read_text())["model"]
     pm = PolymerModel(model["sigma"], model["rho"], model["omega"])
     d1, series = laplace_series_det(pm, 2, 5, -2.0, with_info=True)
     d2, mb = mb_determinant(pm, 2, 5, -2.0, with_info=True)
@@ -189,7 +190,7 @@ def test_fredholm_laplace_records_carry_line_diagnostics(tmp_path, polymer_confi
     from qhahn_polymer.fredholm import mb_determinant
     from qhahn_polymer.polymer import PolymerModel
 
-    model = json.loads(open(polymer_config).read())["model"]
+    model = json.loads(Path(polymer_config).read_text())["model"]
     det, mb = mb_determinant(PolymerModel(model["sigma"], model["rho"], model["omega"]), 2, 5, -2.0,
                              with_info=True)
     out = tmp_path / "f.jsonl"

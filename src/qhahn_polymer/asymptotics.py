@@ -121,14 +121,20 @@ def theta_constants(fm, theta):
     return ThetaConstants(theta=theta, x=x, y=y, rate=rate, c=c3 ** (1.0 / 3.0))
 
 
-def solve_theta(fm, slope, lo=None, hi=50.0, tol=1e-10):
+# solve_theta's bisection bracket (max sigma + _THETA_GAP, _THETA_HI) and its stopping width
+_THETA_GAP = 1e-6
+_THETA_HI = 50.0
+_THETA_TOL = 1e-10
+
+
+def solve_theta(fm, slope):
     """Invert the strictly increasing slope map theta -> x/y by bisection."""
-    lo = max(fm.sigma) + 1e-6 if lo is None else lo
+    lo, hi = max(fm.sigma) + _THETA_GAP, _THETA_HI
     flo = theta_constants(fm, lo).slope - slope
     fhi = theta_constants(fm, hi).slope - slope
     if flo > 0 or fhi < 0:
         raise ValueError("slope outside the attainable range")
-    while hi - lo > tol:
+    while hi - lo > _THETA_TOL:
         mid = 0.5 * (lo + hi)
         if theta_constants(fm, mid).slope - slope <= 0:
             lo = mid
@@ -161,10 +167,10 @@ class HFunction:
         return sum((w * math.lgamma(u - v) for v, w in self.atoms), self.const.rate * u)
 
 
-def h_checks(hf, step=None):
+def h_checks(hf):
     """Finite-difference verification of the critical-point structure."""
     th = hf.const.theta
-    d = 1e-4 * (1.0 + abs(th)) if step is None else step
+    d = 1e-4 * (1.0 + abs(th))
     h = hf.h_real
     h0 = h(th)
     d1 = (h(th + d) - h(th - d)) / (2 * d)

@@ -152,6 +152,10 @@ def _cmd_verify(args):
 
     rng = spawn_rng(args.seed)
     records = []
+
+    def fraction():  # a random rational in (0, 1) for q, t and s
+        return Fraction(int(rng.integers(1, 8)), int(rng.integers(9, 17)))
+
     if args.what == "ybe":
         from .weights import canonical_ybe_kind, random_ybe_instance, ybe_residual
 
@@ -171,9 +175,7 @@ def _cmd_verify(args):
 
         bad = 0
         for trial in range(args.trials):
-            q = Fraction(int(rng.integers(1, 8)), int(rng.integers(9, 17)))
-            tt = Fraction(int(rng.integers(1, 8)), int(rng.integers(9, 17)))
-            ss = Fraction(int(rng.integers(1, 8)), int(rng.integers(9, 17)))
+            q, tt, ss = fraction(), fraction(), fraction()
             A = tuple(int(v) for v in rng.integers(0, 3, size=args.colors))
             B = tuple(int(v) for v in rng.integers(0, 3, size=args.colors))
             ok = sum(qhahn_outgoing(A, B, q, tt, ss).values()) == 1
@@ -193,9 +195,7 @@ def _cmd_verify(args):
             A = tuple(int(v) for v in rng.integers(0, 3, size=n))
             B = tuple(int(v) for v in rng.integers(0, 3, size=n))
             R = tuple(int(v) for v in rng.integers(0, 3, size=n))
-            q = Fraction(int(rng.integers(1, 8)), int(rng.integers(9, 17)))
-            tt = Fraction(int(rng.integers(1, 8)), int(rng.integers(9, 17)))
-            ss = Fraction(int(rng.integers(1, 8)), int(rng.integers(9, 17)))
+            q, tt, ss = fraction(), fraction(), fraction()
             ok = local_relation_residual(A, B, R, q, tt, ss) == 0
             bad += 0 if ok else 1
             records.append({"trial": trial, "ok": ok})
@@ -504,10 +504,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ValidationFailure as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, OSError) as exc:
+    except (ValidationFailure, ValueError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # numerical failures

@@ -21,7 +21,8 @@ or exp.  For real u both routes count a value outside the range of
 E[exp(uZ)], 0 < Z <= 1, as not converged.  The
 Tracy-Widom GUE distribution is the Airy-kernel determinant on (r, infinity),
 evaluated with Gauss-Legendre quadrature on a truncated interval.  Both
-determinants double their node count with ``moments._refine`` up to 1024.
+determinants double their node count with ``moments._refine`` up to
+``_NODE_CAP``, on contours that each route builds itself.
 F2 is evaluated for a chunk of r at a time (one r for ``tracy_widom_F2``, 32
 for the table): one ``_airy`` call covers the nodes of both start levels of
 every r in the chunk, and only a level past those calls ``_airy`` again.
@@ -62,6 +63,12 @@ def _circle(contour):
 
 # the shift sum's term cap; its terms behave like u^n / n!, so it needs about e |u| of them
 _SHIFT_TERMS = 2000
+# node doubling of the circle determinant: first level and stabilization threshold
+_NYSTROM_START = 64
+_NYSTROM_RTOL = 1e-10
+# stabilization threshold of F2, and the node cap of both determinants
+_F2_RTOL = 1e-9
+_NODE_CAP = 1024
 
 
 def _series_kernel_matrix(gf, u, v, tol=1e-16, n_cap=_SHIFT_TERMS):
@@ -91,10 +98,11 @@ def _series_kernel_matrix(gf, u, v, tol=1e-16, n_cap=_SHIFT_TERMS):
     raise ConvergenceError(f"shift sum did not converge within {n_cap} terms", None)
 
 
-def fredholm_det(kernel, contour, nodes=64, rtol=1e-10, strict=True, with_info=False):
+def fredholm_det(kernel, contour, strict=True, with_info=False):
     """det(I + K) over a closed contour with the dz/(2*pi*i) measure.
 
-    ``kernel`` maps (v_row, v_col) node arrays to the kernel matrix.
+    ``kernel`` maps (v_row, v_col) node arrays to the kernel matrix.  The nodes
+    double from ``_NYSTROM_START`` up to ``_NODE_CAP`` until stable to ``_NYSTROM_RTOL``.
     """
     _circle(contour)
 
@@ -104,11 +112,11 @@ def fredholm_det(kernel, contour, nodes=64, rtol=1e-10, strict=True, with_info=F
         A = np.eye(m, dtype=complex) + K * w[None, :]
         return complex(np.linalg.det(A))
 
-    return _refine(eval_at, nodes, rtol, 1024, strict, with_info, what="Nystrom determinant")
+    return _refine(eval_at, _NYSTROM_START, _NYSTROM_RTOL, _NODE_CAP, strict, with_info,
+                   what="Nystrom determinant")
 
 
-def laplace_series_det(pmodel, x, y, u, contour=None, nodes=64, rtol=1e-10, strict=True,
-                       with_info=False):
+def laplace_series_det(pmodel, x, y, u, strict=True, with_info=False):
     """E[exp(u Z_{x,y})] via the shift-sum kernel determinant on the small circle.
 
     ``with_info`` adds {"nodes", "converged", "terms"}, ``terms`` being the
@@ -120,8 +128,7 @@ def laplace_series_det(pmodel, x, y, u, contour=None, nodes=64, rtol=1e-10, stri
         raise ValueError(f"|u| = {abs(u):.4g} needs about e|u| = {math.e * abs(u):.4g} shift-sum terms, more "
                          f"than the {_SHIFT_TERMS}-term cap; use mb_determinant (the Mellin-Barnes route)")
     gf = GFunction(pmodel, x, y)
-    if contour is None:
-        contour = small_sigma_circle(pmodel, x, y)
+    contour = small_sigma_circle(pmodel, x, y)
     terms = 0
 
     def kernel(v_row, v_col):
@@ -130,7 +137,7 @@ def laplace_series_det(pmodel, x, y, u, contour=None, nodes=64, rtol=1e-10, stri
         terms = max(terms, n)
         return K
 
-    val, info = fredholm_det(kernel, contour, nodes=nodes, rtol=rtol, strict=strict, with_info=True)
+    val, info = fredholm_det(kernel, contour, strict=strict, with_info=True)
     return _laplace_checked(u, val, dict(info, terms=terms), strict, with_info)
 
 
@@ -236,18 +243,15 @@ def _gl_line_nodes(h, T):
     return h + 1j * t, w / (2.0 * math.pi)
 
 
-def mb_kernel_matrix(pmodel, x, y, u, contour=None, T=None, h=None):
-    """Build the Mellin-Barnes kernel with a validated line truncation."""
+def mb_kernel_matrix(pmodel, x, y, u, T=None):
+    """The Mellin-Barnes kernel on ``small_sigma_circle`` and the line Re z = max sigma + 1/2."""
     u = complex(u)
     if not (u.real < 0 and abs(np.angle(-u)) < math.pi / 2 - 1e-12):
         raise ValueError("need arg(-u) strictly inside (-pi/2, pi/2)")
     gf = GFunction(pmodel, x, y)
-    if contour is None:
-        contour = small_sigma_circle(pmodel, x, y)
+    contour = small_sigma_circle(pmodel, x, y)
     center, radius = _circle(contour)
-    sig = gf.sigma_values()
-    if h is None:
-        h = max(sig) + 0.5
+    h = max(pmodel.corner_slots(x, y)[0]) + 0.5
     if not (center + radius < h < center + 1.0 - radius):
         raise ContourError("vertical line does not separate the circle from its +1 shift")
 
@@ -274,18 +278,18 @@ def mb_kernel_matrix(pmodel, x, y, u, contour=None, T=None, h=None):
     return kern, contour
 
 
-def mb_determinant(pmodel, x, y, u, contour=None, nodes=64, rtol=1e-10, T=None, strict=True,
-                   with_info=False):
+def mb_determinant(pmodel, x, y, u, T=None, strict=True, with_info=False):
     """E[exp(u Z_{x,y})] via the Mellin-Barnes kernel determinant.
 
-    ``with_info`` adds {"nodes", "converged", "nodes_L", "T", "panels", "tail"}:
-    the circle nodes, the line nodes, the line's half-length, its
+    The contours are those of ``mb_kernel_matrix``, the circle refined as in
+    ``fredholm_det``.  ``with_info`` adds {"nodes", "converged", "nodes_L", "T",
+    "panels", "tail"}: the circle nodes, the line nodes, the line's half-length, its
     Gauss-Legendre panels and ``MBKernel.tail_estimate`` at the truncation.
     Only the circle nodes are refined, so a caller-fixed ``T`` whose ``tail``
     is large gives a converged but truncated value.
     """
-    kern, contour = mb_kernel_matrix(pmodel, x, y, u, contour=contour, T=T)
-    val, info = fredholm_det(kern.matrix, contour, nodes=nodes, rtol=rtol, strict=strict, with_info=True)
+    kern, contour = mb_kernel_matrix(pmodel, x, y, u, T=T)
+    val, info = fredholm_det(kern.matrix, contour, strict=strict, with_info=True)
     info = dict(info, nodes_L=int(kern.z_nodes.size), T=kern.T, panels=int(kern.z_nodes.size) // _LINE_ORDER,
                 tail=kern.tail_estimate)
     return _laplace_checked(kern.u, val, info, strict, with_info)
@@ -321,11 +325,11 @@ def _airy_det(r, upper, m, airy=None):
     return float(sign * np.exp(logdet))
 
 
-def _tracy_widom_chunk(rs, nodes=96, rtol=1e-9, upper=None, with_info=False):
+def _tracy_widom_chunk(rs, nodes=96, upper=None, with_info=False):
     """``tracy_widom_F2`` at every r of ``rs``, with one ``_airy`` call for the chunk.
 
     ``_refine`` always evaluates the levels ``nodes`` and ``2 * nodes`` (only
-    ``nodes`` when ``2 * nodes`` passes the 1024 cap), so the Airy values at those
+    ``nodes`` when ``2 * nodes`` passes ``_NODE_CAP``), so the Airy values at those
     nodes for every r come from one array call; a finer level calls ``_airy`` on
     its own nodes.  ``_airy`` stops each element on its own term test, so every
     value equals the one-point evaluation.
@@ -336,7 +340,7 @@ def _tracy_widom_chunk(rs, nodes=96, rtol=1e-9, upper=None, with_info=False):
         if math.isnan(r) or r < -9.0:
             raise ValueError(f"tracy_widom_F2 needs r >= -9 (the Airy evaluation range), got r = {r}")
         bounds.append((r, max(r + 4.0, 10.0) if upper is None else upper))
-    levels = [nodes] if 2 * nodes > 1024 else [nodes, 2 * nodes]
+    levels = [nodes] if 2 * nodes > _NODE_CAP else [nodes, 2 * nodes]
     xs = [_airy_nodes(r, up, m) for r, up in bounds if up > r for m in levels]
     if xs:
         ai, aip = _airy(np.concatenate(xs))
@@ -348,30 +352,31 @@ def _tracy_widom_chunk(rs, nodes=96, rtol=1e-9, upper=None, with_info=False):
             out.append((1.0, {"nodes": 0, "converged": True}) if with_info else 1.0)
             continue
         pre = {m: next(airy) for m in levels}
-        out.append(_refine(lambda m: _airy_det(r, up, m, pre.get(m)), nodes, rtol, 1024,
+        out.append(_refine(lambda m: _airy_det(r, up, m, pre.get(m)), nodes, _F2_RTOL, _NODE_CAP,
                            with_info=with_info, what="Airy-kernel determinant"))
     return out
 
 
-def tracy_widom_F2(r, nodes=96, rtol=1e-9, upper=None, with_info=False):
+def tracy_widom_F2(r, nodes=96, upper=None, with_info=False):
     """F_2(r) = det(I - K_Airy) on L^2(r, infinity), Gauss-Legendre Nystrom.
 
-    ``r`` must be >= -9, where the Airy evaluation stops; r = +inf gives 1.
-    ``with_info`` adds {"nodes", "converged"} as in ``fredholm_det``.
+    ``r`` must be >= -9, where the Airy evaluation stops; r = +inf gives 1.  The nodes
+    double up to ``_NODE_CAP`` until stable to ``_F2_RTOL``; ``with_info`` adds {"nodes", "converged"}.
     """
-    return _tracy_widom_chunk([r], nodes, rtol, upper, with_info)[0]
+    return _tracy_widom_chunk([r], nodes, upper, with_info)[0]
 
 
 # r values per ``_airy`` call in the table: 32 x (96 + 192) nodes keep the Airy
 # temporaries under 1 MB
 _TABLE_CHUNK = 32
+# the table's grid (F_2(-8.5) ~ 1e-10 and 1 - F_2(6) ~ 4e-12: both tails are 0 or 1 at sampling resolutions)
+_TABLE_LO, _TABLE_HI, _TABLE_STEP = -8.5, 6.0, 0.05
 
 
-@lru_cache(maxsize=8)
-def tracy_widom_cdf_table(lo=-8.5, hi=6.0, step=0.05):
-    """Cached grid of F_2 for interpolation (F_2(-8.5) ~ 1e-10, so the left
-    tail is indistinguishable from zero at sampling resolutions)."""
-    grid = np.arange(lo, hi + step / 2, step)
+@lru_cache(maxsize=1)
+def tracy_widom_cdf_table():
+    """The table's grid and F_2 on it, clipped to [0, 1]; computed once per process."""
+    grid = np.arange(_TABLE_LO, _TABLE_HI + _TABLE_STEP / 2, _TABLE_STEP)
     vals = np.array([v for k in range(0, grid.size, _TABLE_CHUNK)
                      for v in _tracy_widom_chunk(grid[k:k + _TABLE_CHUNK])])
     return grid, np.clip(vals, 0.0, 1.0)

@@ -150,7 +150,7 @@ def local_rational_residual(r, t, s, lam, w, q):
     return lhs - rhs
 
 
-def hecke_suite(k, q, rng, npoints=50, scale=1.0):
+def hecke_suite(k, q, rng, npoints=50):
     """Max errors of the defining relations, evaluated at random complex points.
 
     Checks the quadratic relation (T_i - q)(T_i + 1) = 0, the braid relation,
@@ -160,8 +160,7 @@ def hecke_suite(k, q, rng, npoints=50, scale=1.0):
     import itertools
 
     def rand_pt():
-        pts = rng.normal(size=(k, 2)) * scale
-        return tuple(complex(x, y) for x, y in pts)
+        return tuple(complex(x, y) for x, y in rng.normal(size=(k, 2)))
 
     def rand_f():
         c = rng.normal(size=(k, 2))

@@ -158,6 +158,12 @@ class HeightRequest:
     def k(self):
         return len(self.x2)
 
+    @property
+    def facets(self):
+        """(c, ix, iy) per facet a: the color c = c_{tau^{-1}(a)} read there and (ix, iy) = (x_a, y_a) - 1/2."""
+        return tuple((self.colors[self.tau.inv(a) - 1], (x2 - 1) // 2, (y2 - 1) // 2)
+                     for a, (x2, y2) in enumerate(zip(self.x2, self.y2), start=1))
+
     def validate_shape(self):
         if not (len(self.x2) == len(self.y2) == len(self.colors) == self.tau.rank):
             raise ValueError("request components must have equal length")
@@ -340,10 +346,7 @@ def qmoment_statistic(model, cfg, req):
     """prod_a q^{h_{>= c_{tau^{-1}(a)}}(x_a, y_a)} for one configuration."""
     fields = {c: height_field(cfg, c) for c in set(req.colors)}
     val = model.q ** 0  # a Fraction q keeps the product exact
-    for a in range(1, req.k + 1):
-        c = req.colors[req.tau.inv(a) - 1]
-        ix = (req.x2[a - 1] - 1) // 2
-        iy = (req.y2[a - 1] - 1) // 2
+    for c, ix, iy in req.facets:
         val *= model.q ** int(fields[c][ix, iy])
     return val
 
@@ -499,10 +502,11 @@ def qmoment_factors(model, batch, req):
     there); the columns are the per-a marginals of verify_shift_invariance.
     """
     H = batch.heights()
+    facets = req.facets
     cols = []
     for a in range(1, req.k + 1):
-        t = req.tau(a) - 1
-        cols.append(H[:, req.colors[a - 1] - 1, (req.x2[t] - 1) // 2, (req.y2[t] - 1) // 2])
+        c, ix, iy = facets[req.tau(a) - 1]  # c = c_a
+        cols.append(H[:, c - 1, ix, iy])
     return float(model.q) ** np.stack(cols, axis=1)
 
 
@@ -567,12 +571,11 @@ def estimate_qmoment(model, req, samples, rng):
 
 def base_case_product(model, req):
     """Closed product for requests with all x_a = 1/2 (exact for Fraction q)."""
-    ell = req.cutoffs(model)
-    p = tuple((y2 - 1) // 2 for y2 in req.y2)
+    ell = dict(zip(req.colors, req.cutoffs(model)))  # l_c = I_{[1, c - 1]}
     q = model.q
     val = 1.0 if not isinstance(q, Fraction) else Fraction(1)
     for j in range(1, model.size + 1):
-        r_j = sum(1 for a in range(1, req.k + 1) if ell[req.tau.inv(a) - 1] < j <= p[a - 1])
+        r_j = sum(1 for c, _, iy in req.facets if ell[c] < j <= iy)
         val *= q_pochhammer(model.kappa_of(j) / model.mu_of(0), q, r_j)
         val /= q_pochhammer(model.lam_of(j) / model.mu_of(0), q, r_j)
     return val
@@ -632,9 +635,7 @@ def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
     one = q**0
     zero = (0,) * n
 
-    # facet a reads color >= c at (ix, iy) = (x_a - 1/2, y_a - 1/2)
-    facets = [(req.colors[req.tau.inv(a) - 1], (req.x2[a - 1] - 1) // 2, (req.y2[a - 1] - 1) // 2)
-              for a in range(1, req.k + 1)]
+    facets = req.facets  # facet a reads color >= c at (ix, iy)
 
     def height(i):  # rows 1..height(i) of column i lie in the staircase
         return max((iy for _, ix, iy in facets if ix >= i), default=0)
@@ -765,7 +766,8 @@ def validate_shift_hypotheses(model_a, req_a, model_b, req_b):
             return False, "left boundary must carry distinct colors (I = (1,...,1))"
         req.validate_against(model)
         for a in range(1, req.k + 1):
-            if (req.y2[req.tau(a) - 1] - req.x2[req.tau(a) - 1]) // 2 < req.colors[a - 1]:
+            c, ix, iy = req.facets[req.tau(a) - 1]  # c = c_a
+            if iy - ix < c:
                 return False, f"hypothesis y_tau(a) - x_tau(a) >= c_a fails at a={a}"
     if req_a.k != req_b.k:
         return False, "request sizes differ"
@@ -776,12 +778,10 @@ def validate_shift_hypotheses(model_a, req_a, model_b, req_b):
     def intervals(model, req):
         rows, cols, diags = [], [], []
         for a in range(1, req.k + 1):
-            c = req.colors[a - 1]
-            x2 = req.x2[req.tau(a) - 1]
-            y2 = req.y2[req.tau(a) - 1]
-            rows.append((c, (y2 - 1) // 2))
-            cols.append((0, (x2 - 1) // 2))
-            diags.append((c, (y2 - x2) // 2))
+            c, ix, iy = req.facets[req.tau(a) - 1]  # c = c_a
+            rows.append((c, iy))
+            cols.append((0, ix))
+            diags.append((c, iy - ix))
         return rows, cols, diags
 
     ra, ca_, da = intervals(model_a, req_a)
@@ -827,12 +827,12 @@ def verify_shift_invariance(model_a, req_a, model_b, req_b, samples, rng, nodes=
         z = abs(wa.mean - wb.mean) / math.hypot(wa.stderr, wb.stderr) if (wa.stderr or wb.stderr) else 0.0
         marginals.append(((wa.mean, wa.stderr), (wb.mean, wb.stderr), z))
 
-    from .moments import build_contours, qmoment_integral
+    from .moments import qmoment_integral
 
     def integral(model, req):  # cached per model, keyed by request and nodes
         key = (req.x2, req.y2, req.colors, req.tau.values, nodes)
         if key not in model._integrals:
-            model._integrals[key] = qmoment_integral(model, req, build_contours(model, req.k), nodes=nodes)
+            model._integrals[key] = qmoment_integral(model, req, nodes=nodes)
         return model._integrals[key]
 
     ia = integral(model_a, req_a)

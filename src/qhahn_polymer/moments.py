@@ -53,6 +53,10 @@ _LATTICE_PAD = 0.3
 _SHIFTED_PAD_CAP = 0.35
 # largest radius of the small circle around the sigma cluster
 _SIGMA_RADIUS_CAP = 0.25
+# single-contour partition sum: first node count, stabilization threshold and per-k node cap
+_SINGLE_START = 48
+_SINGLE_RTOL = 1e-9
+_SINGLE_CAPS = {1: 4096, 2: 512, 3: 96, 4: 32}
 
 
 class ContourError(ValueError):
@@ -107,22 +111,18 @@ class GFunction:
     @cached_property
     def _groups(self):
         """The sigma, rho and omega slots as (value, count) pairs, in first-seen order."""
-        pm = self.pmodel
-        return tuple(tuple(Counter(vals).items()) for vals in (
-            [pm.sigma(i) for i in range(0, self.x + 1)],
-            [pm.rho(j) for j in range(1, self.y + 1)],
-            [pm.omega(d) for d in range(1, self.y - self.x + 1)]))
+        return tuple(tuple(Counter(vals).items()) for vals in self.pmodel.corner_slots(self.x, self.y))
 
     def log_g(self, z):
         z = np.asarray(z, dtype=complex)
         out = np.zeros_like(z)
         sigma, rho, omega = self._groups
         for v, c in sigma:
-            out += _times(c, log_gamma(z - v))
+            out += c * log_gamma(z - v)
         for v, c in rho:
-            out -= _times(c, log_gamma(z - v))
+            out -= c * log_gamma(z - v)
         for v, c in omega:
-            out += _times(c, log_gamma(z - v))
+            out += c * log_gamma(z - v)
         return out
 
     def dlog_g(self, theta):
@@ -146,14 +146,6 @@ class GFunction:
                 else:
                     val = val / (z - v)
         return val if log_rep is None else val * np.exp(log_rep)
-
-    def sigma_values(self):
-        return [self.pmodel.sigma(i) for i in range(0, self.x + 1)]
-
-
-def _times(c, a):
-    # a count of 1 takes no multiply, so all-distinct schedules keep the ungrouped arithmetic
-    return a if c == 1 else c * a
 
 
 def build_contours(model, k):
@@ -213,8 +205,8 @@ def _validate_lattice_contours(cont, model, k):
 
 def build_shifted_contours(pmodel, k, x, y):
     """Circle family for the polymer moment integrals (unit-shift containment)."""
-    inside = [pmodel.sigma(i) for i in range(0, x + 1)] + [pmodel.rho(j) for j in range(1, y + 1)]
-    omegas = [pmodel.omega(d) for d in range(1, y - x + 1)] if y > x else []
+    sigmas, rhos, omegas = pmodel.corner_slots(x, y)
+    inside = sigmas + rhos
     lo, hi = min(inside), max(inside)
     center = 0.5 * (lo + hi)
     r_cluster = 0.5 * (hi - lo)
@@ -336,7 +328,7 @@ def hecke_tensor(word, gvals, nodes, const, coeff):
     return hecke.apply(views[0].size, gviews, _pair_tables(coeff, hecke.coeff_keys, views))
 
 
-def tensor_quadrature(contours, m, axis_fns, pair_fn, op_factor=None):
+def tensor_quadrature(contours, m, axis_fns, pair_fn, op_factor):
     """Evaluate the k-fold circle quadrature.
 
     axis_fns[a](w) is the per-variable factor (measure weights are added here);
@@ -352,18 +344,17 @@ def tensor_quadrature(contours, m, axis_fns, pair_fn, op_factor=None):
     factors = [_axis_view(np.asarray(axis_fns[a](nodes[a]), dtype=complex) * weights[a], a, k)
                for a in range(k)]
     pair_keys = [(a, b) for a in range(k) for b in range(a + 1, k)]
-    g_factors, hecke, coeff, coeff_keys = [], None, None, ()
+    g_factors, hecke, coeff_keys = [], None, ()
     rows = min(m, max(1, _SLAB_CELLS // m ** (k - 1)))
     shape = (rows,) + (m,) * (k - 1)
-    if op_factor is not None:
-        word, g_fns, const, coeff = op_factor
-        if word:
-            gviews = [[_axis_view(np.asarray(g(nodes[b]), dtype=complex), b, k) for b in range(k)]
-                      for g in g_fns]
-            hecke = _HeckeSlabs(tuple(word), k, const, shape)
-            coeff_keys = hecke.coeff_keys
-        else:
-            g_factors = [_axis_view(np.asarray(g_fns[a](nodes[a]), dtype=complex), a, k) for a in range(k)]
+    word, g_fns, const, coeff = op_factor
+    if word:
+        gviews = [[_axis_view(np.asarray(g(nodes[b]), dtype=complex), b, k) for b in range(k)]
+                  for g in g_fns]
+        hecke = _HeckeSlabs(tuple(word), k, const, shape)
+        coeff_keys = hecke.coeff_keys
+    else:
+        g_factors = [_axis_view(np.asarray(g_fns[a](nodes[a]), dtype=complex), a, k) for a in range(k)]
     # slabs cut axis 0 only, so the tables off axis 0 serve every slab
     pairs = _pair_tables(pair_fn, [key for key in pair_keys if 0 not in key], views)
     coeffs = _pair_tables(coeff, [key for key in coeff_keys if 0 not in key], views)
@@ -433,7 +424,7 @@ def _nested_quadrature(contours, axis_fns, pair_fn, op_factor, pref, nodes, rtol
     return _refine(eval_at, start, rtol, cap, strict, with_info)
 
 
-def qmoment_integral(model, req, contours=None, nodes=None, rtol=None, strict=True, with_info=False):
+def qmoment_integral(model, req, nodes=None, rtol=None, strict=True, with_info=False):
     """Contour-integral value of the joint q-moment observable.
 
     Returns a complex number; its imaginary part is a quadrature sanity
@@ -443,18 +434,14 @@ def qmoment_integral(model, req, contours=None, nodes=None, rtol=None, strict=Tr
     k = req.k
     if k > 4:
         raise ValueError("tensor quadrature limited to k <= 4")
-    if contours is None:
-        contours = build_contours(model, k)
-    if contours.k != k:
-        raise ValueError("contour count must match the request size")
+    contours = build_contours(model, k)
     q = model.q
     ell = req.cutoffs(model)
     tau = req.tau
 
     def axis_fn(a):
-        ix = (req.x2[a] - 1) // 2
-        iy = (req.y2[a] - 1) // 2
-        nd = (req.y2[a] - req.x2[a]) // 2
+        _, ix, iy = req.facets[a]
+        nd = iy - ix
 
         def f(w):
             val = np.ones_like(w)
@@ -486,8 +473,7 @@ def qmoment_integral(model, req, contours=None, nodes=None, rtol=None, strict=Tr
                               nodes, rtol, strict, with_info)
 
 
-def beta_moment_integral(pmodel, xs, ys, rs, tau=None, contours=None, nodes=None,
-                         rtol=None, strict=True, with_info=False):
+def beta_moment_integral(pmodel, xs, ys, rs, tau=None, nodes=None, strict=True, with_info=False):
     """Joint moment E[prod_a Z^{(r_{tau^{-1}(a)})}_{x_a, y_a}] by nested quadrature."""
     xs, ys, rs = tuple(xs), tuple(ys), tuple(rs)
     k = len(xs)
@@ -501,8 +487,7 @@ def beta_moment_integral(pmodel, xs, ys, rs, tau=None, contours=None, nodes=None
         raise ValueError("need r ascending")
     if any(x > y - r for x, y, r in zip(xs, ys, rs)):
         raise ValueError("need x_a <= y_a - r_a")
-    if contours is None:
-        contours = build_shifted_contours(pmodel, k, max(xs), max(ys))
+    contours = build_shifted_contours(pmodel, k, max(xs), max(ys))
 
     def g_fn(a):
         def g(v):
@@ -519,7 +504,7 @@ def beta_moment_integral(pmodel, xs, ys, rs, tau=None, contours=None, nodes=None
 
     axis_fns = [GFunction(pmodel, xs[a], ys[a]).f for a in range(k)]
     return _nested_quadrature(contours, axis_fns, pair_fn, op_factor, 1,
-                              nodes, rtol, strict, with_info)
+                              nodes, None, strict, with_info)
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +527,12 @@ def _partitions(n):
 
 def small_sigma_circle(pmodel, x, y):
     """Small circle around the sigma cluster with the +1 shift strictly outside."""
-    sig = [pmodel.sigma(i) for i in range(0, x + 1)]
+    sig, rhos, omegas = pmodel.corner_slots(x, y)
     spread = max(sig) - min(sig)
     if spread >= 1.0:
         raise ContourError("sigma spread >= 1: no circle separates the cluster from its +1 shift")
     center = 0.5 * (max(sig) + min(sig))
-    others = [pmodel.rho(j) for j in range(1, y + 1)]
-    if y > x:
-        others += [pmodel.omega(d) for d in range(1, y - x + 1)]
+    others = rhos + omegas
     gap = min(abs(p - center) for p in others) if others else math.inf
     radius = min(_SIGMA_RADIUS_CAP, 0.5 * (1.0 - spread / 2.0), 0.5 * gap)
     if radius <= spread / 2.0:
@@ -558,19 +541,18 @@ def small_sigma_circle(pmodel, x, y):
     return NestedContours(center=center, radii=(radius,), margin=radius - spread / 2.0)
 
 
-def single_contour_moment(pmodel, x, y, k, contour=None, nodes=48, rtol=1e-9, strict=True,
-                          with_info=False):
-    """E[Z_{x,y}^k] as the partition sum over a single small contour.
+def single_contour_moment(pmodel, x, y, k, with_info=False):
+    """E[Z_{x,y}^k] as the partition sum over the small circle around the sigma cluster.
 
-    ``with_info`` adds the node-doubling record {"nodes", "converged"}; k = 0
-    needs no quadrature and reports 0 nodes.
+    Nodes double from ``_SINGLE_START`` up to ``_SINGLE_CAPS[k]`` until stable to
+    ``_SINGLE_RTOL``, else ``ConvergenceError``.  ``with_info`` adds {"nodes",
+    "converged"}; k = 0 needs no quadrature and reports 0 nodes.
     """
     if k == 0:
         return (1.0 + 0.0j, {"nodes": 0, "converged": True}) if with_info else 1.0 + 0.0j
     if k > 4:
         raise ValueError("partition-sum quadrature limited to k <= 4 (parts of 1^k)")
-    if contour is None:
-        contour = small_sigma_circle(pmodel, x, y)
+    contour = small_sigma_circle(pmodel, x, y)
     f = GFunction(pmodel, x, y).f
 
     def h(z, parts):
@@ -604,5 +586,6 @@ def single_contour_moment(pmodel, x, y, k, contour=None, nodes=48, rtol=1e-9, st
             total += mult * complex(block.sum())
         return total
 
-    cap = {1: 4096, 2: 512, 3: 96, 4: 32}[min(k, 4)]
-    return _refine(eval_at, min(nodes, cap), rtol, cap, strict, with_info, "partition-sum quadrature")
+    cap = _SINGLE_CAPS[k]
+    return _refine(eval_at, min(_SINGLE_START, cap), _SINGLE_RTOL, cap, with_info=with_info,
+                   what="partition-sum quadrature")

@@ -91,6 +91,11 @@ class PolymerModel:
             raise IndexError(f"omega index {d} outside the schedule")
         return self.omega_list[d - 1]
 
+    def corner_slots(self, x, y):
+        """The slots of the corner (x, y): (sigma_0..sigma_x), (rho_1..rho_y), (omega_1..omega_{y-x})."""
+        return (tuple(map(self.sigma, range(0, x + 1))), tuple(map(self.rho, range(1, y + 1))),
+                tuple(map(self.omega, range(1, y - x + 1))))
+
     def beta_shapes(self, i, j):
         return self.sigma(i) - self.rho(j), self.rho(j) - self.omega(j - i)
 
@@ -176,13 +181,16 @@ def partition_dp(env, r, x_max=None, y_max=None):
     return PartitionField(r=r, table=Z)
 
 
-def partition_bruteforce(env, r, x, y, guard=100_000):
-    """Delayed path sum over all directed lattice paths (0, r) -> (x, y)."""
+_BRUTEFORCE_PATHS = 100_000
+
+
+def partition_bruteforce(env, r, x, y):
+    """Delayed path sum over all directed lattice paths (0, r) -> (x, y), at most ``_BRUTEFORCE_PATHS``."""
     n_steps = y - r
     n_diag = x
     if n_steps < n_diag or n_diag < 0:
         raise ValueError("no admissible paths")
-    if math.comb(n_steps, n_diag) > guard:
+    if math.comb(n_steps, n_diag) > _BRUTEFORCE_PATHS:
         raise ValueError("path count exceeds the brute-force guard")
     import itertools
 

@@ -101,11 +101,9 @@ def q_binomial(n, m, q):
     m = min(m, n - m)
     num = one
     den = one
-    qp = one
     for i in range(1, m + 1):
         num = num * (one - q ** (n - m + i))
         den = den * (one - q**i)
-        qp = qp * q
     return num / den
 
 

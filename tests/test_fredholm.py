@@ -384,6 +384,20 @@ def test_tracy_widom_F2_rejects_bad_r_and_reports_nodes():
     assert info == {"nodes": 192, "converged": True}
 
 
+def test_single_contour_and_series_values_pinned():
+    # the routes' own contours and tolerances fix these values; 1e-13 rather than equality
+    # because LAPACK determinants move at 1e-14 with the BLAS thread count
+    from qhahn_polymer.moments import single_contour_moment
+
+    pm = poly_model()
+    for k, value in ((2, 0.08342870853558855), (3, 0.03517228552099851)):
+        val, info = single_contour_moment(pm, X, Y, k, with_info=True)
+        assert abs(val - value) < 1e-13 and info == {"nodes": 96, "converged": True}
+    for u, value in ((-2.0, 0.6420513402395562), (-5.0, 0.3771403169588781)):
+        val, info = laplace_series_det(pm, X, Y, u, with_info=True)
+        assert abs(val - value) < 1e-13 and info["nodes"] == 128 and info["converged"]
+
+
 def test_ks_distance_rejects_non_finite_samples():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):

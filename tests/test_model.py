@@ -198,6 +198,27 @@ def test_batched_and_scalar_qmoment_statistic_agree():
     assert abs(batched.mean() - scalar.mean()) < 4 * se
 
 
+def test_qmoment_factors_row_product_is_qmoment_statistic_every_replica():
+    # tau != identity pairs the color c_{tau^{-1}(a)} with facet a; the batched columns and the
+    # scalar statistic must make the same pairing on every replica
+    cases = [
+        (QHahnModel(q=0.6, mu=(2.4, 2.5, 2.6), kappa=(1.25, 1.3), lam=(0.16, 0.18), colors=(1, 1)),
+         HeightRequest.make([0.5, 1.5], [2.5, 1.5], [1, 2], Permutation((2, 1)))),
+        (small_model(n_rows=3, colors=(1, 1, 1)),
+         HeightRequest.make([0.5, 1.5, 2.5], [3.5, 2.5, 2.5], [1, 2, 3], Permutation((3, 1, 2)))),
+    ]
+    for m, req in cases:
+        N, n = m.size, m.n_colors
+        batch = sample_grids(m, 200, spawn_rng(21))
+        rows = qmoment_factors(m, batch, req).prod(axis=1)
+        assert len(set(rows.tolist())) > 1
+        for r in range(len(batch.A)):
+            A = {(i, j): tuple(int(v) for v in batch.A[r, i, j]) for i in range(1, N + 1) for j in range(N + 1)}
+            B = {(i, j): tuple(int(v) for v in batch.B[r, i, j]) for i in range(N + 1) for j in range(1, N + 1)}
+            stat = qmoment_statistic(m, PathConfiguration(n=n, size=N, A=A, B=B), req)
+            assert abs(rows[r] - stat) <= 1e-14 * abs(stat)
+
+
 def test_batched_paths_build_no_vertex_tables():
     m = small_model(q=0.5, n_rows=2, colors=(1, 1))
     req = HeightRequest.make([0.5], [2.5], [1])

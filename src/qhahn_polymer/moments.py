@@ -2,12 +2,11 @@
 
 Contours are concentric circles around the pole cluster.  Trapezoid rule on a
 circle is spectrally accurate for analytic integrands, so node counts double
-from a small start until the value stabilizes.  The operator factor is applied
-on the tensor grid by tracking the family of axis-to-circle assignments that
-argument swaps generate.  Arrays stay on the physical grid (axis b holds the
-nodes of circle b), so a swap of arguments is a swap of assignments read at the
-same grid index.  The k-fold sum runs over slabs of the first axis in buffers
-allocated once per call: memory is O(k! slab), not O(k! m^k).
+from a small start until the value stabilizes.  The operator factor T_word
+expands into at most 2^L terms (L the word length), each a product of factors
+on one variable or on one pair of variables, so every term of the k-fold sum
+contracts pairwise: at k = 3 one m x m matrix product per term, O(2^L m^3) BLAS
+work and O(m^2) memory, and the k-dimensional grid is never formed.
 
 This module is the numerical core shared with :mod:`.fredholm`: the circle
 rule (``NestedContours.nodes``/``weights``), the node-doubling routine
@@ -41,9 +40,10 @@ __all__ = [
     "tensor_quadrature",
 ]
 
-_NODE_CAPS = {1: 4096, 2: 2048, 3: 192, 4: 32}
+_NODE_CAPS = {1: 4096, 2: 2048, 3: 768, 4: 32}
 _NODE_STARTS = {1: 64, 2: 64, 3: 48, 4: 16}
-# relative node-doubling stabilization thresholds; looser where the node cap binds
+# relative node-doubling stabilization thresholds; looser at k = 3 and 4, where
+# a level costs O(m^3) and O(m^4) work and the nodes cannot double as often
 _REFINE_RTOL = {1: 1e-10, 2: 1e-10, 3: 3e-9, 4: 1e-7}
 # absolute stabilization threshold of every node-doubling loop
 _REFINE_ATOL = 1e-13
@@ -228,16 +228,23 @@ def build_shifted_contours(pmodel, k, x, y):
 
 
 # ---------------------------------------------------------------------------
-# Hecke application on tensor grids.
+# The operator factor as a sum of products.
 #
-# Every array lives on the physical grid: axis b holds the nodes of circle b.
-# For an axis-to-circle assignment ``asg``, F_asg holds F at the point whose
-# argument a is taken from circle asg[a], so F(s_i w) is F_{swap(asg, i)} at
-# the same grid index.  The k-fold sum runs over slabs of axis 0, and every
-# slab array is written into buffers allocated once per call.
+# A letter i of the word acts as T_i F = (const - C) F + C F(s_i w) with
+# C = coeff(w_i, w_{i+1}), so a reduced word of length L expands T_word G into
+# at most 2^L terms.  A term is a product of letter factors, each on one pair of
+# circles, and of g_a read on circle asg[a], where asg is the axis-to-circle
+# assignment that the term's swaps reach (arrays stay on the physical grid: axis
+# b holds the nodes of circle b).  Every factor of the integrand then depends on
+# one variable or on one pair of them, so the k-fold sum of a term contracts
+# pairwise and the k-dimensional grid is never formed.
 
-# grid points per slab (at least one row of axis 0): 512 KB per complex buffer
-# keeps a level's working set near the cache; 2^17 ran about 40% slower at k = 3
+# entries per slab array.  A slab holds rows of axis 0; its arrays are rows x m
+# (the pairs with axis 0) and rows x m^(k-2) (the left factor of a contraction).
+# The pairs without axis 0 keep m x m matrices, so at k = 3 a level costs
+# O(2^L m^3) BLAS work and O(m^2) memory whatever the slab size.  2^15 entries
+# (512 KB per array) ran 14-34% faster than 2^13 or 2^19 at 192 and 768 nodes,
+# and within 13% of 2^17
 _SLAB_CELLS = 1 << 15
 
 
@@ -253,65 +260,79 @@ def _axis_view(arr1d, axis, k):
     return arr1d.reshape(shape)
 
 
-def _slab(arr, rows):
-    """The rows of axis 0 of a physical-layout array; a broadcast axis 0 is kept whole."""
-    return arr if arr.shape[0] == 1 else arr[rows]
+def _hecke_terms(word, k):
+    """The terms of T_word G for G(w) = prod_a g_a(w_a), as (letters, asg) pairs.
 
-
-def _pair_tables(fn, keys, views, shared=None):
-    """{(b1, b2): fn(views[b1], views[b2])} over ``keys``, reusing the tables in ``shared``."""
-    shared = shared or {}
-    return {key: shared[key] if key in shared else fn(views[key[0]], views[key[1]]) for key in keys}
-
-
-def _product_into(out, factors):
-    """out = factors[0] * factors[1] * ..., left to right, broadcast to out's shape."""
-    if len(factors) == 1:
-        np.copyto(out, factors[0])
-    else:
-        np.multiply(factors[0], factors[1], out=out)
-    for f in factors[2:]:
-        np.multiply(out, f, out=out)
-    return out
-
-
-class _HeckeSlabs:
-    """T_word G for G(w) = prod_a g_a(w_a), one slab at a time in reused buffers.
-
-    ``gviews[a][b]`` is g_{a+1} on the nodes of circle b+1, placed on axis b;
-    ``coeffs[(b1, b2)]`` is coeff(w_i, w_{i+1}) with w_i on circle b1 and
-    w_{i+1} on circle b2, both placed on their own axes.
+    ``letters`` holds one (b1, b2, swap) per letter: C = coeff(w_i, w_{i+1}) if
+    the term swaps there, else const - C, with w_i on circle b1 and w_{i+1} on
+    circle b2.  The term's g_a is read on circle asg[a].
     """
+    terms = [((), tuple(range(k)))]
+    for i in word:
+        nxt = []
+        for letters, asg in terms:
+            b1, b2 = asg[i - 1], asg[i]
+            nxt.append((letters + ((b1, b2, False),), asg))
+            nxt.append((letters + ((b1, b2, True),), _swap_assign(asg, i)))
+        terms = nxt
+    return terms
 
-    def __init__(self, word, k, const, shape):
-        self.word, self.const = word, const
-        # needed[d]: the assignments that levels d.. of the word reach from the identity
-        self.needed = [{tuple(range(k))}]
-        for i in word:
-            self.needed.append(self.needed[-1] | {_swap_assign(a, i) for a in self.needed[-1]})
-        self.coeff_keys = {(a[i - 1], a[i]) for d, i in enumerate(word) for a in self.needed[d]}
-        # levels alternate between two pools: the last level's sets in one, the one before in the other
-        pools = [self.needed[-1], self.needed[-2] if word else ()]
-        self.pools = [{asg: np.empty(shape, dtype=complex) for asg in keys} for keys in pools]
-        self.tmp = np.empty(shape, dtype=complex)
 
-    def apply(self, n, gviews, coeffs):
-        """The (n, ...) slab of T_word G; a view of a buffer that the next call overwrites."""
-        k = len(gviews)
-        cur, nxt = ({asg: buf[:n] for asg, buf in pool.items()} for pool in self.pools)
-        tmp = self.tmp[:n]
-        for asg in self.needed[-1]:
-            _product_into(cur[asg], [gviews[a][asg[a]] for a in range(k)])
-        for d in range(len(self.word) - 1, -1, -1):
-            i = self.word[d]
-            for asg in self.needed[d]:
-                base = cur[asg]
-                np.subtract(cur[_swap_assign(asg, i)], base, out=tmp)
-                np.multiply(coeffs[(asg[i - 1], asg[i])], tmp, out=tmp)
-                np.multiply(self.const, base, out=nxt[asg])
-                np.add(nxt[asg], tmp, out=nxt[asg])
-            cur, nxt = nxt, cur
-        return cur[tuple(range(k))]
+def _letter(coeff, const, swap, wi, wj):
+    c = coeff(wi, wj)
+    return c if swap else const - c
+
+
+def _pair_views(b1, b2, cols):
+    """Nodes of circles b1 and b2, shaped so that a function of them is a matrix [i_lo, i_hi]."""
+    lo, hi = sorted((b1, b2))
+    views = {lo: cols[lo][:, None], hi: cols[hi][None, :]}
+    return views[b1], views[b2]
+
+
+def _times(base, mats, out):
+    """base * mats[0] * mats[1] * ..., broadcast and written into out; base itself if ``mats`` is empty.
+
+    ``mats`` may be a generator, so each matrix can be made just before it is used.
+    """
+    result = base
+    for mat in mats:
+        result = np.multiply(result, mat, out=out)
+    return result
+
+
+def _place(arr, on, axes):
+    """``arr``, whose dimensions belong to the axes ``on``, shaped to broadcast over ``axes``."""
+    shape = [1] * len(axes)
+    for a, n in zip(on, arr.shape):
+        shape[axes.index(a)] = n
+    return arr.reshape(shape)
+
+
+def _contract(vecs, mats, lbuf, wbuf):
+    """sum over i_0..i_{k-1} of prod_b vecs[b][i_b] prod_{a<b} mats[a, b][i_a, i_b].
+
+    The factors off the last axis multiply into one array over axes 0..k-2; one
+    matrix product with mats[k-2, k-1] sums out axis k-2, and the factors on the
+    last axis multiply the result.  ``lbuf`` and ``wbuf`` are flat buffers that
+    hold the two intermediate arrays.
+    """
+    k = len(vecs)
+    if k == 1:
+        return complex(vecs[0].sum())
+    head, tail = tuple(range(k - 1)), tuple(range(k - 2)) + (k - 1,)
+    shape = tuple(v.size for v in vecs[:-1])
+    factors = [_place(vecs[b], (b,), head) for b in head] + [_place(mat, p, head) for p, mat in mats.items()
+                                                             if p[1] < k - 1]
+    left = _times(factors[0], factors[1:], lbuf[:math.prod(shape)].reshape(shape))
+    lead = left.reshape(-1, shape[-1])
+    right = mats[(k - 2, k - 1)]
+    w = np.matmul(lead, right, out=wbuf[:lead.shape[0] * right.shape[1]].reshape(lead.shape[0], -1))
+    w = w.reshape(shape[:-1] + right.shape[1:])
+    for c in range(k - 2):
+        np.multiply(w, _place(mats[(c, k - 1)], (c, k - 1), tail), out=w)
+    np.multiply(w, vecs[-1], out=w)
+    return complex(w.sum())
 
 
 def hecke_tensor(word, gvals, nodes, const, coeff):
@@ -319,57 +340,76 @@ def hecke_tensor(word, gvals, nodes, const, coeff):
 
     gvals[a][b] holds g_{a+1} evaluated on the nodes of circle b+1; nodes is
     the list of per-circle node arrays (equal length).  Returns the array of
-    (T_word G) on the physical grid (axis a <-> circle a).
+    (T_word G) on the physical grid (axis a <-> circle a): the sum of the terms
+    of ``_hecke_terms``, each broadcast over the whole grid.
     """
     k = len(nodes)
     views = [_axis_view(np.asarray(nodes[b]), b, k) for b in range(k)]
-    gviews = [[_axis_view(np.asarray(g[b], dtype=complex), b, k) for b in range(k)] for g in gvals]
-    hecke = _HeckeSlabs(tuple(word), k, const, (views[0].size,) * k)
-    return hecke.apply(views[0].size, gviews, _pair_tables(coeff, hecke.coeff_keys, views))
+    total = 0
+    for letters, asg in _hecke_terms(tuple(word), k):
+        term = [_letter(coeff, const, swap, views[b1], views[b2]) for b1, b2, swap in letters]
+        term += [_axis_view(np.asarray(gvals[a][b], dtype=complex), b, k) for a, b in enumerate(asg)]
+        total = total + math.prod(term[1:], start=term[0])
+    return total
 
 
 def tensor_quadrature(contours, m, axis_fns, pair_fn, op_factor):
-    """Evaluate the k-fold circle quadrature.
+    """Evaluate the k-fold circle quadrature as a Python complex.
 
     axis_fns[a](w) is the per-variable factor (measure weights are added here);
     pair_fn(wa, wb) multiplies over ordered pairs a < b; op_factor is
-    (word, g_fns, const, coeff) for the operator factor.  The sum runs over
-    slabs of about ``_SLAB_CELLS`` grid points, so memory is O(k! slab) and
-    not O(k! m^k).
+    (word, g_fns, const, coeff) for the operator factor.  Each of the at most
+    2^L terms of the word (L its length) is summed by ``_contract``: per-axis
+    factors fold into the pair matrices, and at k = 3 a term costs one m x m
+    matrix product, so a level is O(2^L m^3) BLAS work instead of O(k! m^k)
+    element-wise work.  Terms are grouped by their factors off axis 0, which fix
+    the m x m matrices of the pairs without axis 0; axis 0 is cut into slabs of
+    about ``_SLAB_CELLS`` entries, so memory is O(m^2) at k <= 3 and
+    O(m^2 + _SLAB_CELLS) at k = 4.  Matrix products are summed by BLAS, so the
+    value can move at the rounding level with the BLAS library and thread count.
     """
     k = contours.k
     nodes = contours.nodes(m)
     weights = contours.weights(m)
-    views = [_axis_view(nodes[b], b, k) for b in range(k)]
-    factors = [_axis_view(np.asarray(axis_fns[a](nodes[a]), dtype=complex) * weights[a], a, k)
-               for a in range(k)]
-    pair_keys = [(a, b) for a in range(k) for b in range(a + 1, k)]
-    g_factors, hecke, coeff_keys = [], None, ()
-    rows = min(m, max(1, _SLAB_CELLS // m ** (k - 1)))
-    shape = (rows,) + (m,) * (k - 1)
     word, g_fns, const, coeff = op_factor
-    if word:
-        gviews = [[_axis_view(np.asarray(g(nodes[b]), dtype=complex), b, k) for b in range(k)]
-                  for g in g_fns]
-        hecke = _HeckeSlabs(tuple(word), k, const, shape)
-        coeff_keys = hecke.coeff_keys
-    else:
-        g_factors = [_axis_view(np.asarray(g_fns[a](nodes[a]), dtype=complex), a, k) for a in range(k)]
-    # slabs cut axis 0 only, so the tables off axis 0 serve every slab
-    pairs = _pair_tables(pair_fn, [key for key in pair_keys if 0 not in key], views)
-    coeffs = _pair_tables(coeff, [key for key in coeff_keys if 0 not in key], views)
-    block = np.empty(shape, dtype=complex)
+    axis = [np.asarray(axis_fns[b](nodes[b]), dtype=complex) * weights[b] for b in range(k)]
+    gvals = [[np.asarray(g(nodes[b]), dtype=complex) for b in range(k)] for g in g_fns]
+    groups = {}
+    for letters, asg in _hecke_terms(tuple(word), k):
+        vecs = [None] * k
+        for a, b in enumerate(asg):
+            vecs[b] = axis[b] * gvals[a][b]
+        off = tuple(sorted(lt for lt in letters if 0 not in lt[:2]))
+        groups.setdefault(off, []).append((vecs, [lt for lt in letters if 0 in lt[:2]]))
+
+    def letter(lt, cols):
+        b1, b2, swap = lt
+        return _letter(coeff, const, swap, *_pair_views(b1, b2, cols))
+
+    off_pairs = [(a, b) for a in range(1, k) for b in range(a + 1, k)]
+    pairs = {p: pair_fn(*_pair_views(*p, nodes)) for p in off_pairs}
+    full_bufs = {p: np.empty((m, m), dtype=complex) for p in off_pairs}
+    rows = min(m, max(1, _SLAB_CELLS // (m ** max(k - 2, 1) if k > 1 else 1)))
+    slab_bufs = [np.empty((rows, m), dtype=complex) for _ in range(k - 1)]
+    lbuf = np.empty(rows * m ** max(k - 2, 0), dtype=complex)
+    wbuf = np.empty(max(lbuf.size, m), dtype=complex)
     total = 0j
-    for r0 in range(0, m, rows):
-        sl = slice(r0, min(r0 + rows, m))
-        vs = [views[0][sl]] + views[1:]
-        slab_pairs = _pair_tables(pair_fn, pair_keys, vs, pairs)
-        out = _product_into(block[:sl.stop - r0], [_slab(f, sl) for f in factors]
-                            + [slab_pairs[key] for key in pair_keys] + [_slab(f, sl) for f in g_factors])
-        if hecke is not None:
-            gs = [[_slab(v, sl) for v in row] for row in gviews]
-            np.multiply(out, hecke.apply(sl.stop - r0, gs, _pair_tables(coeff, coeff_keys, vs, coeffs)), out=out)
-        total += complex(out.sum())
+    for off, terms in groups.items():
+        # a letter matrix of size m x m lives only until it is multiplied in
+        full = {p: _times(pairs[p], (letter(lt, nodes) for lt in off if tuple(sorted(lt[:2])) == p), full_bufs[p])
+                for p in off_pairs}
+        on_axis0 = {lt for _, letters in terms for lt in letters}
+        for r0 in range(0, m, rows):
+            n = min(rows, m - r0)
+            cols = [nodes[0][r0:r0 + n]] + nodes[1:]
+            slab_pairs = [pair_fn(*_pair_views(0, b, cols)) for b in range(1, k)]
+            slab_letters = {lt: letter(lt, cols) for lt in on_axis0}
+            for vecs, letters in terms:
+                mats = dict(full)
+                for b in range(1, k):
+                    mats[(0, b)] = _times(slab_pairs[b - 1], [slab_letters[lt] for lt in letters if b in lt[:2]],
+                                          slab_bufs[b - 1][:n])
+                total += _contract([vecs[0][r0:r0 + n]] + vecs[1:], mats, lbuf, wbuf)
     return total
 
 
@@ -403,7 +443,7 @@ def _refine(eval_at, start_nodes, rtol, cap, strict=True, with_info=False, what=
     if not ok and strict:
         state = "did not stabilize" if cmath.isfinite(val) else f"is not finite ({val})"
         raise ConvergenceError(f"{what} {state} at {m} nodes", val)
-    return (val, {"nodes": m, "converged": ok}) if with_info else val
+    return (val, {"nodes": m, "converged": bool(ok)}) if with_info else val
 
 
 def _nested_quadrature(contours, axis_fns, pair_fn, op_factor, pref, nodes, rtol, strict,

@@ -305,3 +305,100 @@ def test_slab_size_does_not_change_quadrature(monkeypatch):
         val1, info1 = qmoment_integral(m, req, with_info=True)
         assert info1 == info
         assert abs(val1 - val) <= 1e-14 * abs(val)
+
+
+def _grid_sum(cont, m, axis_fns, pair_fn, op_factor):
+    # the k-fold sum on the explicit grid: hecke_tensor times every pair and axis factor
+    from qhahn_polymer.moments import _axis_view, hecke_tensor
+
+    k = cont.k
+    nodes, weights = cont.nodes(m), cont.weights(m)
+    word, g_fns, const, coeff = op_factor
+    views = [_axis_view(nodes[b], b, k) for b in range(k)]
+    grid = hecke_tensor(word, [[g(nodes[b]) for b in range(k)] for g in g_fns], nodes, const, coeff)
+    for a in range(k):
+        grid = grid * _axis_view(axis_fns[a](nodes[a]) * weights[a], a, k)
+        for b in range(a + 1, k):
+            grid = grid * pair_fn(views[a], views[b])
+    return complex(grid.sum())
+
+
+def test_contraction_matches_full_grid():
+    import itertools
+
+    from qhahn_polymer.moments import GFunction, build_shifted_contours
+
+    lat = lattice_model()
+    q = lat.q
+
+    def lat_g(a):
+        return lambda w: (1.0 - lat.lam_of(a % 3 + 1) * w) / (1.0 - lat.kappa_of(a % 3 + 1) * w)
+
+    def lat_axis(a):
+        return lambda w: 1.0 / (w * (1.0 - lat.mu_of(a) * w))
+
+    def lattice_case(k):
+        return (build_contours(lat, k), [lat_axis(a) for a in range(k)],
+                lambda wa, wb: (wb - wa) / (wb - q * wa),
+                ([lat_g(a) for a in range(k)], q, lambda wi, wj: (wj - q * wi) / (wj - wi)))
+
+    pm = poly_model()
+
+    def poly_g(a):
+        return lambda v: (v - pm.omega(a + 1)) / (v - pm.rho(a + 1))
+
+    poly = (build_shifted_contours(pm, 3, 1, 3), [GFunction(pm, 1, 3).f] * 3,
+            lambda va, vb: (vb - va) / (vb - va - 1.0),
+            ([poly_g(a) for a in range(3)], 1.0, lambda vi, vj: (vj - vi - 1.0) / (vj - vi)))
+    cases = [(case, tauv, 10) for case in (lattice_case(3), poly)
+             for tauv in itertools.permutations((1, 2, 3))]
+    cases.append((lattice_case(4), (4, 3, 2, 1), 6))
+    for (cont, axis_fns, pair_fn, (g_fns, const, coeff)), tauv, m in cases:
+        op = (Permutation(tauv).reduced_word(), g_fns, const, coeff)
+        val = tensor_quadrature(cont, m, axis_fns, pair_fn, op)
+        ref = _grid_sum(cont, m, axis_fns, pair_fn, op)
+        assert abs(val - ref) <= 1e-13 * abs(ref), (tauv, val, ref)
+
+
+def test_k3_quadrature_converges_on_the_narrow_margin_request():
+    # margin 0.033: the 192 -> 384 change is 1.8e-5, so acceptance needs 768 nodes
+    import tracemalloc
+
+    m = QHahnModel(q=0.5, mu=(2, 2.2, 2.4, 2.6), kappa=(1.5, 1.6, 1.7), lam=(0.5, 0.6, 0.7), colors=(1, 1, 1))
+    req = HeightRequest.make([0.5] * 3, [3.5, 2.5, 1.5], [1, 2, 3], Permutation((3, 2, 1)))
+    tracemalloc.start()
+    try:
+        val, info = qmoment_integral(m, req, with_info=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info == {"nodes": 768, "converged": True}
+    tgt = base_case_product(m, req)
+    assert abs(val - tgt) <= 1e-9 * abs(tgt)
+    assert peak < 96 * 2**20
+
+
+def test_k3_quadrature_converges_on_the_small_base_case_request():
+    n = 4
+    m = QHahnModel(q=0.5, mu=tuple(2.4 + 0.01 * i for i in range(n + 1)),
+                   kappa=tuple(2.0 + 0.02 * j for j in range(n)),
+                   lam=tuple(0.2 + 0.01 * d for d in range(n)), colors=(1,) * n)
+    req = HeightRequest.make([0.5] * 3, [3.5, 2.5, 1.5], [1, 2, 3], Permutation((3, 2, 1)))
+    val, info = qmoment_integral(m, req, with_info=True)
+    assert info == {"nodes": 384, "converged": True}
+    tgt = base_case_product(m, req)
+    assert abs(val - tgt) <= 1e-9 * abs(tgt)
+
+
+def test_quadrature_info_has_plain_types():
+    # the CLI writes these records with json.dumps, which rejects numpy scalars
+    import json
+
+    m, pm = lattice_model(), poly_model()
+    for k in (1, 2, 3):
+        req = HeightRequest.make([0.5] * k, [3.5, 2.5, 1.5][:k], [1, 2, 3][:k], Permutation(tuple(range(k, 0, -1))))
+        for val, info in (qmoment_integral(m, req, with_info=True),
+                          beta_moment_integral(pm, [1] * k, [3] * k, [0] * k, with_info=True)):
+            assert type(val) is complex
+            assert type(info["converged"]) is bool and type(info["nodes"]) is int
+            json.dumps(info)

@@ -329,7 +329,7 @@ def _cmd_polymer(args):
         mode = "logZ" if args.log else "moments"
         stats = mc_statistics(pmodel, args.r, args.x, args.y, args.samples,
                               seed=args.seed, mode=mode, max_power=args.max_power,
-                              keep_samples=bool(args.export))
+                              keep_samples=bool(args.export), workers=args.workers)
         if mode == "moments":
             records.append({"n": stats.n, "moments": {str(k): v for k, v in stats.moments.items()}})
         else:
@@ -423,11 +423,30 @@ def _cmd_descent(args):
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text):
+    """The argparse type of --workers and of its environment default."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(
+            f"need a positive integer (from --workers or QHAHN_POLYMER_WORKERS), got {text!r}")
+    return value
+
+
 def build_parser():
+    from .polymer import usable_cpus
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--workers", type=int,
-                        default=int(os.environ.get("QHAHN_POLYMER_WORKERS", os.cpu_count() or 1)))
+    # a string default goes through ``type`` too, so a malformed
+    # QHAHN_POLYMER_WORKERS is a usage error like a malformed flag
+    common.add_argument("--workers", type=_positive_int,
+                        default=os.environ.get("QHAHN_POLYMER_WORKERS") or usable_cpus(),
+                        help="threads for the replica blocks of tw and polymer mc "
+                             "(default: QHAHN_POLYMER_WORKERS, else the usable CPUs); "
+                             "results do not depend on it")
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--output", "-o", default="-",
                         help="output path (JSON lines); '-' = stdout")

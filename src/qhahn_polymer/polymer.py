@@ -13,10 +13,13 @@ environment give the joint integer moments, exactly for rational parameters;
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product, repeat
+from functools import lru_cache, partial
+from itertools import product
 
 import numpy as np
 
@@ -38,6 +41,7 @@ __all__ = [
     "mc_statistics",
     "MCStats",
     "qhahn_bridge_model",
+    "usable_cpus",
 ]
 
 
@@ -409,37 +413,59 @@ def _dp_block(model, r, x, y, n_block, rng, want_log):
     return vals
 
 
-def _replica_blocks(model, r, x, y, samples, seed, block, want_log, mapper=map):
+def usable_cpus():
+    """The CPUs this process may run on: its affinity set where the OS has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _replica_blocks(model, r, x, y, samples, seed, block, want_log, workers):
     """Replica values in blocks of ``block``, block i drawn from spawn_rng(seed, i).
 
-    ``mapper`` runs the blocks: ``map`` or a process pool's ``map``.  The
-    values depend only on the seed and the block size.
+    The blocks run on ``min(workers, number of blocks)`` threads (``None``:
+    ``usable_cpus()``); NumPy releases the interpreter lock inside the draws
+    and the ufunc loops, and each block owns its generator.  Each block's
+    values go to its own slice of the output, so they depend only on the seed
+    and the block size, never on the worker count.
     """
+    if workers is None:
+        workers = usable_cpus()
+    if workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     starts = range(0, samples, block)
     counts = [min(block, samples - start) for start in starts]
     gens = [spawn_rng(seed, i) for i in range(len(counts))]
+    run = partial(_dp_block, model, r, x, y, want_log=want_log)
     out = np.empty(samples)
-    blocks = mapper(_dp_block, repeat(model), repeat(r), repeat(x), repeat(y), counts, gens,
-                    repeat(want_log))
-    for start, vals in zip(starts, blocks):
-        out[start : start + vals.size] = vals
+    threads = min(workers, len(counts))
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        blocks = map(run, counts, gens) if pool is None else pool.map(run, counts, gens)
+        for start, vals in zip(starts, blocks):
+            out[start : start + vals.size] = vals
     return out
 
 
-def sample_partition_values(model, r, x, y, samples, seed=0, block=4096):
-    """Replica values Z^(r)_{x,y} (linear space; raises ``OverflowError`` below the float range)."""
-    return _replica_blocks(model, r, x, y, samples, seed, block, want_log=False)
+def sample_partition_values(model, r, x, y, samples, seed=0, block=4096, workers=None):
+    """Replica values Z^(r)_{x,y} (linear space; raises ``OverflowError`` below the float range).
+
+    ``workers`` threads run the blocks (``None``: ``usable_cpus()``); the
+    values do not depend on it.
+    """
+    return _replica_blocks(model, r, x, y, samples, seed, block, want_log=False, workers=workers)
 
 
-def sample_log_partition(model, r, x, y, samples, seed=0, block=256):
+def sample_log_partition(model, r, x, y, samples, seed=0, block=256, workers=None):
     """Replica values ln Z^(r)_{x,y} (DP with a power-of-two exponent per column).
 
     The exponents keep every column in float range for any depth, so ln Z
     stays accurate where one row spans more than the float range: for the
     homogeneous model (sigma 0, rho -1, omega -2, theta 0.3) at t = 256 it
     agrees with extended precision on the same draws to about 2e-13.
+    ``workers`` threads run the blocks (``None``: ``usable_cpus()``); the
+    values do not depend on it.
     """
-    return _replica_blocks(model, r, x, y, samples, seed, block, want_log=True)
+    return _replica_blocks(model, r, x, y, samples, seed, block, want_log=True, workers=workers)
 
 
 @dataclass
@@ -453,19 +479,23 @@ class MCStats:
 
 
 def mc_statistics(model, r, x, y, samples, seed=0, mode="moments", max_power=3,
-                  keep_samples=False):
-    """Monte Carlo statistics of Z or ln Z over independent environments."""
+                  keep_samples=False, workers=None):
+    """Monte Carlo statistics of Z or ln Z over independent environments.
+
+    ``workers`` threads run the replica blocks (``None``: ``usable_cpus()``);
+    the statistics do not depend on it.
+    """
     if mode not in ("moments", "logZ"):
         raise ValueError("mode must be 'moments' or 'logZ'")
     if mode == "moments":
-        vals = sample_partition_values(model, r, x, y, samples, seed=seed)
+        vals = sample_partition_values(model, r, x, y, samples, seed=seed, workers=workers)
         moments = {}
         for k in range(1, max_power + 1):
             pk = vals**k
             moments[k] = (float(pk.mean()), float(pk.std(ddof=1) / math.sqrt(samples)))
         return MCStats(mode=mode, n=samples, moments=moments,
                        samples=vals if keep_samples else None)
-    vals = sample_log_partition(model, r, x, y, samples, seed=seed)
+    vals = sample_log_partition(model, r, x, y, samples, seed=seed, workers=workers)
     return MCStats(mode=mode, n=samples, log_mean=float(vals.mean()),
                    log_sd=float(vals.std(ddof=1)), samples=vals if keep_samples else None)
 

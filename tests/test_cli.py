@@ -152,6 +152,41 @@ def test_polymer_brute_and_mc(tmp_path, polymer_config, capsys):
     assert export.read_text().startswith("replica,x,y,r,value")
 
 
+def test_polymer_mc_records_independent_of_workers(tmp_path, polymer_config, capsys):
+    # 9000 replicas are three 4096-replica blocks in linear mode, 36 blocks in log mode
+    for log in ([], ["--log"]):
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"mc{workers}.jsonl"
+            assert run(["polymer", "mc", "--config", polymer_config, "--x", "2", "--y", "5",
+                        "--samples", "9000", "--seed", "4", "--workers", workers, *log,
+                        "--export", str(tmp_path / f"z{workers}.csv"), "-o", str(out)]) == EXIT_OK
+            capsys.readouterr()
+            *recs, manifest = [json.loads(line) for line in out.read_text().splitlines()]
+            assert manifest["workers"] == int(workers)
+            outs.append((recs, (tmp_path / f"z{workers}.csv").read_text()))
+        assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "1.5", "abc"])
+def test_workers_flag_must_be_positive_int(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["tw", "--t", "12", "--samples", "120", "--workers", value])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "--workers: need a positive integer" in capsys.readouterr().err
+
+
+def test_workers_environment_default(monkeypatch, capsys):
+    monkeypatch.setenv("QHAHN_POLYMER_WORKERS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "stochastic", "--trials", "2"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "QHAHN_POLYMER_WORKERS" in capsys.readouterr().err
+    monkeypatch.setenv("QHAHN_POLYMER_WORKERS", "3")
+    assert run(["verify", "stochastic", "--trials", "2"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["workers"] == 3
+
+
 def test_fredholm_subcommands(tmp_path, polymer_config, capsys):
     out = tmp_path / "f.jsonl"
     code = run(["fredholm", "tw-cdf", "--r", "0", "-o", str(out)])

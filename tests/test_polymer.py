@@ -1,11 +1,13 @@
 import itertools
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qhahn_polymer.asymptotics import FreqModel, scheduled_polymer_model, theta_constants
+from qhahn_polymer import polymer
+from qhahn_polymer.asymptotics import FreqModel, scheduled_polymer_model, theta_constants, tw_experiment
 from qhahn_polymer.polymer import (
     PolymerModel,
     beta_draws,
@@ -296,6 +298,46 @@ def test_sampling_deterministic():
     a = sample_partition_values(m, 0, 2, 5, 100, seed=7)
     b = sample_partition_values(m, 0, 2, 5, 100, seed=7)
     assert np.array_equal(a, b)
+
+
+def test_samples_independent_of_workers():
+    # ragged last blocks; more threads than blocks' worth of CPUs is allowed
+    lin = [sample_partition_values(tri_model(), 0, 2, 5, 2500, seed=13, block=1000, workers=w)
+           for w in (1, 2, 3)]  # a != 1: the two-Gamma draws
+    model, X, Y = tw_model(16)  # a = 1: the inverse-CDF draws
+    log = [sample_log_partition(model, 0, X, Y, 700, seed=13, workers=w) for w in (1, 2, 3)]
+    for runs in (lin, log):
+        assert all(np.array_equal(runs[0], v) for v in runs[1:])
+
+
+@pytest.mark.parametrize("call", [
+    lambda w: sample_partition_values(tri_model(), 0, 2, 5, 10, workers=w),
+    lambda w: sample_log_partition(tri_model(), 0, 2, 5, 10, workers=w),
+    lambda w: mc_statistics(tri_model(), 0, 2, 5, 10, workers=w),
+    lambda w: tw_experiment(FreqModel.homogeneous(), 0.3, [16], 100, workers=w),
+])
+@pytest.mark.parametrize("workers", [0, -1])
+def test_replica_samplers_reject_nonpositive_workers(call, workers):
+    with pytest.raises(ValueError, match="workers"):
+        call(workers)
+
+
+def test_error_in_a_later_block_leaves_the_pool(monkeypatch):
+    dp_block = polymer._dp_block
+    threads = set()
+
+    def failing_last_block(model, r, x, y, n_block, rng, want_log):
+        threads.add(threading.get_ident())
+        if n_block < 1000:  # only the ragged third block
+            raise OverflowError("partition values underflow linear space; use log mode")
+        return dp_block(model, r, x, y, n_block, rng, want_log)
+
+    monkeypatch.setattr(polymer, "_dp_block", failing_last_block)
+    for workers in (1, 2, 3):
+        with pytest.raises(OverflowError):
+            sample_partition_values(tri_model(), 0, 2, 5, 2500, block=1000, workers=workers)
+        if workers == 1:  # one worker runs the blocks in the calling thread
+            assert threads == {threading.get_ident()}
 
 
 def test_bridge_model_parameters():

@@ -21,11 +21,13 @@ or exp.  For real u both routes count a value outside the range of
 E[exp(uZ)], 0 < Z <= 1, as not converged.  The
 Tracy-Widom GUE distribution is the Airy-kernel determinant on (r, infinity),
 evaluated with Gauss-Legendre quadrature on a truncated interval.  Both
-determinants double their node count with ``moments._refine`` up to
-``_NODE_CAP``, on contours that each route builds itself.
+determinants double their node count with ``moments._refine`` from its default
+start (the bottom of the cap's halving ladder, 16 nodes) up to ``_NODE_CAP``,
+on contours that each route builds itself.
 F2 is evaluated for a chunk of r at a time (one r for ``tracy_widom_F2``, 32
-for the table): one ``_airy`` call covers the nodes of both start levels of
-every r in the chunk, and only a level past those calls ``_airy`` again.
+for the table): one ``_airy`` call covers the first two levels of every r in
+the chunk, and each finer level that some r needs is one more call for the
+chunk.
 The Gauss-Legendre rules (the F2 nodes and the Mellin-Barnes line panels) come
 from one cached ``_gauss_legendre(m)``, so a rule is built once per process;
 its arrays are read-only because every caller shares them.
@@ -63,8 +65,7 @@ def _circle(contour):
 
 # the shift sum's term cap; its terms behave like u^n / n!, so it needs about e |u| of them
 _SHIFT_TERMS = 2000
-# node doubling of the circle determinant: first level and stabilization threshold
-_NYSTROM_START = 64
+# stabilization threshold of the circle determinant's node doubling
 _NYSTROM_RTOL = 1e-10
 # stabilization threshold of F2, and the node cap of both determinants
 _F2_RTOL = 1e-9
@@ -102,7 +103,8 @@ def fredholm_det(kernel, contour, strict=True, with_info=False):
     """det(I + K) over a closed contour with the dz/(2*pi*i) measure.
 
     ``kernel`` maps (v_row, v_col) node arrays to the kernel matrix.  The nodes
-    double from ``_NYSTROM_START`` up to ``_NODE_CAP`` until stable to ``_NYSTROM_RTOL``.
+    double from the default start of ``moments._refine`` (16) up to ``_NODE_CAP``
+    until stable to ``_NYSTROM_RTOL``.
     """
     _circle(contour)
 
@@ -112,7 +114,7 @@ def fredholm_det(kernel, contour, strict=True, with_info=False):
         A = np.eye(m, dtype=complex) + K * w[None, :]
         return complex(np.linalg.det(A))
 
-    return _refine(eval_at, _NYSTROM_START, _NYSTROM_RTOL, _NODE_CAP, strict, with_info,
+    return _refine(eval_at, None, _NYSTROM_RTOL, _NODE_CAP, strict, with_info,
                    what="Nystrom determinant")
 
 
@@ -313,11 +315,8 @@ def _airy_nodes(r, upper, m):
     return 0.5 * (r + upper) + 0.5 * (upper - r) * _gauss_legendre(m)[0]
 
 
-def _airy_det(r, upper, m, airy=None):
-    """det(I - K_Airy) on (r, upper) with the m-point rule; ``airy`` is (xs, Ai, Ai') if precomputed."""
-    if airy is None:
-        xs = _airy_nodes(r, upper, m)
-        airy = (xs, *_airy(xs))
+def _airy_det(r, upper, m, airy):
+    """det(I - K_Airy) on (r, upper) with the m-point rule; ``airy`` is (xs, Ai, Ai') on its nodes."""
     K = _airy_kernel_matrix(*airy)
     sw = np.sqrt(0.5 * (upper - r) * _gauss_legendre(m)[1])
     A = np.eye(m) - K * (sw[:, None] * sw[None, :])
@@ -325,14 +324,14 @@ def _airy_det(r, upper, m, airy=None):
     return float(sign * np.exp(logdet))
 
 
-def _tracy_widom_chunk(rs, nodes=96, upper=None, with_info=False):
-    """``tracy_widom_F2`` at every r of ``rs``, with one ``_airy`` call for the chunk.
+def _tracy_widom_chunk(rs, nodes=None, upper=None, with_info=False):
+    """``tracy_widom_F2`` at every r of ``rs``, with one ``_airy`` call per level for the chunk.
 
-    ``_refine`` always evaluates the levels ``nodes`` and ``2 * nodes`` (only
-    ``nodes`` when ``2 * nodes`` passes ``_NODE_CAP``), so the Airy values at those
-    nodes for every r come from one array call; a finer level calls ``_airy`` on
-    its own nodes.  ``_airy`` stops each element on its own term test, so every
-    value equals the one-point evaluation.
+    ``_refine`` always evaluates its first two levels, so the first call covers
+    both for every r in the chunk; a finer level, when some r needs it, is one
+    call for that r and the ones after it, cached per level.  ``_airy`` stops
+    each element on its own term test, so every value equals the one-point
+    evaluation.
     """
     bounds = []
     for r in rs:
@@ -340,36 +339,44 @@ def _tracy_widom_chunk(rs, nodes=96, upper=None, with_info=False):
         if math.isnan(r) or r < -9.0:
             raise ValueError(f"tracy_widom_F2 needs r >= -9 (the Airy evaluation range), got r = {r}")
         bounds.append((r, max(r + 4.0, 10.0) if upper is None else upper))
-    levels = [nodes] if 2 * nodes > _NODE_CAP else [nodes, 2 * nodes]
-    xs = [_airy_nodes(r, up, m) for r, up in bounds if up > r for m in levels]
-    if xs:
-        ai, aip = _airy(np.concatenate(xs))
-        cuts = np.cumsum([x.size for x in xs])[:-1]
-        airy = iter(zip(xs, np.split(ai, cuts), np.split(aip, cuts)))
+    airy = {}  # level -> {index into bounds: (nodes, Ai, Ai')}, filled on first use
+
+    def det(i, m):
+        if i not in airy.get(m, {}):
+            levels = [m] if airy else [m, 2 * m]
+            todo = [j for j in range(i, len(bounds)) if bounds[j][1] > bounds[j][0]]
+            xs = [_airy_nodes(*bounds[j], n) for j in todo for n in levels]
+            ai, aip = _airy(np.concatenate(xs))
+            cuts = np.cumsum([x.size for x in xs])[:-1]
+            vals = iter(zip(xs, np.split(ai, cuts), np.split(aip, cuts)))
+            for j in todo:
+                for n in levels:
+                    airy.setdefault(n, {})[j] = next(vals)
+        return _airy_det(*bounds[i], m, airy[m].pop(i))
+
     out = []
-    for r, up in bounds:
+    for i, (r, up) in enumerate(bounds):
         if up <= r:
             out.append((1.0, {"nodes": 0, "converged": True}) if with_info else 1.0)
             continue
-        pre = {m: next(airy) for m in levels}
-        out.append(_refine(lambda m: _airy_det(r, up, m, pre.get(m)), nodes, _F2_RTOL, _NODE_CAP,
-                           with_info=with_info, what="Airy-kernel determinant"))
+        out.append(_refine(lambda m: det(i, m), nodes, _F2_RTOL, _NODE_CAP, with_info=with_info,
+                           what="Airy-kernel determinant"))
     return out
 
 
-def tracy_widom_F2(r, nodes=96, upper=None, with_info=False):
+def tracy_widom_F2(r, nodes=None, upper=None, with_info=False):
     """F_2(r) = det(I - K_Airy) on L^2(r, infinity), Gauss-Legendre Nystrom.
 
     ``r`` must be >= -9, where the Airy evaluation stops; r = +inf gives 1.  The nodes
-    double up to ``_NODE_CAP`` until stable to ``_F2_RTOL``; ``with_info`` adds {"nodes", "converged"}.
+    double from ``nodes`` (default: the start rule of ``moments._refine``, 16) up to
+    ``_NODE_CAP`` until stable to ``_F2_RTOL``; ``with_info`` adds {"nodes", "converged"}.
     """
     return _tracy_widom_chunk([r], nodes, upper, with_info)[0]
 
 
-# r values per ``_airy`` call in the table: 32 x (96 + 192) nodes keep the Airy
-# temporaries under 1 MB
+# r values per ``_airy`` call in the table: the first call holds 32 x (16 + 32) nodes
 _TABLE_CHUNK = 32
-# the table's grid (F_2(-8.5) ~ 1e-10 and 1 - F_2(6) ~ 4e-12: both tails are 0 or 1 at sampling resolutions)
+# the table's grid (F_2(-8.5) = 4.0e-23 and 1 - F_2(6) = 3.8e-12: both tails are 0 or 1 at sampling resolutions)
 _TABLE_LO, _TABLE_HI, _TABLE_STEP = -8.5, 6.0, 0.05
 
 

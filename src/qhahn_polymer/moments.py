@@ -2,11 +2,13 @@
 
 Contours are concentric circles around the pole cluster.  Trapezoid rule on a
 circle is spectrally accurate for analytic integrands, so node counts double
-from a small start until the value stabilizes.  The operator factor T_word
-expands into at most 2^L terms (L the word length), each a product of factors
-on one variable or on one pair of variables, so every term of the k-fold sum
-contracts pairwise: at k = 3 one m x m matrix product per term, O(2^L m^3) BLAS
-work and O(m^2) memory, and the k-dimensional grid is never formed.
+until the value stabilizes, from the bottom of the cap's halving ladder (the
+lowest of cap, cap/2, cap/4, ... that is at least 16, one rule for every
+route).  The operator factor T_word expands into at most 2^L terms (L the word
+length), each a product of factors on one variable or on one pair of
+variables, so every term of the k-fold sum contracts pairwise: at k = 3 one
+m x m matrix product per term, O(2^L m^3) BLAS work and O(m^2) memory, and the
+k-dimensional grid is never formed.
 
 This module is the numerical core shared with :mod:`.fredholm`: the circle
 rule (``NestedContours.nodes``/``weights``), the node-doubling routine
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,7 +44,8 @@ __all__ = [
 ]
 
 _NODE_CAPS = {1: 4096, 2: 2048, 3: 768, 4: 32}
-_NODE_STARTS = {1: 64, 2: 64, 3: 48, 4: 16}
+# lowest default first level of every node-doubling loop (see ``_refine``)
+_START_FLOOR = 16
 # relative node-doubling stabilization thresholds; looser at k = 3 and 4, where
 # a level costs O(m^3) and O(m^4) work and the nodes cannot double as often
 _REFINE_RTOL = {1: 1e-10, 2: 1e-10, 3: 3e-9, 4: 1e-7}
@@ -53,8 +57,7 @@ _LATTICE_PAD = 0.3
 _SHIFTED_PAD_CAP = 0.35
 # largest radius of the small circle around the sigma cluster
 _SIGMA_RADIUS_CAP = 0.25
-# single-contour partition sum: first node count, stabilization threshold and per-k node cap
-_SINGLE_START = 48
+# single-contour partition sum: stabilization threshold and per-k node cap
 _SINGLE_RTOL = 1e-9
 _SINGLE_CAPS = {1: 4096, 2: 512, 3: 96, 4: 32}
 
@@ -413,19 +416,33 @@ def tensor_quadrature(contours, m, axis_fns, pair_fn, op_factor):
     return total
 
 
-def _refine(eval_at, start_nodes, rtol, cap, strict=True, with_info=False, what="quadrature"):
-    """Double nodes from ``start_nodes`` up to ``cap`` until the change stabilizes.
+def _refine(eval_at, nodes, rtol, cap, strict=True, with_info=False, what="quadrature"):
+    """Double nodes up to ``cap`` until the change stabilizes.
 
-    Trapezoid error on circles decays geometrically, so the change per
-    doubling tracks the error of the coarser level; when successive changes
-    shrink fast, the finer value's error is estimated by one more decay factor
-    and accepted if it meets the tolerance max(rtol |value|, ``_REFINE_ATOL``).
-    A non-finite value is never accepted and stops the doubling, since more
-    nodes do not repair an overflow.  Without convergence the last value is
-    returned, or carried by ``ConvergenceError`` when ``strict``;
-    ``with_info`` adds {"nodes", "converged"}.
+    The first level is ``nodes``, a positive int at most cap/2; ``None`` takes
+    the bottom of the cap's halving ladder cap, cap/2, cap/4, ...: the lowest
+    level of it that is at least ``_START_FLOOR``, and never above cap/2, so
+    every route compares at least two levels and can reach its cap.  Trapezoid
+    and Gauss rules converge geometrically on analytic integrands, so the cheap
+    low levels decide most requests.  The change per doubling tracks the error
+    of the coarser level; when successive changes shrink fast, the finer
+    value's error is estimated by one more decay factor and accepted if it
+    meets the tolerance max(rtol |value|, ``_REFINE_ATOL``).  A non-finite
+    value is never accepted and stops the doubling, since more nodes do not
+    repair an overflow.  Without convergence the last value is returned, or
+    carried by ``ConvergenceError`` when ``strict``; ``with_info`` adds
+    {"nodes", "converged"}.
     """
-    m, val = start_nodes, eval_at(start_nodes)
+    if nodes is None:
+        m = cap // 2
+        while m % 2 == 0 and m // 2 >= _START_FLOOR:
+            m //= 2
+    else:
+        m = int(nodes) if isinstance(nodes, numbers.Integral) and not isinstance(nodes, bool) else 0
+    if not 0 < 2 * m <= cap:
+        raise ValueError(f"{what}: nodes must be a positive integer at most {cap // 2}, half the node cap "
+                         f"{cap}, so that it can double; got {nodes!r}")
+    val = eval_at(m)
     prev_delta = None
     ok = False
     while not ok and 2 * m <= cap:
@@ -448,7 +465,7 @@ def _refine(eval_at, start_nodes, rtol, cap, strict=True, with_info=False, what=
 
 def _nested_quadrature(contours, axis_fns, pair_fn, op_factor, pref, nodes, rtol, strict,
                        with_info):
-    """``pref`` times the k-fold circle quadrature, refined with the per-k node tables.
+    """``pref`` times the k-fold circle quadrature, refined with the per-k node cap and tolerance.
 
     The tables are read at call time.
     """
@@ -457,11 +474,9 @@ def _nested_quadrature(contours, axis_fns, pair_fn, op_factor, pref, nodes, rtol
     def eval_at(m):
         return pref * tensor_quadrature(contours, m, axis_fns, pair_fn, op_factor)
 
-    cap = _NODE_CAPS.get(k, 32)
-    start = _NODE_STARTS.get(k, 16) if nodes is None else min(nodes, cap)
     if rtol is None:
         rtol = _REFINE_RTOL.get(k, 1e-7)
-    return _refine(eval_at, start, rtol, cap, strict, with_info)
+    return _refine(eval_at, nodes, rtol, _NODE_CAPS.get(k, 32), strict, with_info)
 
 
 def qmoment_integral(model, req, nodes=None, rtol=None, strict=True, with_info=False):
@@ -584,9 +599,9 @@ def small_sigma_circle(pmodel, x, y):
 def single_contour_moment(pmodel, x, y, k, with_info=False):
     """E[Z_{x,y}^k] as the partition sum over the small circle around the sigma cluster.
 
-    Nodes double from ``_SINGLE_START`` up to ``_SINGLE_CAPS[k]`` until stable to
-    ``_SINGLE_RTOL``, else ``ConvergenceError``.  ``with_info`` adds {"nodes",
-    "converged"}; k = 0 needs no quadrature and reports 0 nodes.
+    Nodes double from the default start of ``_refine`` up to ``_SINGLE_CAPS[k]``
+    until stable to ``_SINGLE_RTOL``, else ``ConvergenceError``.  ``with_info``
+    adds {"nodes", "converged"}; k = 0 needs no quadrature and reports 0 nodes.
     """
     if k == 0:
         return (1.0 + 0.0j, {"nodes": 0, "converged": True}) if with_info else 1.0 + 0.0j
@@ -626,6 +641,5 @@ def single_contour_moment(pmodel, x, y, k, with_info=False):
             total += mult * complex(block.sum())
         return total
 
-    cap = _SINGLE_CAPS[k]
-    return _refine(eval_at, min(_SINGLE_START, cap), _SINGLE_RTOL, cap, with_info=with_info,
+    return _refine(eval_at, None, _SINGLE_RTOL, _SINGLE_CAPS[k], with_info=with_info,
                    what="partition-sum quadrature")

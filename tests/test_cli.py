@@ -245,7 +245,7 @@ def test_fredholm_tw_cdf_record_carries_nodes(tmp_path, capsys):
     out = tmp_path / "f.jsonl"
     assert run(["fredholm", "tw-cdf", "--r", "-2", "-o", str(out)]) == EXIT_OK
     rec = json.loads(out.read_text().splitlines()[0])
-    assert rec["nodes"] == 192 and rec["converged"] is True
+    assert rec["nodes"] == 64 and rec["converged"] is True
     for bad in ("nan", "-9.5"):
         assert run(["fredholm", "tw-cdf", "--r", bad, "-o", str(out)]) == EXIT_VALIDATION
     capsys.readouterr()
@@ -302,7 +302,6 @@ def test_nonconvergence_exit_code(tmp_path, qhahn_config, capsys, monkeypatch):
     import qhahn_polymer.moments as mm
 
     monkeypatch.setitem(mm._NODE_CAPS, 1, 8)
-    monkeypatch.setitem(mm._NODE_STARTS, 1, 4)
     code = run(["moments", "qhahn", "--config", qhahn_config, "--x", "1.5", "--y", "2.5",
                 "--colors-list", "2", "-o", str(tmp_path / "n.jsonl")])
     err = capsys.readouterr().err

@@ -109,7 +109,7 @@ def test_series_det_info_reports_nodes_and_terms():
     det, info = laplace_series_det(pm, X, Y, -2.0, with_info=True)
     assert det == laplace_series_det(pm, X, Y, -2.0)
     assert set(info) == {"nodes", "converged", "terms"}
-    assert info["converged"] is True and info["nodes"] >= 128 and 0 < info["terms"] < 2000
+    assert info["converged"] is True and info["nodes"] == 64 and 0 < info["terms"] < 2000
     assert laplace_series_det(pm, X, Y, 0.0, with_info=True)[1]["terms"] == 0
 
 
@@ -168,10 +168,10 @@ def test_series_kernel_matches_log_gamma_sum(u):
 
 
 def test_series_det_precise_at_u_minus_20():
-    # terms near e^20 cancel: the telescoped kernel keeps 128 nodes and 1e-11 agreement
+    # terms near e^20 cancel: the telescoped kernel keeps 64 nodes and 1e-11 agreement
     pm = poly_model()
     det, info = laplace_series_det(pm, X, Y, -20.0, with_info=True)
-    assert info["nodes"] == 128 and info["converged"] is True
+    assert info["nodes"] == 64 and info["converged"] is True
     assert abs(det - mb_determinant(pm, X, Y, -20.0)) < 1e-11
 
 
@@ -313,6 +313,21 @@ def test_tracy_widom_table_equals_single_points():
         assert v == min(max(tracy_widom_F2(float(r)), 0.0), 1.0)
 
 
+def test_tracy_widom_table_agrees_with_the_96_node_start():
+    # the default start is low; a level it accepts must not be early against a 96 -> 192 node start
+    grid, vals = tracy_widom_cdf_table()
+    ref = np.array([tracy_widom_F2(float(r), nodes=96) for r in grid])
+    assert np.abs(vals - np.clip(ref, 0.0, 1.0)).max() < 1e-13
+
+
+def test_tracy_widom_F2_rejects_node_requests_that_cannot_double():
+    # the node cap is 1024, so 512 is the largest first level
+    for nodes in (0, -4, 2.5, True, 768, 1024):
+        with pytest.raises(ValueError, match="1024"):
+            tracy_widom_F2(0.0, nodes=nodes)
+    assert tracy_widom_F2(0.0, nodes=512, with_info=True)[1] == {"nodes": 1024, "converged": True}
+
+
 def test_tracy_widom_refinement_and_second_grid():
     for r in (-2.0, 0.0, 2.0):
         a = tracy_widom_F2(r, nodes=96)
@@ -359,7 +374,7 @@ def test_tracy_widom_F2_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(fr, "_airy_kernel_matrix", lambda xs, ai, aip: np.full((xs.size, xs.size), 1e-4 * xs.size))
     with pytest.raises(ConvergenceError) as err:
         tracy_widom_F2(0.0)
-    assert abs(err.value.value - (1.0 - 1e-4 * 768 * 10.0)) < 1e-9
+    assert abs(err.value.value - (1.0 - 1e-4 * 1024 * 10.0)) < 1e-9
 
 
 def test_fredholm_det_rejects_non_finite_values():
@@ -381,7 +396,7 @@ def test_tracy_widom_F2_rejects_bad_r_and_reports_nodes():
     assert tracy_widom_F2(math.inf) == 1.0
     val, info = tracy_widom_F2(0.0, with_info=True)
     assert val == tracy_widom_F2(0.0)
-    assert info == {"nodes": 192, "converged": True}
+    assert info == {"nodes": 32, "converged": True}
 
 
 def test_single_contour_and_series_values_pinned():
@@ -390,12 +405,12 @@ def test_single_contour_and_series_values_pinned():
     from qhahn_polymer.moments import single_contour_moment
 
     pm = poly_model()
-    for k, value in ((2, 0.08342870853558855), (3, 0.03517228552099851)):
+    for k, value, nodes in ((2, 0.08342870853558855, 64), (3, 0.03517228552099851, 48)):
         val, info = single_contour_moment(pm, X, Y, k, with_info=True)
-        assert abs(val - value) < 1e-13 and info == {"nodes": 96, "converged": True}
+        assert abs(val - value) < 1e-13 and info == {"nodes": nodes, "converged": True}
     for u, value in ((-2.0, 0.6420513402395562), (-5.0, 0.3771403169588781)):
         val, info = laplace_series_det(pm, X, Y, u, with_info=True)
-        assert abs(val - value) < 1e-13 and info["nodes"] == 128 and info["converged"]
+        assert abs(val - value) < 1e-13 and info["nodes"] == 64 and info["converged"]
 
 
 def test_ks_distance_rejects_non_finite_samples():

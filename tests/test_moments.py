@@ -272,6 +272,30 @@ def test_beta_moment_nonconvergence_honours_node_cap(monkeypatch):
     assert val == err.value.value
 
 
+@pytest.mark.parametrize("nodes", [0, -4, 2.5, True, 2049, 4096, 8192])
+def test_node_requests_that_cannot_double_are_rejected(nodes):
+    # k = 1 has node cap 4096: a first level must be a positive int that can double within it
+    req = HeightRequest.make([0.5], [2.5], [2], Permutation((1,)))
+    with pytest.raises(ValueError, match="4096"):
+        qmoment_integral(lattice_model(), req, nodes=nodes)
+    with pytest.raises(ValueError, match="4096"):
+        beta_moment_integral(poly_model(), [1], [3], [0], nodes=nodes)
+
+
+def test_default_start_reaches_every_cap():
+    # a value that changes with every doubling climbs from the default start to the cap
+    import qhahn_polymer.fredholm as fr
+    import qhahn_polymer.moments as mm
+
+    starts = {4096: 16, 2048: 16, 1024: 16, 768: 24, 512: 16, 96: 24, 32: 16}
+    for cap in [*mm._NODE_CAPS.values(), *mm._SINGLE_CAPS.values(), fr._NODE_CAP]:
+        levels = []
+        val, info = mm._refine(lambda m: levels.append(m) or float(m), None, 1e-10, cap, strict=False,
+                               with_info=True)
+        assert info == {"nodes": cap, "converged": False}
+        assert len(levels) >= 2 and levels == [starts[cap] * 2**i for i in range(len(levels))]
+
+
 def test_k3_quadrature_memory_is_bounded():
     # the full 192^3 grid is 113 MB per array; slabs keep the whole call far below one of them
     import tracemalloc

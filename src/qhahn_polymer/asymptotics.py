@@ -29,7 +29,7 @@ import numpy as np
 from .fredholm import ks_distance_to_F2
 from .moments import GFunction
 from .polymer import PolymerModel, _replica_blocks, schedule_values
-from .specfun import log_gamma, polygamma
+from .specfun import log_gamma_shifts, polygamma
 
 __all__ = [
     "FreqModel",
@@ -152,7 +152,9 @@ class HFunction:
 
     def h(self, z):
         z = np.asarray(z, dtype=complex)
-        return sum((w * log_gamma(z - v) for v, w in self.atoms), self.const.rate * z)
+        atoms = self.atoms
+        lgs = log_gamma_shifts(z, [v for v, _ in atoms])
+        return sum((w * lg for (_, w), lg in zip(atoms, lgs)), self.const.rate * z)
 
     def h_scheduled(self, z, t):
         """h^[t] = I z - log g(z) / t, g the gamma product of the scheduled slots."""

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .qtools import Permutation
-from .specfun import log_gamma, polygamma
+from .specfun import log_gamma_shifts, polygamma
 
 __all__ = [
     "ContourError",
@@ -102,9 +102,11 @@ class GFunction:
 
     ``f`` is the one-step ratio prod_j (z - rho_j) / (prod_i (z - sigma_i)
     prod_d (z - omega_d)) with g(z)/g(z+n) = f(z) ... f(z+n-1).  Equal
-    parameter values are grouped once per instance, so each distinct value
-    costs one ``log_gamma`` times its count, or one logarithm times its count in
-    ``f``; a value that occurs once keeps its direct factor.
+    parameter values are grouped once per instance.  ``log_g`` makes one
+    ``log_gamma`` call over every distinct value, stacked on a leading axis,
+    and adds each value's log-gamma times its count in group order; ``f`` costs
+    one logarithm times its count per repeated value, and a value that occurs
+    once keeps its direct factor.
     """
 
     pmodel: object
@@ -116,22 +118,23 @@ class GFunction:
         """The sigma, rho and omega slots as (value, count) pairs, in first-seen order."""
         return tuple(tuple(Counter(vals).items()) for vals in self.pmodel.corner_slots(self.x, self.y))
 
+    @cached_property
+    def _terms(self):
+        """(values, signed counts) of log g = sum count * log Gamma(z - value), in group order."""
+        terms = [(v, sign * c) for groups, sign in zip(self._groups, (1, -1, 1)) for v, c in groups]
+        return [v for v, _ in terms], [c for _, c in terms]
+
     def log_g(self, z):
         z = np.asarray(z, dtype=complex)
         out = np.zeros_like(z)
-        sigma, rho, omega = self._groups
-        for v, c in sigma:
-            out += c * log_gamma(z - v)
-        for v, c in rho:
-            out -= c * log_gamma(z - v)
-        for v, c in omega:
-            out += c * log_gamma(z - v)
+        values, counts = self._terms
+        for c, lg in zip(counts, log_gamma_shifts(z, values)):
+            out += c * lg
         return out
 
     def dlog_g(self, theta):
         """(log g)'(theta) at real theta: one digamma per distinct value, times its count."""
-        return sum(sign * c * polygamma(0, theta - v)
-                   for groups, sign in zip(self._groups, (1, -1, 1)) for v, c in groups)
+        return sum(c * polygamma(0, theta - v) for v, c in zip(*self._terms))
 
     def f(self, z):
         z = np.asarray(z, dtype=complex)

@@ -124,7 +124,9 @@ def beta_draws(rng, a, b, size=None):
 
     The a = 1 path takes all of ``size`` from one ``rng.random`` call, so a
     leading axis of rows consumes the stream as one call per row would; with
-    b = 1 as well it skips the power, since x ** 1.0 == x.
+    b = 1 as well it skips the power, since x ** 1.0 == x.  The two-Gamma path
+    hands ``rng.standard_gamma`` contiguous shape arrays, which draws the same
+    values as ``rng.gamma`` on the broadcast view, faster.
     """
     a_arr, b_arr = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
     if size is None:
@@ -135,8 +137,9 @@ def beta_draws(rng, a, b, size=None):
         if not np.all(b_arr == 1.0):
             np.power(w, 1.0 / np.broadcast_to(b_arr, size), out=w)
         return np.subtract(1.0, w, out=w)
-    g1 = rng.gamma(np.broadcast_to(a_arr, size))
-    g2 = rng.gamma(np.broadcast_to(b_arr, size))
+    # .copy(), not np.ascontiguousarray, which turns size () into shape (1,)
+    g1 = rng.standard_gamma(np.broadcast_to(a_arr, size).copy())
+    g2 = rng.standard_gamma(np.broadcast_to(b_arr, size).copy())
     out = g1 / np.maximum(g1 + g2, 1e-300)
     return np.clip(out, 1e-300, 1.0 - 1e-16)
 

@@ -3,8 +3,9 @@
 Polygamma values are computed from the defining series accelerated by the
 downward recursion Psi_k(z) = Psi_k(z+1) + (-1)^{k+1} k!/z^{k+1} until the
 argument is large, then a Bernoulli asymptotic expansion.  The complex
-log-gamma is the analytic log-gamma (continuous off the cut (-inf, 0]),
-computed by shifting the argument up and applying the Stirling series.
+log-gamma is the analytic log-gamma (continuous off the cut (-inf, 0]): each
+element is shifted up to Re z >= 10 by its own count in one vectorised pass,
+with no cap on the depth, and the Stirling series is applied there.
 The Airy function Ai and its derivative are evaluated together over whole
 arrays (``_airy``): the Maclaurin series up to x = 5.8 and the asymptotic
 series beyond it, on x >= -9.
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-__all__ = ["polygamma", "digamma", "log_gamma", "airy_ai", "airy_ai_prime"]
+__all__ = ["polygamma", "digamma", "log_gamma", "log_gamma_shifts", "airy_ai", "airy_ai_prime"]
 
 # Bernoulli numbers B_2 .. B_16
 _BERNOULLI = (
@@ -30,7 +31,18 @@ _BERNOULLI = (
     -3617.0 / 510,
 )
 
+# polygamma recurses up to x >= _SHIFT_TARGET before its asymptotic expansion
 _SHIFT_TARGET = 18.0
+# Stirling coefficients B_2n / (2n (2n - 1)) of log_gamma, n = 1 .. 8
+_STIRLING = tuple(b / (2 * n * (2 * n - 1)) for n, b in enumerate(_BERNOULLI, start=1))
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# log_gamma shifts up to Re z >= _LG_SHIFT.  Its shift columns multiply their
+# squares _SHIFT_GROUP at a time and run in blocks of _SHIFT_BLOCK columns, with
+# at most _SHIFT_CELLS cells per 2-D work array (64 KB per float array)
+_LG_SHIFT = 10.0
+_SHIFT_GROUP = 8
+_SHIFT_BLOCK = 64
+_SHIFT_CELLS = 1 << 13
 
 
 def polygamma(k, x):
@@ -76,30 +88,81 @@ def log_gamma(z):
     """Analytic log Gamma, principal on the positive axis, continuous off (-inf, 0].
 
     Scalars and numpy arrays are accepted; complex output.  exp(log_gamma(z))
-    equals Gamma(z) everywhere off the poles.
+    equals Gamma(z) everywhere off the poles.  Every element with Re z < 10 is
+    shifted by its own count n = ceil(10 - Re z) in one pass,
+    log Gamma(z) = log Gamma(z + n) - sum_{j < n} Log(z + j), and the Stirling
+    series is applied at z + n, where its remainder is below 2e-18.  The
+    principal logs keep the analytic branch: the sum's real part is the log of
+    products of |z + j|^2, and its imaginary part the arguments
+    atan2(Im z, Re z + j) added in column order.  There is no depth cap: the
+    shift columns run in blocks of bounded size, so time grows with the depth
+    and memory does not.  An element's value does not depend on the other
+    elements or on the array's size.
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z).copy()
-    out = np.zeros_like(z)
-    # Shift until Re z is large: Stirling is then applied with |arg z| <= pi/2,
-    # and the recurrence loggamma(z) = loggamma(z+1) - Log(z) with principal
-    # logs preserves the analytic branch on the cut plane.
-    for _ in range(256):
-        small = z.real < _SHIFT_TARGET
-        if not small.any():
-            break
-        out[small] -= np.log(z[small])
-        z[small] += 1.0
-    w = 1.0 / z
+    flat = z.reshape(-1)
+    re, im = flat.real, flat.imag
+    # |Im z| >= 2^26 needs no shift: Stirling's remainder there is below 1e-16
+    # for |z| < 1e100.  The squares |z + j|^2 of the shifted elements then stay
+    # below 2^125 (Re z > -2^62), so products of _SHIFT_GROUP of them stay in
+    # float range.  Re z = -inf is not shifted; its value is NaN.
+    n = np.where((re < _LG_SHIFT) & (re > -np.inf) & (np.abs(im) < 2.0**26), np.ceil(_LG_SHIFT - re), 0.0)
+    zs = flat + n
+    w = 1.0 / zs
     w2 = w * w
-    s = (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi)
-    p = w
-    for n, b in enumerate(_BERNOULLI, start=1):
-        s += b / (2 * n * (2 * n - 1)) * p
-        p *= w2
-    out += s
-    return out[0] if scalar else out
+    series = _STIRLING[-1]
+    for c in reversed(_STIRLING[:-1]):
+        series = series * w2 + c
+    out = (zs - 0.5) * np.log(zs) - zs + _HALF_LOG_2PI + series * w
+    out -= _shift_logs(re, im, n)
+    return out.reshape(z.shape)[()]
+
+
+def log_gamma_shifts(z, shifts):
+    """log_gamma(z - v) for every v in ``shifts``, stacked on a leading axis, in one call."""
+    z = np.asarray(z, dtype=complex)
+    return log_gamma(z - np.asarray(shifts, dtype=float).reshape((-1,) + (1,) * z.ndim))
+
+
+def _shift_logs(re, im, n):
+    """sum_{j < n} Log(z + j) per element, for z = re + i im and integer-valued n >= 0.
+
+    The columns j run in blocks of ``_SHIFT_BLOCK`` (a multiple of
+    ``_SHIFT_GROUP``) at fixed offsets; a block takes only the elements that
+    still shift there, in chunks of at most ``_SHIFT_CELLS`` cells.  Columns
+    past an element's n hold |z + j|^2 = 1 and argument 0, which leave its
+    products and sums exactly as they are, so neither the chunking nor the
+    other elements change its value.
+    """
+    log_abs2 = np.zeros(re.size)
+    arg = np.zeros(re.size)
+    for c0 in range(0, int(n.max(initial=0.0)), _SHIFT_BLOCK):
+        idx = np.flatnonzero(n > c0)
+        # the block's columns, rounded up to whole groups
+        width = min(_SHIFT_BLOCK, -((c0 - int(n[idx].max())) // _SHIFT_GROUP) * _SHIFT_GROUP)
+        j = np.arange(c0, c0 + width, dtype=float)[:, None]
+        rows = max(1, _SHIFT_CELLS // width)
+        for r0 in range(0, idx.size, rows):
+            sel = idx[r0 : r0 + rows]
+            live = j < n[sel]
+            x = re[sel] + j  # (columns, rows): Re(z + j)
+            a = np.arctan2(im[sel], x)
+            a *= live
+            arg[sel] = _add_rows(arg[sel], a)
+            x *= x
+            x += im[sel] ** 2
+            x = np.where(live, x, 1.0)
+            prods = np.multiply.reduce(x.reshape(width // _SHIFT_GROUP, _SHIFT_GROUP, -1), axis=1)
+            log_abs2[sel] = _add_rows(log_abs2[sel], np.log(prods))
+    return 0.5 * log_abs2 + 1j * arg
+
+
+def _add_rows(acc, rows):
+    """acc + rows[0] + rows[1] + ..., one row after another, so that each column
+    is summed in row order whatever the array's width (a reduction may pair terms)."""
+    for row in rows:
+        acc += row
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,36 @@ def test_beta_draws_unit_shapes_skip_the_power():
     assert np.array_equal(fast, np.stack(rows))
 
 
+def test_beta_draws_two_gamma_stream_pinned():
+    # the a != 1 path against the two-Gamma formula on the broadcast shapes, bit for bit
+    a, b = np.array([1.1, 0.7, 2.0]), np.array([1.9, 0.3, 1.0])
+    rng = np.random.default_rng(17)
+    g1 = rng.gamma(np.broadcast_to(a, (50, 3)))
+    g2 = rng.gamma(np.broadcast_to(b, (50, 3)))
+    want = np.clip(g1 / np.maximum(g1 + g2, 1e-300), 1e-300, 1.0 - 1e-16)
+    rng_new = np.random.default_rng(17)
+    assert np.array_equal(beta_draws(rng_new, a, b, size=(50, 3)), want)
+    assert rng_new.random() == rng.random()
+    # size (): a float, as the environment sampler stores it
+    rng = np.random.default_rng(18)
+    g1, g2 = rng.gamma(np.broadcast_to(0.7, ())), rng.gamma(np.broadcast_to(1.3, ()))
+    draw = beta_draws(np.random.default_rng(18), 0.7, 1.3, size=())
+    assert np.ndim(draw) == 0
+    assert draw == np.clip(g1 / np.maximum(g1 + g2, 1e-300), 1e-300, 1.0 - 1e-16)
+
+
+def test_two_gamma_samplers_pinned_values():
+    # values drawn with rng.gamma on broadcast shape views, before the contiguous draws
+    vals = sample_partition_values(tri_model(), 0, 2, 6, 5000, seed=12)
+    assert [vals[0], vals[4096], vals[4999]] == [0.14478855193834136, 0.3810677310425794, 0.05748337498867762]
+    st = mc_statistics(tri_model(), 0, 3, 8, 5000, seed=3)
+    assert [st.moments[k][0] for k in (1, 2, 3)] == [0.23204106545201575, 0.07889927258974527,
+                                                     0.03332943257847171]
+    env = sample_environment(tri_model(), 3, 6, np.random.default_rng(21))
+    assert env.eta[np.isfinite(env.eta)][:3].tolist() == [0.9826424779675249, 0.7199470610159898,
+                                                          0.6108303103943079]
+
+
 def test_sampling_deterministic():
     m = tri_model()
     a = sample_partition_values(m, 0, 2, 5, 100, seed=7)

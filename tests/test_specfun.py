@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qhahn_polymer.specfun import (
     airy_ai_prime,
     digamma,
     log_gamma,
+    log_gamma_shifts,
     polygamma,
 )
 
@@ -96,6 +98,109 @@ def test_log_gamma_continuity_on_vertical_line():
     vals = log_gamma(0.4 + 1j * ts)
     steps = np.abs(np.diff(vals))
     assert steps.max() < 0.2  # no branch jumps of ~2*pi
+
+
+# log_gamma on a grid through the negative real axis, including 1e-9 above and
+# below it, as computed by the earlier one-step-at-a-time shift loop
+_FROZEN_RE = (-20.7, -7.25, -3.5, -0.5, 0.1, 0.9, 2.5, 9.7, 17.9, 25.0)
+_FROZEN_IM = (-40.0, -3.1, -1e-9, 0.0, 1e-9, 0.7, 12.5)
+_FROZEN_LOG_GAMMA = [
+    complex(-141.03523843998295, -68.87436650121495), complex(-52.137049646661275, 57.123102016758736),
+    complex(-43.10513318953622, 65.97344572461407), complex(-43.10513318953622, -65.97344572538569),
+    complex(-43.10513318953622, -65.97344572461407), complex(-44.815345170572904, -64.45211915791405),
+    complex(-78.39758844839247, -27.76671474023142), complex(-90.54948721822866, -94.63635751471105),
+    complex(-16.33054294592469, 17.918669694397167), complex(-7.541883443475761, 25.132741223528367),
+    complex(-7.541883443475761, -25.132741228718345), complex(-7.541883443475761, -25.132741223528367),
+    complex(-9.362973538756854, -22.924826772355615), complex(-38.73677452806861, 4.632045048239391),
+    complex(-76.67497597006141, -101.07335625337305), complex(-9.25558821216626, 7.997480492864581),
+    complex(-1.309006684993058, 12.566370612970301), complex(-1.309006684993058, -12.566370614359172),
+    complex(-1.309006684993058, -12.566370612970301), complex(-2.7665606339833673, -11.59067277654329),
+    complex(-28.884227729161424, 12.161945450905023), complex(-65.60187211160225, -105.97292419339482),
+    complex(-5.094773165903916, 1.309837512471388), complex(1.2655121234846334, 3.141592653553304),
+    complex(1.2655121234846334, -3.141592653589793), complex(1.2655121234846334, -3.141592653553304),
+    complex(-0.0361783862492544, -3.072926238524042), complex(-21.242543556721643, 17.464167620244645),
+    complex(-63.388462569939016, -106.92590126764404), complex(-4.402457846768712, 0.23341058618277088),
+    complex(2.252712651734221, 1.0423754940411076e-08), complex(2.252712651734221, 0.0),
+    complex(2.252712651734221, -1.0423754940411076e-08), complex(-0.01807028287326773, -1.6363028248511369),
+    complex(-19.726268578145703, 18.440221777757543), complex(-60.43736650724337, -108.18253832907999),
+    complex(-3.4986023101395602, -1.0232264732110057), complex(0.06637623973473694, 7.549269499470504e-10),
+    complex(0.06637623973473694, 0.0), complex(0.06637623973473694, -7.549269499470504e-10),
+    complex(-0.33319415671558517, -0.3869675144446334), complex(-17.70576252531737, 19.696858839193467),
+    complex(-54.53437488038796, -110.64783073708784), complex(-1.5697013005045903, -2.951890141832669),
+    complex(0.2846828704729063, -7.031566406452433e-10), complex(0.2846828704729063, 0.0),
+    complex(0.2846828704729063, 7.031566406452433e-10), complex(0.166695481166812, 0.5052935748792926),
+    complex(-13.656610250082764, 22.057127674611), complex(-27.895593604539318, -120.95862979756757),
+    complex(11.618722225394848, -6.937664480748608), complex(12.131084710789178, -2.219694753518864e-09),
+    complex(12.131084710789178, 0.0), complex(12.131084710789178, 2.219694753518864e-09),
+    complex(12.104505874120008, 1.5544585971803695), complex(5.241367528688112, 30.393392839322615),
+    complex(2.7933391055339567, -131.21455015769152), complex(32.944492762404586, -8.871716754726078),
+    complex(33.21912594632389, -2.8566077495699168e-09), complex(33.21912594632389, 0.0),
+    complex(33.21912594632389, 2.8566077495699168e-09), complex(33.20505314703943, 1.9998139961539234),
+    complex(29.053254751022955, 36.64738101240494), complex(29.849018814915745, -138.9475725480008),
+    complex(54.58915372977995, -9.924330803878814), complex(54.78472939811231, -3.1987425128519743e-09),
+    complex(54.78472939811231, 0.0), complex(54.78472939811231, 3.1987425128519743e-09),
+    complex(54.774732144583716, 2.2392149341818204), complex(51.721976277444114, 40.48862821887416),
+]
+
+
+def test_log_gamma_matches_frozen_values():
+    z = (np.array(_FROZEN_RE)[:, None] + 1j * np.array(_FROZEN_IM)[None, :]).ravel()
+    ours, ref = log_gamma(z), np.array(_FROZEN_LOG_GAMMA)
+    assert np.all(np.abs(ours - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_log_gamma_deep_left_half_plane_matches_scipy():
+    # shifts of up to about 1000 columns, past the 256 where an older loop stopped
+    rng = np.random.default_rng(12)
+    re = np.concatenate([[-400.5, -1000.25, -999.5, -238.5, -239.5, -640.7], rng.uniform(-1000.0, -200.0, 40)])
+    im = np.concatenate([[0.3, 1e-9, -1e-9, 2.0, -0.5, 300.0], rng.uniform(-50.0, 50.0, 40)])
+    z = re + 1j * im
+    ref = sps.loggamma(z)
+    assert np.max(np.abs(log_gamma(z) - ref) / np.abs(ref)) < 1e-12
+
+
+def test_log_gamma_work_memory_is_bounded():
+    # one element 100,000 shifts deep and 2000 elements 1000 deep: whole 2-D work
+    # arrays would take 0.8 MB and 16 MB each
+    deep = -100000.5 + 0.25j
+    z = np.concatenate([[deep], np.linspace(-1000.5, -990.5, 2000) + 0.25j])
+    tracemalloc.start()
+    try:
+        vals = log_gamma(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert abs(vals[0] - sps.loggamma(deep)) < 1e-12 * abs(sps.loggamma(deep))
+
+
+def test_log_gamma_elements_do_not_depend_on_the_array():
+    rng = np.random.default_rng(4)
+    z = np.concatenate([rng.uniform(-80.0, 40.0, 60) + 1j * rng.uniform(-30.0, 30.0, 60),
+                        [-3.5 + 1e-9j, -3.5 - 1e-9j, 0.5 + 0j, 30.0 + 2j, -700.3 + 0.1j, 3e9j - 5.0]])
+    whole = log_gamma(z)
+    assert all(log_gamma(zi) == whole[i] for i, zi in enumerate(z))
+    assert np.array_equal(log_gamma(z.reshape(6, 11)), whole.reshape(6, 11))
+    assert np.array_equal(log_gamma(z[::-1]), whole[::-1])
+
+
+def test_log_gamma_scalar_and_empty():
+    assert np.ndim(log_gamma(2.5)) == 0 and isinstance(log_gamma(2.5), complex)
+    assert np.ndim(log_gamma(np.array(2.5 + 1j))) == 0
+    empty = log_gamma(np.array([]))
+    assert empty.shape == (0,) and empty.dtype == complex
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(log_gamma(np.array([-np.inf, np.nan]))).all()
+
+
+def test_log_gamma_shifts_equals_one_call_per_shift():
+    z = np.array([[0.3 + 0.2j, 1.7 - 4.0j], [-2.2 + 0.5j, 5.0 + 0j]])
+    shifts = (1.25, -0.5, 3.0)
+    stacked = log_gamma_shifts(z, shifts)
+    assert stacked.shape == (3, 2, 2)
+    for v, lg in zip(shifts, stacked):
+        assert np.array_equal(lg, log_gamma(z - v))
+    assert np.array_equal(log_gamma_shifts(0.3 + 0.2j, shifts), [log_gamma(0.3 + 0.2j - v) for v in shifts])
 
 
 def test_airy_matches_scipy():

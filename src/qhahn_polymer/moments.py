@@ -8,7 +8,10 @@ route).  The operator factor T_word expands into at most 2^L terms (L the word
 length), each a product of factors on one variable or on one pair of
 variables, so every term of the k-fold sum contracts pairwise: at k = 3 one
 m x m matrix product per term, O(2^L m^3) BLAS work and O(m^2) memory, and the
-k-dimensional grid is never formed.
+k-dimensional grid is never formed.  The single-contour partition sum contracts
+the same way: by Cauchy's product formula each partition's determinant is a
+product of one-variable and pair factors, one ``_contract`` per partition, on
+the nested routes' node caps and tolerances.
 
 This module is the numerical core shared with :mod:`.fredholm`: the circle
 rule (``NestedContours.nodes``/``weights``), the node-doubling routine
@@ -57,9 +60,6 @@ _LATTICE_PAD = 0.3
 _SHIFTED_PAD_CAP = 0.35
 # largest radius of the small circle around the sigma cluster
 _SIGMA_RADIUS_CAP = 0.25
-# single-contour partition sum: stabilization threshold and per-k node cap
-_SINGLE_RTOL = 1e-9
-_SINGLE_CAPS = {1: 4096, 2: 512, 3: 96, 4: 32}
 
 
 class ContourError(ValueError):
@@ -599,17 +599,36 @@ def small_sigma_circle(pmodel, x, y):
     return NestedContours(center=center, radii=(radius,), margin=radius - spread / 2.0)
 
 
+def _cauchy_sum(v, axis_vals, lam):
+    """sum over i_1..i_l of prod_a axis_vals[a][i_a] det[1/(v[i_a] + lam_a - v[i_b])]_{a,b}.
+
+    Cauchy's product formula with x_a = v_a + lam_a gives the determinant as
+    prod_a 1/lam_a times, per pair a < b, (x_b - x_a)(v_a - v_b) / ((x_a - v_b)
+    (x_b - v_a)), so the sum is one ``_contract`` of one-variable factors and
+    m x m pair matrices.
+    """
+    ell = len(lam)
+    va, vb = v[:, None], v[None, :]
+    mats = {(a, b): (vb + lam[b] - va - lam[a]) * (va - vb) / ((va + lam[a] - vb) * (vb + lam[b] - va))
+            for a in range(ell) for b in range(a + 1, ell)}
+    buf = np.empty(v.size ** (ell - 1), dtype=complex)
+    return _contract([vals / p for vals, p in zip(axis_vals, lam)], mats, buf, np.empty_like(buf))
+
+
 def single_contour_moment(pmodel, x, y, k, with_info=False):
     """E[Z_{x,y}^k] as the partition sum over the small circle around the sigma cluster.
 
-    Nodes double from the default start of ``_refine`` up to ``_SINGLE_CAPS[k]``
-    until stable to ``_SINGLE_RTOL``, else ``ConvergenceError``.  ``with_info``
-    adds {"nodes", "converged"}; k = 0 needs no quadrature and reports 0 nodes.
+    Each partition's Cauchy determinant contracts pairwise like the nested
+    route's terms (``_cauchy_sum``), and nodes double from the default start of
+    ``_refine`` with the nested route's ``_NODE_CAPS[k]`` and
+    ``_REFINE_RTOL[k]``, else ``ConvergenceError``.  k must be an int with
+    0 <= k <= 4.  ``with_info`` adds {"nodes", "converged"}; k = 0 needs no
+    quadrature and reports 0 nodes.
     """
+    if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and 0 <= k <= 4):
+        raise ValueError(f"partition-sum quadrature needs an integer k with 0 <= k <= 4; got {k!r}")
     if k == 0:
         return (1.0 + 0.0j, {"nodes": 0, "converged": True}) if with_info else 1.0 + 0.0j
-    if k > 4:
-        raise ValueError("partition-sum quadrature limited to k <= 4 (parts of 1^k)")
     contour = small_sigma_circle(pmodel, x, y)
     f = GFunction(pmodel, x, y).f
 
@@ -619,30 +638,15 @@ def single_contour_moment(pmodel, x, y, k, with_info=False):
             val = val * f(z + shift)
         return val
 
-    import itertools
-
     def eval_at(m):
         (v,), (wts,) = contour.nodes(m), contour.weights(m)
         total = 0.0 + 0.0j
         for lam in _partitions(k):
-            ell = len(lam)
             mult = math.factorial(k)
             for part in set(lam):
                 mult //= math.factorial(lam.count(part))
-            axis_vals = [h(v, lam[a]) * wts for a in range(ell)]
-            det_sum = np.zeros((m,) * ell, dtype=complex)
-            for perm in itertools.permutations(range(ell)):
-                sgn = Permutation(tuple(p + 1 for p in perm)).length
-                term = np.ones((1,) * ell, dtype=complex)
-                for i_row, j_col in enumerate(perm):
-                    denom = _axis_view(v + lam[i_row], i_row, ell) - _axis_view(v, j_col, ell)
-                    term = term / denom if i_row == j_col else term * (1.0 / denom)
-                det_sum = det_sum + (-1.0) ** sgn * term
-            block = det_sum
-            for a in range(ell):
-                block = block * _axis_view(axis_vals[a], a, ell)
-            total += mult * complex(block.sum())
+            total += mult * _cauchy_sum(v, [h(v, p) * wts for p in lam], lam)
         return total
 
-    return _refine(eval_at, None, _SINGLE_RTOL, _SINGLE_CAPS[k], with_info=with_info,
+    return _refine(eval_at, None, _REFINE_RTOL[k], _NODE_CAPS[k], with_info=with_info,
                    what="partition-sum quadrature")

@@ -136,6 +136,15 @@ def test_moments_single_contour_records_refinement(tmp_path, polymer_config, cap
     assert rec["value_re"] == val.real
 
 
+@pytest.mark.parametrize("k", ["-1", "5"])
+def test_moments_single_contour_rejects_bad_k(tmp_path, polymer_config, capsys, k):
+    code = run(["moments", "single-contour", "--config", polymer_config, "--x", "1",
+                "--y", "3", "--k", k, "-o", str(tmp_path / "s.jsonl")])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "k" in err
+
+
 def test_polymer_brute_and_mc(tmp_path, polymer_config, capsys):
     code = run(["polymer", "brute", "--config", polymer_config, "--x", "2", "--y", "5",
                 "--seed", "3", "-o", str(tmp_path / "b.jsonl")])

@@ -17,8 +17,9 @@ stabilizes by 1024 nodes).  The Mellin-Barnes kernel is factored through
 sin pi(z - v) = sin(pi z) (cos(pi v) - cot(pi z) sin(pi v)) into a line factor,
 scaled by its largest exponent and computed once per ``MBKernel``, and a
 circle factor computed per Nystrom level, so no entry evaluates a complex sin
-or exp.  For real u both routes count a value outside the range of
-E[exp(uZ)], 0 < Z <= 1, as not converged.  The
+or exp.  For real u both routes raise ``ConvergenceError`` on a value outside
+the range of E[exp(uZ)], 0 < Z <= 1, as on a cap reached short of the
+tolerance.  The
 Tracy-Widom GUE distribution is the Airy-kernel determinant on (r, infinity),
 evaluated with Gauss-Legendre quadrature on a truncated interval.  Both
 determinants double their node count with ``moments._refine`` from its default
@@ -41,7 +42,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .moments import ContourError, ConvergenceError, GFunction, _refine, small_sigma_circle
+from .moments import ContourError, GFunction, _refine, small_sigma_circle
+from .qtools import ConvergenceError
 from .specfun import _airy
 
 __all__ = [
@@ -99,7 +101,7 @@ def _series_kernel_matrix(gf, u, v, tol=1e-16, n_cap=_SHIFT_TERMS):
     raise ConvergenceError(f"shift sum did not converge within {n_cap} terms", None)
 
 
-def fredholm_det(kernel, contour, strict=True, with_info=False):
+def fredholm_det(kernel, contour, with_info=False):
     """det(I + K) over a closed contour with the dz/(2*pi*i) measure.
 
     ``kernel`` maps (v_row, v_col) node arrays to the kernel matrix.  The nodes
@@ -114,11 +116,10 @@ def fredholm_det(kernel, contour, strict=True, with_info=False):
         A = np.eye(m, dtype=complex) + K * w[None, :]
         return complex(np.linalg.det(A))
 
-    return _refine(eval_at, None, _NYSTROM_RTOL, _NODE_CAP, strict, with_info,
-                   what="Nystrom determinant")
+    return _refine(eval_at, None, _NYSTROM_RTOL, _NODE_CAP, with_info, what="Nystrom determinant")
 
 
-def laplace_series_det(pmodel, x, y, u, strict=True, with_info=False):
+def laplace_series_det(pmodel, x, y, u, with_info=False):
     """E[exp(u Z_{x,y})] via the shift-sum kernel determinant on the small circle.
 
     ``with_info`` adds {"nodes", "converged", "terms"}, ``terms`` being the
@@ -139,30 +140,28 @@ def laplace_series_det(pmodel, x, y, u, strict=True, with_info=False):
         terms = max(terms, n)
         return K
 
-    val, info = fredholm_det(kernel, contour, strict=strict, with_info=True)
-    return _laplace_checked(u, val, dict(info, terms=terms), strict, with_info)
+    val, info = fredholm_det(kernel, contour, with_info=True)
+    return _laplace_checked(u, val, dict(info, terms=terms), with_info)
 
 
 # slack of the range test on a converged Laplace transform
 _RANGE_SLACK = 1e-8
 
 
-def _laplace_checked(u, val, info, strict, with_info):
-    """Demote a converged value that no Laplace transform of 0 < Z <= 1 can take.
+def _laplace_checked(u, val, info, with_info):
+    """Reject a converged value that no Laplace transform of 0 < Z <= 1 can take.
 
     For real u, E[exp(u Z)] is real and lies between e^u and 1.  A value outside
-    that interval or with an imaginary part, beyond ``_RANGE_SLACK``, counts as
-    not converged: ``ConvergenceError`` when ``strict``, else ``converged`` False.
+    that interval or with an imaginary part, beyond ``_RANGE_SLACK``, raises
+    ``ConvergenceError`` carrying the value.
     """
     u = complex(u)
-    if info["converged"] and u.imag == 0:
+    if u.imag == 0:
         edge = math.exp(u.real) if u.real < 700.0 else math.inf
         lo, hi = min(1.0, edge) - _RANGE_SLACK, max(1.0, edge) + _RANGE_SLACK
         if not (lo <= val.real <= hi and abs(val.imag) <= _RANGE_SLACK):
-            if strict:
-                raise ConvergenceError(f"determinant {val} is not a Laplace transform of 0 < Z <= 1 at "
-                                       f"u = {u.real:.6g}: it must be real and lie between e^u and 1", val)
-            info = dict(info, converged=False)
+            raise ConvergenceError(f"determinant {val} is not a Laplace transform of 0 < Z <= 1 at "
+                                   f"u = {u.real:.6g}: it must be real and lie between e^u and 1", val)
     return (val, info) if with_info else val
 
 
@@ -263,7 +262,6 @@ def mb_kernel_matrix(pmodel, x, y, u, T=None):
     lgv = gf.log_g(v_probe)
     lu = np.log(-u)
     while True:
-        z, w = _gl_line_nodes(h, T_cur)
         ends = np.array([h + 1j * T_cur, h - 1j * T_cur])
         lgz = gf.log_g(ends)
         mags = []
@@ -273,28 +271,35 @@ def mb_kernel_matrix(pmodel, x, y, u, T=None):
             )
             mags.append(val.max() / max(T_cur - abs(np.imag(v_probe)).max(), 1.0))
         tail = float(max(mags)) * 2.0 / math.pi
-        if T is not None or tail < _MB_TAIL_TOL or T_cur >= 64.0:
+        if T is not None or tail < _MB_TAIL_TOL:
             break
+        if T_cur >= 64.0:
+            raise ConvergenceError(f"Mellin-Barnes line: tail {tail:.3g} is not below {_MB_TAIL_TOL:g} "
+                                   f"at T = {T_cur:.4g}, past the T >= 64 cap")
         T_cur *= 1.6
+    z, w = _gl_line_nodes(h, T_cur)
     kern = MBKernel(gf=gf, u=u, h=h, T=T_cur, z_nodes=z, z_weights=w, tail_estimate=tail)
     return kern, contour
 
 
-def mb_determinant(pmodel, x, y, u, T=None, strict=True, with_info=False):
+def mb_determinant(pmodel, x, y, u, T=None, with_info=False):
     """E[exp(u Z_{x,y})] via the Mellin-Barnes kernel determinant.
 
     The contours are those of ``mb_kernel_matrix``, the circle refined as in
     ``fredholm_det``.  ``with_info`` adds {"nodes", "converged", "nodes_L", "T",
     "panels", "tail"}: the circle nodes, the line nodes, the line's half-length, its
     Gauss-Legendre panels and ``MBKernel.tail_estimate`` at the truncation.
-    Only the circle nodes are refined, so a caller-fixed ``T`` whose ``tail``
-    is large gives a converged but truncated value.
+    The line grows from T = 8 by factors of 1.6 until its tail is below
+    ``_MB_TAIL_TOL``, else ``ConvergenceError`` once T >= 64; a caller-fixed
+    ``T`` is a test hook that is not grown, so a large ``tail`` there gives a
+    converged but truncated value.  The circle raises as ``fredholm_det`` does,
+    and a value outside the Laplace range as ``_laplace_checked`` does.
     """
     kern, contour = mb_kernel_matrix(pmodel, x, y, u, T=T)
-    val, info = fredholm_det(kern.matrix, contour, strict=strict, with_info=True)
+    val, info = fredholm_det(kern.matrix, contour, with_info=True)
     info = dict(info, nodes_L=int(kern.z_nodes.size), T=kern.T, panels=int(kern.z_nodes.size) // _LINE_ORDER,
                 tail=kern.tail_estimate)
-    return _laplace_checked(kern.u, val, info, strict, with_info)
+    return _laplace_checked(kern.u, val, info, with_info)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from operator import mul
 
 import numpy as np
 
-from .qtools import comp_add, comp_interval, comp_sub, q_pochhammer
+from .qtools import ConvergenceError, comp_add, comp_interval, comp_sub, q_pochhammer
 from .weights import qhahn_outgoing
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "enumerate_exact",
     "base_case_product",
     "verify_shift_invariance",
-    "Welford",
 ]
 
 _BOX_CAP = 64  # outcome-table fast path bound on prod(A_c + 1)
@@ -224,7 +223,8 @@ def _boundary_table(model, j, tol=1e-14, cap=200000):
         if tail < tol:
             break
     else:
-        raise ValueError(f"boundary table for row j={j} reached cap={cap} with tail bound {tail:.3g} > tol={tol}")
+        raise ConvergenceError(f"boundary table for row j={j} reached cap={cap} with tail bound {tail:.3g} > "
+                               f"tol={tol}")
     arr = np.array(weights)
     if (arr < 0).any():
         raise ValueError("boundary distribution has negative weights (parameter violation)")
@@ -239,14 +239,6 @@ def sample_boundary(model, rng):
     for j in range(1, model.size + 1):
         _, cum = _boundary_table(model, j)
         out[j - 1] = int(np.searchsorted(cum, rng.random(), side="right"))
-    return out
-
-
-def boundary_pmf(model, j, b_max):
-    probs, _ = _boundary_table(model, j)
-    out = np.zeros(b_max + 1)
-    upto = min(b_max + 1, len(probs))
-    out[:upto] = probs[:upto]
     return out
 
 
@@ -510,59 +502,23 @@ def qmoment_factors(model, batch, req):
     return float(model.q) ** np.stack(cols, axis=1)
 
 
-class Welford:
-    """Streaming mean/variance with an associative merge."""
-
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, x):
-        self.n += 1
-        d = x - self.mean
-        self.mean += d / self.n
-        self.m2 += d * (x - self.mean)
-
-    def add_many(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if xs.size == 0:
-            return self
-        other = Welford()
-        other.n = xs.size
-        other.mean = float(xs.mean())
-        other.m2 = float(((xs - other.mean) ** 2).sum())
-        return self.merge(other)
-
-    def merge(self, other):
-        if other.n == 0:
-            return self
-        if self.n == 0:
-            self.n, self.mean, self.m2 = other.n, other.mean, other.m2
-            return self
-        n = self.n + other.n
-        d = other.mean - self.mean
-        self.mean += d * other.n / n
-        self.m2 += other.m2 + d * d * self.n * other.n / n
-        self.n = n
-        return self
-
-    @property
-    def variance(self):
-        return self.m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def stderr(self):
-        return math.sqrt(self.variance / self.n) if self.n > 1 else 0.0
-
-
 def estimate_qmoment(model, req, samples, rng):
     """Monte Carlo estimate (mean, stderr) of the joint q-moment observable (batched sampler)."""
     req.validate_against(model)
-    acc = Welford()
-    for batch in _grid_chunks(model, samples, rng):
-        acc.add_many(qmoment_factors(model, batch, req).prod(axis=1))
-    return acc.mean, acc.stderr
+    return _mean_stderr(_qmoment_rows(model, req, samples, rng).prod(axis=1))
+
+
+def _qmoment_rows(model, req, samples, rng):
+    """``qmoment_factors`` of ``samples`` replicas, one row each, over the bounded grid chunks."""
+    rows = [qmoment_factors(model, batch, req) for batch in _grid_chunks(model, samples, rng)]
+    return np.concatenate(rows) if rows else np.empty((0, req.k))
+
+
+def _mean_stderr(xs):
+    """Sample mean and standard error of ``xs`` (0.0 with fewer than two values)."""
+    if xs.size < 2:
+        return float(xs.mean()) if xs.size else 0.0, 0.0
+    return float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(xs.size))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +560,7 @@ def _truncated_boundary(model, j, b_cap, tol):
             raise ValueError("boundary tail not geometric at this cap; raise b_cap")
         cap *= 2
         if cap > 4096:
-            raise ValueError("boundary truncation cap exceeded")
+            raise ConvergenceError(f"boundary truncation for row j={j} reached cap=4096 short of tol={tol}")
 
 
 def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
@@ -811,21 +767,14 @@ def verify_shift_invariance(model_a, req_a, model_b, req_b, samples, rng, nodes=
 
     sides = []
     for model, req in ((model_a, req_a), (model_b, req_b)):
-        joint = Welford()
-        margins = [Welford() for _ in range(req.k)]
-        for batch in _grid_chunks(model, samples, rng):
-            vals = qmoment_factors(model, batch, req)
-            joint.add_many(vals.prod(axis=1))
-            for acc, col in zip(margins, vals.T):
-                acc.add_many(col)
-        sides.append((joint, margins))
-    (ja, margins_a), (jb, margins_b) = sides
-    ma, sa, mb, sb = ja.mean, ja.stderr, jb.mean, jb.stderr
+        vals = _qmoment_rows(model, req, samples, rng)
+        sides.append((_mean_stderr(vals.prod(axis=1)), [_mean_stderr(col) for col in vals.T]))
+    ((ma, sa), margins_a), ((mb, sb), margins_b) = sides
     z_joint = abs(ma - mb) / math.hypot(sa, sb) if (sa or sb) else 0.0
     marginals = []
-    for wa, wb in zip(margins_a, margins_b):
-        z = abs(wa.mean - wb.mean) / math.hypot(wa.stderr, wb.stderr) if (wa.stderr or wb.stderr) else 0.0
-        marginals.append(((wa.mean, wa.stderr), (wb.mean, wb.stderr), z))
+    for (m1, s1), (m2, s2) in zip(margins_a, margins_b):
+        z = abs(m1 - m2) / math.hypot(s1, s2) if (s1 or s2) else 0.0
+        marginals.append(((m1, s1), (m2, s2), z))
 
     from .moments import qmoment_integral
 

@@ -17,6 +17,8 @@ This module is the numerical core shared with :mod:`.fredholm`: the circle
 rule (``NestedContours.nodes``/``weights``), the node-doubling routine
 ``_refine`` (also behind the Nystrom and Airy-kernel determinants) and the
 polymer ratio and gamma product ``GFunction`` (re-exported by ``fredholm``).
+Every capped loop fails one way: a cap reached short of the tolerance raises
+``ConvergenceError`` (defined in :mod:`.qtools`, re-exported here).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qtools import Permutation
+from .qtools import ConvergenceError, Permutation
 from .specfun import log_gamma_shifts, polygamma
 
 __all__ = [
@@ -64,12 +66,6 @@ _SIGMA_RADIUS_CAP = 0.25
 
 class ContourError(ValueError):
     """Requested contour family cannot be realized; message names the constraint."""
-
-
-class ConvergenceError(RuntimeError):
-    def __init__(self, message, value):
-        super().__init__(message)
-        self.value = value
 
 
 @dataclass(frozen=True)
@@ -260,12 +256,6 @@ def _swap_assign(asg, i):
     return tuple(lst)
 
 
-def _axis_view(arr1d, axis, k):
-    shape = [1] * k
-    shape[axis] = arr1d.size
-    return arr1d.reshape(shape)
-
-
 def _hecke_terms(word, k):
     """The terms of T_word G for G(w) = prod_a g_a(w_a), as (letters, asg) pairs.
 
@@ -341,24 +331,6 @@ def _contract(vecs, mats, lbuf, wbuf):
     return complex(w.sum())
 
 
-def hecke_tensor(word, gvals, nodes, const, coeff):
-    """Apply the operator word to G(w) = prod_a g_a(w_a) on the tensor grid.
-
-    gvals[a][b] holds g_{a+1} evaluated on the nodes of circle b+1; nodes is
-    the list of per-circle node arrays (equal length).  Returns the array of
-    (T_word G) on the physical grid (axis a <-> circle a): the sum of the terms
-    of ``_hecke_terms``, each broadcast over the whole grid.
-    """
-    k = len(nodes)
-    views = [_axis_view(np.asarray(nodes[b]), b, k) for b in range(k)]
-    total = 0
-    for letters, asg in _hecke_terms(tuple(word), k):
-        term = [_letter(coeff, const, swap, views[b1], views[b2]) for b1, b2, swap in letters]
-        term += [_axis_view(np.asarray(gvals[a][b], dtype=complex), b, k) for a, b in enumerate(asg)]
-        total = total + math.prod(term[1:], start=term[0])
-    return total
-
-
 def tensor_quadrature(contours, m, axis_fns, pair_fn, op_factor):
     """Evaluate the k-fold circle quadrature as a Python complex.
 
@@ -419,7 +391,7 @@ def tensor_quadrature(contours, m, axis_fns, pair_fn, op_factor):
     return total
 
 
-def _refine(eval_at, nodes, rtol, cap, strict=True, with_info=False, what="quadrature"):
+def _refine(eval_at, nodes, rtol, cap, with_info=False, what="quadrature"):
     """Double nodes up to ``cap`` until the change stabilizes.
 
     The first level is ``nodes``, a positive int at most cap/2; ``None`` takes
@@ -432,9 +404,9 @@ def _refine(eval_at, nodes, rtol, cap, strict=True, with_info=False, what="quadr
     value's error is estimated by one more decay factor and accepted if it
     meets the tolerance max(rtol |value|, ``_REFINE_ATOL``).  A non-finite
     value is never accepted and stops the doubling, since more nodes do not
-    repair an overflow.  Without convergence the last value is returned, or
-    carried by ``ConvergenceError`` when ``strict``; ``with_info`` adds
-    {"nodes", "converged"}.
+    repair an overflow.  Without convergence ``ConvergenceError`` is raised,
+    carrying the last value; ``with_info`` adds {"nodes", "converged"}, and a
+    returned record always has ``converged`` True.
     """
     if nodes is None:
         m = cap // 2
@@ -460,14 +432,13 @@ def _refine(eval_at, nodes, rtol, cap, strict=True, with_info=False, what="quadr
             prev_delta is not None and delta < 0.2 * prev_delta and delta * (delta / prev_delta) <= tol
         )
         val, prev_delta = cur, delta
-    if not ok and strict:
+    if not ok:
         state = "did not stabilize" if cmath.isfinite(val) else f"is not finite ({val})"
         raise ConvergenceError(f"{what} {state} at {m} nodes", val)
-    return (val, {"nodes": m, "converged": bool(ok)}) if with_info else val
+    return (val, {"nodes": m, "converged": True}) if with_info else val
 
 
-def _nested_quadrature(contours, axis_fns, pair_fn, op_factor, pref, nodes, rtol, strict,
-                       with_info):
+def _nested_quadrature(contours, axis_fns, pair_fn, op_factor, pref, nodes, rtol, with_info):
     """``pref`` times the k-fold circle quadrature, refined with the per-k node cap and tolerance.
 
     The tables are read at call time.
@@ -479,10 +450,10 @@ def _nested_quadrature(contours, axis_fns, pair_fn, op_factor, pref, nodes, rtol
 
     if rtol is None:
         rtol = _REFINE_RTOL.get(k, 1e-7)
-    return _refine(eval_at, nodes, rtol, _NODE_CAPS.get(k, 32), strict, with_info)
+    return _refine(eval_at, nodes, rtol, _NODE_CAPS.get(k, 32), with_info)
 
 
-def qmoment_integral(model, req, nodes=None, rtol=None, strict=True, with_info=False):
+def qmoment_integral(model, req, nodes=None, rtol=None, with_info=False):
     """Contour-integral value of the joint q-moment observable.
 
     Returns a complex number; its imaginary part is a quadrature sanity
@@ -528,10 +499,10 @@ def qmoment_integral(model, req, nodes=None, rtol=None, strict=True, with_info=F
     pref = (-1) ** k * q ** (k * (k - 1) // 2 - tau.length)
 
     return _nested_quadrature(contours, [axis_fn(a) for a in range(k)], pair_fn, op_factor, pref,
-                              nodes, rtol, strict, with_info)
+                              nodes, rtol, with_info)
 
 
-def beta_moment_integral(pmodel, xs, ys, rs, tau=None, nodes=None, strict=True, with_info=False):
+def beta_moment_integral(pmodel, xs, ys, rs, tau=None, nodes=None, with_info=False):
     """Joint moment E[prod_a Z^{(r_{tau^{-1}(a)})}_{x_a, y_a}] by nested quadrature."""
     xs, ys, rs = tuple(xs), tuple(ys), tuple(rs)
     k = len(xs)
@@ -562,7 +533,7 @@ def beta_moment_integral(pmodel, xs, ys, rs, tau=None, nodes=None, strict=True, 
 
     axis_fns = [GFunction(pmodel, xs[a], ys[a]).f for a in range(k)]
     return _nested_quadrature(contours, axis_fns, pair_fn, op_factor, 1,
-                              nodes, None, strict, with_info)
+                              nodes, None, with_info)
 
 
 # ---------------------------------------------------------------------------

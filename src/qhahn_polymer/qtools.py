@@ -14,6 +14,7 @@ from itertools import combinations
 import numpy as np
 
 __all__ = [
+    "ConvergenceError",
     "q_pochhammer",
     "q_pochhammer_inf",
     "q_binomial",
@@ -28,6 +29,14 @@ __all__ = [
     "unit_comp",
     "iter_box",
 ]
+
+
+class ConvergenceError(RuntimeError):
+    """A capped routine reached its cap short of its tolerance; ``value`` is its last value, or None."""
+
+    def __init__(self, message, value=None):
+        super().__init__(message)
+        self.value = value
 
 
 def q_pochhammer(x, q, n):
@@ -65,8 +74,9 @@ def q_pochhammer_inf(x, q, tol=1e-15, return_bound=False):
 
     The remaining log-product after m factors is bounded in modulus by
     sum_{i>m} |x||q|^{i-1} / (1 - |x||q|^{i-1}), a geometric tail; truncation
-    stops when that bound is below ``tol``.  With ``return_bound`` the
-    (value, bound) pair is returned.
+    stops when that bound is below ``tol``.  A bound still at or above ``tol``
+    after 100,000 factors raises ``ConvergenceError`` carrying the
+    truncated product.  With ``return_bound`` the (value, bound) pair is returned.
     """
     xa, qa = complex(x), complex(q)
     if abs(qa) >= 1:
@@ -84,6 +94,9 @@ def q_pochhammer_inf(x, q, tol=1e-15, return_bound=False):
             if bound < tol:
                 break
     value = out.real if (not isinstance(x, complex) and not isinstance(q, complex)) else out
+    if bound >= tol:
+        raise ConvergenceError(f"(x; q)_infinity: tail bound {bound:.3g} is not below tol={tol:g} after "
+                               "100000 factors", value)
     if return_bound:
         return value, bound
     return value

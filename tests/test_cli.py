@@ -318,6 +318,17 @@ def test_nonconvergence_exit_code(tmp_path, qhahn_config, capsys, monkeypatch):
     assert "non-convergence" in err
 
 
+def test_boundary_cap_is_a_numerical_failure(tmp_path, capsys):
+    # a valid model whose boundary law is too heavy-tailed for the table's cap: exit 3, not 2
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({"model": {"q": 0.99999, "mu": [1.0, 1.01], "kappa": [0.9], "lam": [0.1],
+                                          "colors": [1]}}))
+    code = run(["sample", "qhahn", "--config", str(path), "-o", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert "non-convergence" in err and "cap=200000" in err
+
+
 def test_verify_stochastic(capsys):
     assert run(["verify", "stochastic", "--trials", "15", "--seed", "4", "--colors", "2"]) == EXIT_OK
     capsys.readouterr()

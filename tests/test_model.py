@@ -11,12 +11,10 @@ from qhahn_polymer.model import (
     HeightRequest,
     PathConfiguration,
     QHahnModel,
-    Welford,
     _boundary_table,
     _QTables,
     _sample_vertices,
     base_case_product,
-    boundary_pmf,
     enumerate_exact,
     estimate_qmoment,
     height_field,
@@ -28,7 +26,7 @@ from qhahn_polymer.model import (
     verify_shift_invariance,
     vertex_outcome_table,
 )
-from qhahn_polymer.qtools import Permutation, comp_interval, q_pochhammer_inf, spawn_rng
+from qhahn_polymer.qtools import ConvergenceError, Permutation, comp_interval, q_pochhammer_inf, spawn_rng
 
 
 def small_model(q=0.55, n_rows=2, colors=(1, 1)):
@@ -41,6 +39,15 @@ def small_model(q=0.55, n_rows=2, colors=(1, 1)):
 def test_model_validates_ordering():
     with pytest.raises(ValueError):
         QHahnModel(q=0.5, mu=(1.0, 1.0), kappa=(1.2,), lam=(0.1,), colors=(1,))
+
+
+def boundary_pmf(model, j, b_max):
+    """Row j's boundary probabilities P(b_j = b), b = 0..b_max, read from the sampler's table."""
+    probs, _ = _boundary_table(model, j)
+    out = np.zeros(b_max + 1)
+    upto = min(b_max + 1, len(probs))
+    out[:upto] = probs[:upto]
+    return out
 
 
 def test_boundary_pmf_normalizes_and_p0():
@@ -62,7 +69,7 @@ def test_boundary_concentrates_when_lam_近_kappa():
 
 def test_boundary_table_raises_when_cap_reached_before_tol():
     m = small_model()
-    with pytest.raises(ValueError, match=r"j=2.*cap=3.*tail bound"):
+    with pytest.raises(ConvergenceError, match=r"j=2.*cap=3.*tail bound"):
         _boundary_table(m, 2, cap=3)
     assert m._boundary_tables == {}
 
@@ -379,19 +386,6 @@ def test_request_validation():
         HeightRequest.make([0.5], [2.5], [5]).validate_against(m)  # bad color
     with pytest.raises(ValueError):
         HeightRequest.make([0.5], [1.0], [1])  # not a half-integer
-
-
-def test_welford_merge_matches_numpy():
-    rng = np.random.default_rng(2)
-    xs = rng.normal(size=1000)
-    w1, w2 = Welford(), Welford()
-    for x in xs[:400]:
-        w1.add(float(x))
-    for x in xs[400:]:
-        w2.add(float(x))
-    w1.merge(w2)
-    assert abs(w1.mean - xs.mean()) < 1e-12
-    assert abs(w1.variance - xs.var(ddof=1)) < 1e-12
 
 
 # Exact enumeration as a frontier-state sum: values pinned from the leaf-by-leaf enumeration

@@ -178,13 +178,17 @@ def test_single_contour_matches_nested():
     assert abs(v3 - b3) < 1e-7 * abs(b3)
 
 
+def _axis_view(arr1d, axis, k):
+    shape = [1] * k
+    shape[axis] = arr1d.size
+    return arr1d.reshape(shape)
+
+
 def _permutation_sum(v, axis_vals, lam):
     # a partition's term on the explicit l-dimensional grid: the Cauchy determinant expanded
     # over permutations, times every axis factor.  Also returns the sum of the absolute values
     # of its terms, which bounds its rounding: with parts of 1 the terms cancel to 1e-20 of it
     import itertools
-
-    from qhahn_polymer.moments import _axis_view
 
     ell = len(lam)
     axes = math.prod(_axis_view(axis_vals[a], a, ell) for a in range(ell))
@@ -271,11 +275,30 @@ def test_probability_range_invariant():
     assert -1e-8 <= val.real <= 1 + 1e-8
 
 
+def hecke_tensor(word, gvals, nodes, const, coeff):
+    """Apply the operator word to G(w) = prod_a g_a(w_a) on the tensor grid.
+
+    gvals[a][b] holds g_{a+1} evaluated on the nodes of circle b+1; nodes is
+    the list of per-circle node arrays (equal length).  Returns the array of
+    (T_word G) on the physical grid (axis a <-> circle a): the sum of the terms
+    of ``moments._hecke_terms``, each broadcast over the whole grid.
+    """
+    from qhahn_polymer.moments import _hecke_terms, _letter
+
+    k = len(nodes)
+    views = [_axis_view(np.asarray(nodes[b]), b, k) for b in range(k)]
+    total = 0
+    for letters, asg in _hecke_terms(tuple(word), k):
+        term = [_letter(coeff, const, swap, views[b1], views[b2]) for b1, b2, swap in letters]
+        term += [_axis_view(np.asarray(gvals[a][b], dtype=complex), b, k) for a, b in enumerate(asg)]
+        total = total + math.prod(term[1:], start=term[0])
+    return total
+
+
 def test_hecke_tensor_matches_pointwise():
-    # the vectorized tensor-grid operator application must agree with the
-    # scalar recursive one at every grid point
+    # the tensor-grid operator application (the oracle of the pairwise
+    # contraction) must agree with the scalar recursive one at every grid point
     from qhahn_polymer.hecke import apply_T
-    from qhahn_polymer.moments import hecke_tensor
 
     m = lattice_model()
     cont = build_contours(m, 3)
@@ -335,7 +358,7 @@ def test_node_doubling_geometric_convergence():
     req = HeightRequest.make([1.5], [3.5], [2])
     vals = {}
     for M in (16, 32, 64, 128):
-        vals[M] = qmoment_integral(m, req, nodes=M, rtol=1e30, strict=False)
+        vals[M] = qmoment_integral(m, req, nodes=M, rtol=1e30)
     d1 = abs(vals[32] - vals[16])
     d2 = abs(vals[64] - vals[32])
     if d1 > 1e-14:
@@ -347,12 +370,9 @@ def test_beta_moment_nonconvergence_honours_node_cap(monkeypatch):
 
     monkeypatch.setitem(mm._NODE_CAPS, 1, 8)
     pm = poly_model()
-    with pytest.raises(ConvergenceError) as err:
-        beta_moment_integral(pm, [1], [3], [0], nodes=4)
+    with pytest.raises(ConvergenceError, match="did not stabilize at 8 nodes") as err:
+        beta_moment_integral(pm, [1], [3], [0], nodes=4, with_info=True)
     assert err.value.value is not None
-    val, info = beta_moment_integral(pm, [1], [3], [0], nodes=4, strict=False, with_info=True)
-    assert info == {"nodes": 8, "converged": False}
-    assert val == err.value.value
 
 
 @pytest.mark.parametrize("nodes", [0, -4, 2.5, True, 2049, 4096, 8192])
@@ -373,9 +393,9 @@ def test_default_start_reaches_every_cap():
     starts = {4096: 16, 2048: 16, 1024: 16, 768: 24, 32: 16}
     for cap in [*mm._NODE_CAPS.values(), fr._NODE_CAP]:
         levels = []
-        val, info = mm._refine(lambda m: levels.append(m) or float(m), None, 1e-10, cap, strict=False,
-                               with_info=True)
-        assert info == {"nodes": cap, "converged": False}
+        with pytest.raises(ConvergenceError, match=f"did not stabilize at {cap} nodes") as err:
+            mm._refine(lambda m: levels.append(m) or float(m), None, 1e-10, cap, with_info=True)
+        assert err.value.value == float(cap)
         assert len(levels) >= 2 and levels == [starts[cap] * 2**i for i in range(len(levels))]
 
 
@@ -416,8 +436,6 @@ def test_slab_size_does_not_change_quadrature(monkeypatch):
 
 def _grid_sum(cont, m, axis_fns, pair_fn, op_factor):
     # the k-fold sum on the explicit grid: hecke_tensor times every pair and axis factor
-    from qhahn_polymer.moments import _axis_view, hecke_tensor
-
     k = cont.k
     nodes, weights = cont.nodes(m), cont.weights(m)
     word, g_fns, const, coeff = op_factor

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qhahn_polymer.qtools import (
+    ConvergenceError,
     Permutation,
     perm_apply,
     q_binomial,
@@ -49,6 +50,13 @@ def test_pochhammer_infinite_reports_bound():
     val, bound = q_pochhammer_inf(0.3, 0.7, return_bound=True)
     assert bound < 1e-15
     assert abs(val - q_pochhammer_inf(0.3, 0.7, tol=1e-18)) < 1e-13
+
+
+def test_pochhammer_infinite_raises_at_its_factor_cap():
+    # |q| near 1: 100,000 factors leave the tail bound far above tol, so the product is not returned
+    with pytest.raises(ConvergenceError, match="100000 factors") as err:
+        q_pochhammer_inf(1e-6, 0.99999)
+    assert abs(err.value.value - 0.9387441933) < 1e-9
 
 
 def test_pochhammer_infinite_rejects_bad_q():

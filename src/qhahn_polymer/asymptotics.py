@@ -28,7 +28,7 @@ import numpy as np
 
 from .fredholm import ks_distance_to_F2
 from .moments import GFunction
-from .polymer import PolymerModel, _replica_blocks, schedule_values
+from .polymer import PolymerModel, sample_log_partition, schedule_values
 from .specfun import log_gamma_shifts, polygamma
 
 __all__ = [
@@ -244,14 +244,6 @@ def check_steep_descent(hf, which, grid=200, eps=0.05):
 # Tracy-Widom experiment.
 
 
-# replicas per block: block i of time t draws from spawn_rng(seed + t, i), so the
-# samples do not depend on the worker count.  The threads share out whole
-# blocks, and a 256-replica block is many short array operations, so on the
-# a = 1 path two threads gain little (1000 replicas at t = 32 to 96: 0.9x to
-# 1.3x on a 2-vCPU x86_64 guest)
-_TW_BLOCK = 256
-
-
 # sqrt(n) times the KS distance of n exact draws tends to the Kolmogorov law:
 # its mean sqrt(pi/2) ln 2 and its 95% point
 _KS_NULL_MEAN = 0.8687
@@ -322,8 +314,7 @@ def tw_experiment(fm, theta, t_list, samples, seed=0, workers=None, slot_correct
         model, X, Y = scheduled_polymer_model(fm, const, t)
         if X < 1 or Y <= X:
             raise ValueError(f"t={t} too small for the slope")
-        logz = _replica_blocks(model, 0, X, Y, samples, seed + t, _TW_BLOCK, want_log=True,
-                               workers=workers)
+        logz = sample_log_partition(model, 0, X, Y, samples, seed + t, workers=workers)
         shift = slot_centering_correction(const, model, t) if slot_correction else 0.0
         rescaled = (logz + const.rate * t - shift) / (const.c * t ** (1.0 / 3.0))
         out.append(TWBatch(t=t, ks=ks_distance_to_F2(rescaled), mean=float(rescaled.mean()),

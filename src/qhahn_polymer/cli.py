@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
+from .qtools import ConvergenceError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -526,13 +527,9 @@ def main(argv=None):
     except (ValidationFailure, ValueError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except Exception as exc:  # numerical failures
-        from .moments import ConvergenceError
-
-        if isinstance(exc, ConvergenceError):
-            print(f"non-convergence: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        raise
+    except ConvergenceError as exc:
+        print(f"non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

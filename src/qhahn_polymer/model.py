@@ -23,7 +23,7 @@ one-replica API: boxes prod(A_c + 1) <= 64 draw from the exact outcome table
 ``vertex_outcome_table``, larger boxes through ``_sample_vertices`` on one row.
 The outcome tables and ``enumerate_exact`` both read the weights from
 ``weights.qhahn_outgoing``, and the boundary tables and ``enumerate_exact``
-both take the boundary weights from the one recurrence ``_boundary_ratios``.
+both take the boundary weights from the one truncation ``_truncated_boundary``.
 
 ``enumerate_exact`` is the exact oracle.  The q-moment statistic is a product
 of one power of q per boundary edge and per vertical edge, so the expectation
@@ -67,6 +67,12 @@ _BOX_CAP = 64  # outcome-table fast path bound on prod(A_c + 1)
 # Element budget of one batched chunk: caps R_chunk * (max |A| + 1) and the
 # per-replica uniforms and edges, so that peak memory stays flat for large boxes.
 _CHUNK_CELLS = 1 << 17
+# Boundary-law truncation (``_truncated_boundary``): the samplers keep rows until the
+# tail is below _SAMPLER_TOL of the kept weight, with caps up to _SAMPLER_CAP;
+# enumerate_exact stops at _EXACT_CAP, so heavy tails fail fast there.
+_SAMPLER_TOL = 1e-14
+_SAMPLER_CAP = 200_000
+_EXACT_CAP = 4096
 
 
 @dataclass
@@ -206,31 +212,16 @@ def _boundary_ratios(model, j):
     return x, (x * (one - y * q**b) / (one - q ** (b + 1)) for b in count())
 
 
-def _boundary_table(model, j, tol=1e-14, cap=200000):
-    key = (j, tol)
-    if key in model._boundary_tables:
-        return model._boundary_tables[key]
-    q = model.q
-    x, ratios = _boundary_ratios(model, j)
-    w = 1.0
-    weights = [w]
-    for b, ratio in zip(range(cap), ratios):
-        w *= ratio
-        weights.append(w)
-        # geometric tail bound, valid only once the ratio majorant drops below 1
-        rho_bar = max(ratio, x / (1.0 - q ** (b + 2)))
-        tail = w * rho_bar / (1.0 - rho_bar) if rho_bar < 1.0 else math.inf
-        if tail < tol:
-            break
-    else:
-        raise ConvergenceError(f"boundary table for row j={j} reached cap={cap} with tail bound {tail:.3g} > "
-                               f"tol={tol}")
-    arr = np.array(weights)
-    if (arr < 0).any():
-        raise ValueError("boundary distribution has negative weights (parameter violation)")
-    cum = np.cumsum(arr)
-    model._boundary_tables[key] = (arr / cum[-1], cum / cum[-1])
-    return model._boundary_tables[key]
+def _boundary_table(model, j):
+    """Row j's boundary probabilities and their CDF, from the one truncation ``_truncated_boundary``."""
+    if j not in model._boundary_tables:
+        w, _ = _truncated_boundary(model, j, _SAMPLER_TOL, _SAMPLER_CAP)
+        arr = np.array(w, dtype=float)
+        if (arr < 0).any():
+            raise ValueError("boundary distribution has negative weights (parameter violation)")
+        cum = np.cumsum(arr)
+        model._boundary_tables[j] = (arr / cum[-1], cum / cum[-1])
+    return model._boundary_tables[j]
 
 
 def sample_boundary(model, rng):
@@ -537,30 +528,33 @@ def base_case_product(model, req):
     return val
 
 
-def _truncated_boundary(model, j, b_cap, tol):
+def _truncated_boundary(model, j, tol, ceiling, b_cap=None):
     """Row j's weights w_0..w_cap and the geometric bound on the weight beyond the cap.
 
-    Without b_cap the cap doubles from 4 until the tail is geometric and below tol / (2N) of
-    the kept weight.
+    Without b_cap the cap doubles from 4 until the tail is geometric and below tol of the
+    kept weight; a cap past ``ceiling`` raises ConvergenceError.
     """
     q = model.q
     one = q**0
     x, ratios = _boundary_ratios(model, j)
     w = [one]
     cap = 4 if b_cap is None else b_cap
+    rel = math.inf
     while True:
         for ratio in islice(ratios, cap + 1 - len(w)):
             w.append(w[-1] * ratio)
         rho = x / (one - q ** (cap + 1))
         if rho < 1:
             tail = w[-1] * rho / (one - rho)
-            if b_cap is not None or tail / float(sum(w)) < tol / (2 * model.size):
+            rel = tail / float(sum(w))
+            if b_cap is not None or rel < tol:
                 return w, tail
         elif b_cap is not None:
             raise ValueError("boundary tail not geometric at this cap; raise b_cap")
         cap *= 2
-        if cap > 4096:
-            raise ConvergenceError(f"boundary truncation for row j={j} reached cap=4096 short of tol={tol}")
+        if cap > ceiling:
+            raise ConvergenceError(f"boundary truncation for row j={j} reached cap={ceiling} with tail bound "
+                                   f"{rel:.3g} of the kept weight, not below tol={tol:g}")
 
 
 def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
@@ -628,7 +622,7 @@ def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
     inputs = {}  # rows j <= height(1): (B, w_b, w_b q^{s_j b}) for b_j = b <= cap
     tail_total = 0.0
     for j in range(1, N + 1):
-        w, tail = _truncated_boundary(model, j, b_cap, tol)
+        w, tail = _truncated_boundary(model, j, tol / (2 * N), _EXACT_CAP, b_cap)
         tail_total += float(tail) / float(sum(w))
         s_j = sum(1 for c, _, iy in facets if j <= iy and model.row_color(j) >= c)
         col = model.row_color(j) - 1
@@ -681,8 +675,6 @@ def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
 
 @dataclass
 class ShiftReport:
-    hypotheses_ok: bool
-    detail: str
     joint: tuple  # ((mean, se) model A, (mean, se) model B)
     joint_zscore: float
     marginals: list  # per a: ((mean, se), (mean, se), z)
@@ -694,76 +686,52 @@ class ShiftReport:
         return abs(self.integral_a - self.integral_b)
 
 
-def _signature_classes(intervals, universe):
-    classes = {}
-    for idx in universe:
-        sig = frozenset(a for a, (lo, hi) in enumerate(intervals) if lo <= idx <= hi)
-        classes.setdefault(sig, []).append(idx)
-    return classes
-
-
-def _class_check(intervals_a, params_a, intervals_b, params_b, universe_a, universe_b):
-    ca = _signature_classes(intervals_a, universe_a)
-    cb = _signature_classes(intervals_b, universe_b)
-    if set(ca) != set(cb):
-        return False, "interval signature classes differ"
-    for sig in ca:
-        va = sorted(params_a[i] for i in ca[sig])
-        vb = sorted(params_b[i] for i in cb[sig])
-        if len(va) != len(vb) or any(abs(x - y) > 1e-12 for x, y in zip(va, vb)):
-            return False, f"parameter multiset mismatch on class {sorted(sig)}"
-    return True, "ok"
-
-
 def validate_shift_hypotheses(model_a, req_a, model_b, req_b):
-    """Check the interval-bijection hypotheses for a pair of (model, request)."""
+    """Check the interval-bijection hypotheses for a pair of (model, request); raise ValueError at the first failure.
+
+    Facet a = tau(b) covers the rows [c_a, y_a], the columns [0, x_a] and the
+    diagonals [c_a, y_a - x_a].  In each family the indices covered by the same
+    set of facets form a class, and the two sides need the same classes with the
+    same multisets of kappa (rows), mu (columns) and lam (diagonals).
+    """
     for model, req in ((model_a, req_a), (model_b, req_b)):
         if any(c != 1 for c in model.colors):
-            return False, "left boundary must carry distinct colors (I = (1,...,1))"
+            raise ValueError("left boundary must carry distinct colors (I = (1,...,1))")
         req.validate_against(model)
         for a in range(1, req.k + 1):
             c, ix, iy = req.facets[req.tau(a) - 1]  # c = c_a
             if iy - ix < c:
-                return False, f"hypothesis y_tau(a) - x_tau(a) >= c_a fails at a={a}"
+                raise ValueError(f"hypothesis y_tau(a) - x_tau(a) >= c_a fails at a={a}")
     if req_a.k != req_b.k:
-        return False, "request sizes differ"
+        raise ValueError("request sizes differ")
     N = model_a.size
     if model_b.size != N:
-        return False, "grid sizes differ"
+        raise ValueError("grid sizes differ")
 
-    def intervals(model, req):
-        rows, cols, diags = [], [], []
-        for a in range(1, req.k + 1):
-            c, ix, iy = req.facets[req.tau(a) - 1]  # c = c_a
-            rows.append((c, iy))
-            cols.append((0, ix))
-            diags.append((c, iy - ix))
-        return rows, cols, diags
-
-    ra, ca_, da = intervals(model_a, req_a)
-    rb, cb_, db = intervals(model_b, req_b)
-    checks = [
-        _class_check(ra, {j: model_a.kappa_of(j) for j in range(1, N + 1)}, rb,
-                     {j: model_b.kappa_of(j) for j in range(1, N + 1)},
-                     range(1, N + 1), range(1, N + 1)),
-        _class_check(ca_, {i: model_a.mu_of(i) for i in range(0, N + 1)}, cb_,
-                     {i: model_b.mu_of(i) for i in range(0, N + 1)},
-                     range(0, N + 1), range(0, N + 1)),
-        _class_check(da, {d: model_a.lam_of(d) for d in range(1, N + 1)}, db,
-                     {d: model_b.lam_of(d) for d in range(1, N + 1)},
-                     range(1, N + 1), range(1, N + 1)),
-    ]
-    for ok, msg in checks:
-        if not ok:
-            return False, msg
-    return True, "ok"
+    families = ((QHahnModel.kappa_of, range(1, N + 1), lambda c, ix, iy: (c, iy)),
+                (QHahnModel.mu_of, range(0, N + 1), lambda c, ix, iy: (0, ix)),
+                (QHahnModel.lam_of, range(1, N + 1), lambda c, ix, iy: (c, iy - ix)))
+    for param, universe, interval in families:
+        ca, cb = {}, {}
+        for classes, model, req in ((ca, model_a, req_a), (cb, model_b, req_b)):
+            spans = [interval(*req.facets[req.tau(a) - 1]) for a in range(1, req.k + 1)]
+            for idx in universe:
+                sig = frozenset(a for a, (lo, hi) in enumerate(spans) if lo <= idx <= hi)
+                classes.setdefault(sig, []).append(param(model, idx))
+        if set(ca) != set(cb):
+            raise ValueError("interval signature classes differ")
+        for sig in ca:
+            va, vb = sorted(ca[sig]), sorted(cb[sig])
+            if len(va) != len(vb) or any(abs(x - y) > 1e-12 for x, y in zip(va, vb)):
+                raise ValueError(f"parameter multiset mismatch on class {sorted(sig)}")
 
 
-def verify_shift_invariance(model_a, req_a, model_b, req_b, samples, rng, nodes=64):
+def verify_shift_invariance(model_a, req_a, model_b, req_b, samples, rng):
     """Empirical joint q-moments plus the two contour-integral values."""
-    ok, msg = validate_shift_hypotheses(model_a, req_a, model_b, req_b)
-    if not ok:
-        raise ValueError(f"shift-invariance hypotheses fail: {msg}")
+    try:
+        validate_shift_hypotheses(model_a, req_a, model_b, req_b)
+    except ValueError as exc:
+        raise ValueError(f"shift-invariance hypotheses fail: {exc}") from exc
 
     sides = []
     for model, req in ((model_a, req_a), (model_b, req_b)):
@@ -778,21 +746,16 @@ def verify_shift_invariance(model_a, req_a, model_b, req_b, samples, rng, nodes=
 
     from .moments import qmoment_integral
 
-    def integral(model, req):  # cached per model, keyed by request and nodes
-        key = (req.x2, req.y2, req.colors, req.tau.values, nodes)
+    def integral(model, req):  # cached per model, keyed by the request
+        key = (req.x2, req.y2, req.colors, req.tau.values)
         if key not in model._integrals:
-            model._integrals[key] = qmoment_integral(model, req, nodes=nodes)
+            model._integrals[key] = qmoment_integral(model, req)
         return model._integrals[key]
 
-    ia = integral(model_a, req_a)
-    ib = integral(model_b, req_b)
-
     return ShiftReport(
-        hypotheses_ok=True,
-        detail=msg,
         joint=((ma, sa), (mb, sb)),
         joint_zscore=z_joint,
         marginals=marginals,
-        integral_a=ia,
-        integral_b=ib,
+        integral_a=integral(model_a, req_a),
+        integral_b=integral(model_b, req_b),
     )

@@ -74,7 +74,6 @@ class NestedContours:
 
     center: float
     radii: tuple
-    margin: float = 0.0
 
     @property
     def k(self):
@@ -183,7 +182,7 @@ def build_contours(model, k):
             )
         r = lower + _LATTICE_PAD * (clearance - lower)
         radii.append(r)
-    cont = NestedContours(center=center, radii=tuple(radii), margin=clearance - radii[-1])
+    cont = NestedContours(center=center, radii=tuple(radii))
     _validate_lattice_contours(cont, model, k)
     return cont
 
@@ -226,7 +225,7 @@ def build_shifted_contours(pmodel, k, x, y):
         radii.append(radii[-1] + 1.0 + delta)
     if omegas and center - radii[-1] <= out_max + 1e-9:
         raise ContourError("outer circle reaches an omega point")
-    return NestedContours(center=center, radii=tuple(radii), margin=delta)
+    return NestedContours(center=center, radii=tuple(radii))
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +566,7 @@ def small_sigma_circle(pmodel, x, y):
     if radius <= spread / 2.0:
         raise ContourError("sigma cluster does not fit: nearest rho/omega too close")
     radius = max(radius, 0.6 * radius + 0.4 * (spread / 2.0))
-    return NestedContours(center=center, radii=(radius,), margin=radius - spread / 2.0)
+    return NestedContours(center=center, radii=(radius,))
 
 
 def _cauchy_sum(v, axis_vals, lam):

@@ -458,13 +458,8 @@ def local_relation_residual(A, B, R, q, tt, ss):
     single vertex; RHS is the closed sum over subcompositions P <= R.
     """
     n = len(A)
-    AB = comp_add(A, B)
     lhs = 0 * (q * 0 + 1)
-    for D in iter_box(A):
-        C = comp_sub(AB, D)
-        w = qhahn_weight(A, B, C, D, q, tt, ss)
-        if w == 0:
-            continue
+    for (_, D), w in qhahn_outgoing(A, B, q, tt, ss).items():
         e = sum(R[i] * D[j] for i in range(n) for j in range(i, n))
         lhs += q**e * w
 

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from qhahn_polymer.model import (
     sample_grid,
     sample_grids,
     sample_vertex,
+    validate_shift_hypotheses,
     verify_shift_invariance,
     vertex_outcome_table,
 )
@@ -67,11 +69,36 @@ def test_boundary_concentrates_when_lam_近_kappa():
     assert pmf[0] > 0.999999
 
 
-def test_boundary_table_raises_when_cap_reached_before_tol():
+def test_boundary_table_raises_when_cap_reached_before_tol(monkeypatch):
     m = small_model()
+    monkeypatch.setattr(model_module, "_SAMPLER_CAP", 3)
     with pytest.raises(ConvergenceError, match=r"j=2.*cap=3.*tail bound"):
-        _boundary_table(m, 2, cap=3)
+        _boundary_table(m, 2)
     assert m._boundary_tables == {}
+
+
+@pytest.mark.parametrize("m", [small_model(), small_model(q=0.45, n_rows=3, colors=(1, 2)),
+                               QHahnModel(q=0.7, mu=(1.0, 1.1, 1.2), kappa=(0.95, 0.96), lam=(0.1, 0.1),
+                                          colors=(1, 1))])
+def test_boundary_table_is_the_enumeration_truncation_normalized(m, monkeypatch):
+    # enumerate_exact at tol = 2N * 1e-14 truncates each row where the sampler does, and the
+    # sampler's table is those weights divided by their total
+    rows = {}
+    real = model_module._truncated_boundary
+
+    def recorded(model, j, *args):
+        out = real(model, j, *args)
+        rows[j] = out[0]
+        return out
+
+    monkeypatch.setattr(model_module, "_truncated_boundary", recorded)
+    enumerate_exact(m, HeightRequest.make([0.5], [0.5], [1]), tol=2 * m.size * model_module._SAMPLER_TOL)
+    monkeypatch.undo()
+    assert sorted(rows) == list(range(1, m.size + 1))
+    for j, w in rows.items():
+        probs, cum = _boundary_table(m, j)
+        assert np.array_equal(probs, np.array(w) / np.cumsum(w)[-1])
+        assert cum[-1] == 1.0
 
 
 def test_sample_vertex_trivial_when_A_zero():
@@ -234,7 +261,7 @@ def test_batched_paths_build_no_vertex_tables():
     shift = QHahnModel(q=0.55, mu=(2.3, 2.32, 2.34, 2.36), kappa=(1.30, 1.34, 1.38), lam=(0.20, 0.22, 0.24),
                        colors=(1, 1, 1))
     rq = HeightRequest.make([0.5], [2.5], [1])
-    assert verify_shift_invariance(shift, rq, shift, rq, 100, spawn_rng(4), nodes=16).hypotheses_ok
+    verify_shift_invariance(shift, rq, shift, rq, 100, spawn_rng(4))
     assert shift._vertex_tables == {}
 
 
@@ -449,6 +476,16 @@ def test_enumerate_exact_doubles_cap_until_tail_is_geometric():
         enumerate_exact(m, req, b_cap=8)
 
 
+def test_enumerate_exact_heavy_tail_fails_fast_at_its_cap():
+    # the boundary tail turns geometric only past b = 230,000, far beyond the enumeration's cap
+    m = QHahnModel(q=0.99999, mu=(1.0, 1.01), kappa=(0.9,), lam=(0.1,), colors=(1,))
+    req = HeightRequest.make([0.5], [1.5], [1])
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match=r"j=1.*cap=4096"):
+        enumerate_exact(m, req)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_enumerate_exact_guard_raises():
     m = small_model(q=0.5, n_rows=2, colors=(1, 1))
     req = HeightRequest.make([1.5], [2.5], [1])
@@ -474,10 +511,59 @@ def test_shift_invariance_integrals_cached_per_model(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(moments, "qmoment_integral", counted)
-    first = verify_shift_invariance(model_a, req, model_b, req, 50, spawn_rng(4), nodes=16)
+    first = verify_shift_invariance(model_a, req, model_b, req, 50, spawn_rng(4))
     assert len(calls) == 2
-    second = verify_shift_invariance(model_a, req, model_b, req, 50, spawn_rng(5), nodes=16)
+    second = verify_shift_invariance(model_a, req, model_b, req, 50, spawn_rng(5))
     assert len(calls) == 2
     assert (second.integral_a, second.integral_b) == (first.integral_a, first.integral_b)
-    verify_shift_invariance(model_a, req, model_b, req, 50, spawn_rng(5), nodes=32)
+    other = HeightRequest.make([0.5], [1.5], [1])
+    verify_shift_invariance(model_a, other, model_b, other, 50, spawn_rng(5))
     assert len(calls) == 4
+
+
+def _shift_pair():
+    N = 3
+    mu = tuple(2.3 + 0.02 * i for i in range(N + 1))
+    model_a = QHahnModel(q=0.55, mu=mu, kappa=(1.30, 1.34, 1.38), lam=(0.20, 0.22, 0.24), colors=(1,) * N)
+    return model_a, HeightRequest.make([0.5], [2.5], [1])
+
+
+def test_shift_hypotheses_hold_on_a_relabeled_pair():
+    model_a, req = _shift_pair()
+    # facet (1/2, 5/2) of color 1 covers rows 1..2 and diagonals 1..2: rows 1 and 2 swap freely
+    model_b = QHahnModel(q=0.55, mu=model_a.mu, kappa=(1.34, 1.30, 1.38), lam=(0.22, 0.20, 0.24), colors=(1, 1, 1))
+    assert validate_shift_hypotheses(model_a, req, model_b, req) is None
+
+
+def test_shift_hypotheses_refuse_non_distinct_boundary_colors():
+    m = QHahnModel(q=0.55, mu=(2.3, 2.32, 2.34), kappa=(1.30, 1.34), lam=(0.20, 0.22), colors=(2,))
+    req = HeightRequest.make([0.5], [1.5], [1])
+    with pytest.raises(ValueError, match=r"distinct colors"):
+        validate_shift_hypotheses(m, req, m, req)
+    with pytest.raises(ValueError, match=r"^shift-invariance hypotheses fail: left boundary"):
+        verify_shift_invariance(m, req, m, req, 10, spawn_rng(1))
+
+
+def test_shift_hypotheses_refuse_short_facet():
+    model_a, req = _shift_pair()
+    short = HeightRequest.make([1.5], [2.5], [2])  # y - x = 1 < c = 2
+    with pytest.raises(ValueError, match=r"y_tau\(a\) - x_tau\(a\) >= c_a fails at a=1"):
+        validate_shift_hypotheses(model_a, req, model_a, short)
+
+
+@pytest.mark.parametrize("family, swap", [("kappa", (1.38, 1.34, 1.30)), ("mu", None), ("lam", (0.24, 0.22, 0.20))])
+def test_shift_hypotheses_refuse_parameter_multiset_mismatch(family, swap):
+    model_a, req = _shift_pair()
+    fields = {"kappa": model_a.kappa, "mu": model_a.mu, "lam": model_a.lam}
+    # rows and diagonals: a parameter leaves class {0}; columns: mu_0 and mu_2 swap across it
+    fields[family] = swap if swap else (model_a.mu[2], model_a.mu[1], model_a.mu[0], model_a.mu[3])
+    model_b = QHahnModel(q=0.55, colors=(1, 1, 1), **fields)
+    with pytest.raises(ValueError, match=r"parameter multiset mismatch on class \[0\]"):
+        validate_shift_hypotheses(model_a, req, model_b, req)
+
+
+def test_shift_hypotheses_refuse_different_signature_classes():
+    model_a, req = _shift_pair()
+    with pytest.raises(ValueError, match=r"interval signature classes differ"):
+        # a facet at y = 7/2 covers every row, so no row lies outside all facets
+        validate_shift_hypotheses(model_a, req, model_a, HeightRequest.make([0.5], [3.5], [1]))

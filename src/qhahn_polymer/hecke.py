@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .qtools import Permutation, shuffles
-from .weights import _qhahn_coefficient
+from .weights import _QHahnTable
 
 __all__ = ["HeckeWord", "apply_T", "apply_t", "local_rational_residual", "hecke_suite"]
 
@@ -27,22 +27,35 @@ _COINCIDENCE_RTOL = 1e-9
 _DIFF_STEP = 1e-6
 
 
+def _word_product(word, k):
+    """sigma_{i_1} ... sigma_{i_l} in S_k: right multiplication by sigma_i swaps entries i and i+1."""
+    vals = list(range(1, k + 1))
+    for i in word:
+        if not 1 <= i < k:
+            raise ValueError(f"letter {i} is not a simple transposition of S_{k}")
+        vals[i - 1], vals[i] = vals[i], vals[i - 1]
+    return Permutation(vals)
+
+
 class HeckeWord:
-    """A permutation together with a validated reduced word for it."""
+    """A permutation together with a reduced word for it.
+
+    Without ``word`` the permutation's own ``reduced_word()`` is taken, which is
+    reduced by construction; a given word is checked to be reduced and to
+    multiply to ``perm``.
+    """
 
     __slots__ = ("perm", "word")
 
     def __init__(self, perm, word=None):
         if word is None:
             word = perm.reduced_word()
-        word = tuple(int(i) for i in word)
-        if len(word) != perm.length:
-            raise ValueError("word is not reduced (length mismatch)")
-        prod = Permutation.identity(perm.rank)
-        for i in word:
-            prod = prod * Permutation.transposition(i, perm.rank)
-        if prod != perm:
-            raise ValueError("word does not multiply to the target permutation")
+        else:
+            word = tuple(int(i) for i in word)
+            if len(word) != perm.length:
+                raise ValueError("word is not reduced (length mismatch)")
+            if _word_product(word, perm.rank) != perm:
+                raise ValueError("word does not multiply to the target permutation")
         self.perm = perm
         self.word = word
 
@@ -52,13 +65,15 @@ class HeckeWord:
             return perm_or_word
         if isinstance(perm_or_word, Permutation):
             return cls(perm_or_word)
-        word = tuple(perm_or_word)
+        word = tuple(int(i) for i in perm_or_word)
         if k is None:
             k = max(word, default=0) + 1
-        prod = Permutation.identity(k)
-        for i in word:
-            prod = prod * Permutation.transposition(i, k)
-        return cls(prod, word)
+        perm = _word_product(word, k)  # the word multiplies to perm by construction; only its length is checked
+        if len(word) != perm.length:
+            raise ValueError("word is not reduced (length mismatch)")
+        hw = cls.__new__(cls)
+        hw.perm, hw.word = perm, word
+        return hw
 
     def __repr__(self):
         return f"HeckeWord({self.perm.values}, word={self.word})"
@@ -136,8 +151,9 @@ def local_rational_residual(r, t, s, lam, w, q):
         lhs = lhs * (1 - lam / tt * wi) / (1 - lam * wi)
 
     rhs = 0
+    table = _QHahnTable(q, tt, ss)
     for p in range(r + 1):
-        coeff = _qhahn_coefficient(p, r, q, tt, ss)
+        coeff = table.coefficient(p, r)
 
         def f_p(pt, p=p):
             val = 1
@@ -203,9 +219,10 @@ def hecke_suite(k, q, rng, npoints=50):
         for v in vals[1:]:
             errs["word_independence"] = max(errs["word_independence"], abs(v - vals[0]))
         for pi in perms:
-            if pi.length + tau.length == (pi * tau).length:
+            pi_tau = pi * tau
+            if pi.length + tau.length == pi_tau.length:
                 lhs = apply_T(pi, lambda pt: apply_T(tau, f, pt, q), w, q)
-                rhs = apply_T(pi * tau, f, w, q)
+                rhs = apply_T(pi_tau, f, w, q)
                 errs["composition"] = max(errs["composition"], abs(lhs - rhs))
     return errs
 

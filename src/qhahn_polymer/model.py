@@ -21,9 +21,12 @@ on the chunking.  The scalar ``sample_grid``/``sample_vertex`` keep one
 Python call per vertex and serve as the per-replica oracle and the
 one-replica API: boxes prod(A_c + 1) <= 64 draw from the exact outcome table
 ``vertex_outcome_table``, larger boxes through ``_sample_vertices`` on one row.
-The outcome tables and ``enumerate_exact`` both read the weights from
-``weights.qhahn_outgoing``, and the boundary tables and ``enumerate_exact``
-both take the boundary weights from the one truncation ``_truncated_boundary``.
+The outcome tables and ``enumerate_exact`` both read the weights from the
+q-Hahn outgoing law of ``weights``, through one weight table per vertex
+(i, j): the model keeps those of its outcome tables, and each
+``enumerate_exact`` call builds its own.  The boundary tables and
+``enumerate_exact`` both take the boundary weights from the one truncation
+``_truncated_boundary``.
 
 ``enumerate_exact`` is the exact oracle.  The q-moment statistic is a product
 of one power of q per boundary edge and per vertical edge, so the expectation
@@ -43,7 +46,7 @@ from operator import mul
 import numpy as np
 
 from .qtools import ConvergenceError, comp_add, comp_interval, comp_sub, q_pochhammer
-from .weights import qhahn_outgoing
+from .weights import _qhahn_outgoing, _QHahnTable
 
 __all__ = [
     "QHahnModel",
@@ -86,6 +89,7 @@ class QHahnModel:
     colors: tuple  # boundary composition I with |I| = N
 
     _vertex_tables: dict = field(default_factory=dict, repr=False, compare=False)
+    _weight_tables: dict = field(default_factory=dict, repr=False, compare=False)  # vertex_outcome_table
     _boundary_tables: dict = field(default_factory=dict, repr=False, compare=False)
     _integrals: dict = field(default_factory=dict, repr=False, compare=False)  # verify_shift_invariance
 
@@ -237,14 +241,22 @@ def sample_boundary(model, rng):
 # Vertex sampling.
 
 
+def _weight_table(model, i, j, tables):
+    """Vertex (i, j)'s q-Hahn weight table, one per (i, j) in ``tables``."""
+    table = tables.get((i, j))
+    if table is None:
+        table = tables[(i, j)] = _QHahnTable(model.q, *model.spin_params(i, j))
+    return table
+
+
 def vertex_outcome_table(model, i, j, A):
     """Cumulative outgoing table for small incoming boxes (weights over D <= A)."""
     key = (i, j, A)
     tab = model._vertex_tables.get(key)
     if tab is None:
-        tt, ss = model.spin_params(i, j)
         zero = tuple(0 for _ in A)
-        weights = {D: w for (_, D), w in qhahn_outgoing(A, zero, model.q, tt, ss).items() if w > 0}
+        outgoing = _qhahn_outgoing(A, zero, _weight_table(model, i, j, model._weight_tables))
+        weights = {D: w for (_, D), w in outgoing.items() if w > 0}
         cum = np.cumsum(list(weights.values()))
         if abs(cum[-1] - 1.0) > 1e-9:
             raise ValueError("vertex weights do not normalize (parameter violation)")
@@ -532,7 +544,8 @@ def _truncated_boundary(model, j, tol, ceiling, b_cap=None):
     """Row j's weights w_0..w_cap and the geometric bound on the weight beyond the cap.
 
     Without b_cap the cap doubles from 4 until the tail is geometric and below tol of the
-    kept weight; a cap past ``ceiling`` raises ConvergenceError.
+    kept weight; when the next cap would pass ``ceiling``, ConvergenceError names the last
+    cap tried.
     """
     q = model.q
     one = q**0
@@ -551,10 +564,11 @@ def _truncated_boundary(model, j, tol, ceiling, b_cap=None):
                 return w, tail
         elif b_cap is not None:
             raise ValueError("boundary tail not geometric at this cap; raise b_cap")
+        if 2 * cap > ceiling:
+            raise ConvergenceError(f"boundary truncation for row j={j} reached cap={cap} (the next doubling passes "
+                                   f"max_cap={ceiling}) with tail bound {rel:.3g} of the kept weight, "
+                                   f"not below tol={tol:g}")
         cap *= 2
-        if cap > ceiling:
-            raise ConvergenceError(f"boundary truncation for row j={j} reached cap={ceiling} with tail bound "
-                                   f"{rel:.3g} of the kept weight, not below tol={tol:g}")
 
 
 def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
@@ -596,14 +610,14 @@ def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
     def exponent(e, E):  # e . E for an exponent vector and an edge composition
         return sum(map(mul, e, E))
 
+    weight_tables = {}  # (i, j) -> the vertex's q-Hahn factors, for this call only
     tables = {}
     merged = {}
 
     def outgoing(i, j, A):
         key = (i, j, A)
         if key not in tables:
-            tt, ss = model.spin_params(i, j)
-            tables[key] = list(qhahn_outgoing(A, zero, q, tt, ss).items())
+            tables[key] = list(_qhahn_outgoing(A, zero, _weight_table(model, i, j, weight_tables)).items())
         return tables[key]
 
     def read_once(i, j, A, e, keep_D):

@@ -16,8 +16,11 @@ below are computed with no rounding at all.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from operator import sub
 
 from .qtools import (
+    _one_like,
     comp_add,
     comp_interval,
     comp_leq,
@@ -46,12 +49,81 @@ __all__ = [
 ]
 
 
-def _qhahn_coefficient(p, r, q, tt, ss):
-    """One-colour q-Hahn weight (ss/tt)^p (ss/tt; q)_{r-p} (tt; q)_p / (ss; q)_r."""
-    val = (ss / tt) ** p
-    val *= q_pochhammer(ss / tt, q, r - p) * q_pochhammer(tt, q, p)
-    val /= q_pochhammer(ss, q, r)
-    return val
+class _QHahnTable:
+    """The factors of the q-Hahn weights at one (q, tt, ss), built on demand for one call.
+
+    Holds the prefix products (x; q)_m for x in (ss/tt, tt, ss), extended in the
+    multiplication order of ``q_pochhammer``, and memoised q-binomials, q-powers
+    and one-colour coefficients, so every value equals the direct formula's
+    bit for bit (``==`` for Fractions).  Callers build one per spin pair and
+    keep it for one call, or on the model object for its outcome tables.
+    """
+
+    __slots__ = ("q", "_x", "_one", "_qp", "_poch", "_binom", "_pow", "_coef")
+
+    def __init__(self, q, tt, ss):
+        self.q = q
+        self._x = (ss / tt, tt, ss)
+        self._one = tuple(_one_like(x, q) for x in self._x)
+        self._qp = list(self._one)  # q^m, the power in the next factor of each prefix
+        self._poch = [[one] for one in self._one]  # (x; q)_0, (x; q)_1, ...
+        self._binom = {}
+        self._pow = {}
+        self._coef = {}
+
+    def _pochhammer(self, which, m):
+        """(x; q)_m for x = (ss/tt, tt, ss)[which]."""
+        x, prefix = self._x[which], self._poch[which]
+        if m < 0:
+            return q_pochhammer(x, self.q, m)
+        one = self._one[which]
+        while len(prefix) <= m:
+            prefix.append(prefix[-1] * (one - x * self._qp[which]))
+            self._qp[which] *= self.q
+        return prefix[m]
+
+    def binomial(self, n, m):
+        val = self._binom.get((n, m))
+        if val is None:
+            val = self._binom[(n, m)] = q_binomial(n, m, self.q)
+        return val
+
+    def power(self, e):
+        val = self._pow.get(e)
+        if val is None:
+            val = self._pow[e] = self.q**e
+        return val
+
+    def coefficient(self, p, r):
+        """(ss/tt)^p (ss/tt; q)_{r-p} (tt; q)_p / (ss; q)_r."""
+        key = (p, r)
+        val = self._coef.get(key)
+        if val is None:
+            val = self._x[0] ** p
+            val *= self._pochhammer(0, r - p) * self._pochhammer(1, p)
+            val /= self._pochhammer(2, r)
+            self._coef[key] = val
+        return val
+
+    def outcome(self, A, D):
+        """W(A, B; A + B - D, D) for 0 <= D <= A, which does not depend on B."""
+        val = self.coefficient(sum(D), sum(A))
+        twist = rest = 0  # sum over i < j of D_i (A_j - D_j)
+        for a, d in zip(A[::-1], D[::-1]):
+            twist += d * rest
+            rest += a - d
+        val *= self.power(twist)
+        for a, d in zip(A, D):
+            val *= self.binomial(a, d)
+        return val
+
+    def weight(self, A, B, C, D):
+        """W(A, B; C, D): zero unless A + B = C + D, D <= A and no entry is negative."""
+        if comp_add(A, B) != comp_add(C, D) or not comp_leq(D, A):
+            return 0
+        if any(x < 0 for x in A + B + C + D):
+            return 0
+        return self.outcome(A, D)
 
 
 def qhahn_weight(A, B, C, D, q, tt, ss):
@@ -60,17 +132,7 @@ def qhahn_weight(A, B, C, D, q, tt, ss):
     Vanishes unless A + B = C + D and D <= A componentwise; the value does not
     depend on B, C beyond the conservation law.
     """
-    if comp_add(A, B) != comp_add(C, D) or not comp_leq(D, A):
-        return 0
-    if any(x < 0 for x in A + B + C + D):
-        return 0
-    n = len(A)
-    val = _qhahn_coefficient(sum(D), sum(A), q, tt, ss)
-    twist = sum(D[i] * (A[j] - D[j]) for i in range(n) for j in range(i + 1, n))
-    val *= q**twist
-    for Ai, Di in zip(A, D):
-        val *= q_binomial(Ai, Di, q)
-    return val
+    return _QHahnTable(q, tt, ss).weight(A, B, C, D)
 
 
 def sixv_weight(I, j, K, l, q, z, s):
@@ -161,13 +223,19 @@ def fused_weight(A, B, C, D, q, z, big_n, big_m):
 
 def qhahn_outgoing(A, B, q, tt, ss):
     """Map (C, D) -> weight over all conserving outgoing pairs."""
-    out = {}
+    return _qhahn_outgoing(A, B, _QHahnTable(q, tt, ss))
+
+
+def _qhahn_outgoing(A, B, table):
+    """``qhahn_outgoing`` on a caller's table; C = A + B - D with 0 <= D <= A conserves by construction."""
     AB = comp_add(A, B)
-    for D in iter_box(A):
-        C = comp_sub(AB, D)
-        w = qhahn_weight(A, B, C, D, q, tt, ss)
+    if any(x < 0 for x in A + B):
+        return {}
+    out = {}
+    for D in product(*(range(a + 1) for a in A)):  # iter_box(A)'s order
+        w = table.outcome(A, D)
         if w != 0:
-            out[(C, D)] = w
+            out[(tuple(map(sub, AB, D)), D)] = w
     return out
 
 
@@ -243,26 +311,25 @@ def ybe_residual(kind, boundary, params):
 def _ybe_residual_fat(boundary, q, t1, t2, t3, eta):
     A1, A2, A3, B1, B2, B3 = boundary
     one = Fraction(1) if isinstance(q, Fraction) else 1
-
-    def W(A, B, C, D, ta, tb):
-        return qhahn_weight(A, B, C, D, q, ta, tb)
-
     tt1, tt2, tt3 = t1 * t1, t2 * t2, t3 * t3
     e2 = eta * eta
     ett1, ett2, ett3 = e2 * tt1, e2 * tt2, e2 * tt3
+    W12, W13, W23 = (_QHahnTable(q, ta, tb) for ta, tb in ((tt1, tt2), (tt1, tt3), (tt2, tt3)))
+    eW12, eW13, eW23 = (_QHahnTable(q, ta, tb) for ta, tb in ((ett1, ett2), (ett1, ett3), (ett2, ett3)))
+
     lhs = 0 * one
     for K1 in iter_box(A2):
         K2 = comp_add(comp_sub(A2, K1), A1)
         K3 = comp_sub(comp_add(A3, K1), B1)
         if any(x < 0 for x in K2 + K3):
             continue
-        w1 = W(A2, A1, K2, K1, tt1, tt2)
+        w1 = W12.weight(A2, A1, K2, K1)
         if w1 == 0:
             continue
-        w2 = W(A3, K1, K3, B1, ett1, ett3)
+        w2 = eW13.weight(A3, K1, K3, B1)
         if w2 == 0:
             continue
-        lhs += w1 * w2 * W(K3, K2, B3, B2, tt2, tt3)
+        lhs += w1 * w2 * W23.weight(K3, K2, B3, B2)
 
     rhs = 0 * one
     for K2 in iter_box(A3):
@@ -270,13 +337,13 @@ def _ybe_residual_fat(boundary, q, t1, t2, t3, eta):
         K1 = comp_sub(comp_add(K3, A1), B3)
         if any(x < 0 for x in K3 + K1):
             continue
-        w1 = W(A3, A2, K3, K2, ett2, ett3)
+        w1 = eW23.weight(A3, A2, K3, K2)
         if w1 == 0:
             continue
-        w2 = W(K3, A1, B3, K1, tt1, tt3)
+        w2 = W13.weight(K3, A1, B3, K1)
         if w2 == 0:
             continue
-        rhs += w1 * w2 * W(K2, K1, B2, B1, ett1, ett2)
+        rhs += w1 * w2 * eW12.weight(K2, K1, B2, B1)
     return lhs - rhs
 
 
@@ -284,7 +351,7 @@ def _ybe_residual_thin(boundary, q, x, s, t, eta):
     a1, A2, A3, b1, B2, B3 = boundary
     n = len(A2)
     one = Fraction(1) if isinstance(q, Fraction) else 1
-    tt, ss = t * t, s * s
+    table = _QHahnTable(q, t * t, s * s)
     xt_eta, t_eta = x * t / eta, t * eta
     xs_eta, s_eta = x * s / eta, s * eta
 
@@ -300,7 +367,7 @@ def _ybe_residual_thin(boundary, q, x, s, t, eta):
         w_vert = sixv_weight(A3, k1, K3, b1, q, x * s, s)
         if w_vert == 0:
             continue
-        lhs += w_cross * w_vert * qhahn_weight(K3, K2, B3, B2, q, tt, ss)
+        lhs += w_cross * w_vert * table.weight(K3, K2, B3, B2)
 
     rhs = 0 * one
     for k1 in range(n + 1):
@@ -308,7 +375,7 @@ def _ybe_residual_thin(boundary, q, x, s, t, eta):
         K2 = comp_sub(comp_add(A3, A2), K3)
         if any(v < 0 for v in K3 + K2):
             continue
-        w_bot = qhahn_weight(A3, A2, K3, K2, q, tt, ss)
+        w_bot = table.weight(A3, A2, K3, K2)
         if w_bot == 0:
             continue
         w_vert = sixv_weight(K3, a1, B3, k1, q, xs_eta, s_eta)
@@ -458,20 +525,21 @@ def local_relation_residual(A, B, R, q, tt, ss):
     single vertex; RHS is the closed sum over subcompositions P <= R.
     """
     n = len(A)
+    table = _QHahnTable(q, tt, ss)
     lhs = 0 * (q * 0 + 1)
-    for (_, D), w in qhahn_outgoing(A, B, q, tt, ss).items():
+    for (_, D), w in _qhahn_outgoing(A, B, table).items():
         e = sum(R[i] * D[j] for i in range(n) for j in range(i, n))
-        lhs += q**e * w
+        lhs += table.power(e) * w
 
     r = sum(R)
     rhs = 0 * (q * 0 + 1)
     for P in iter_box(R):
-        term = _qhahn_coefficient(sum(P), r, q, tt, ss)
+        term = table.coefficient(sum(P), r)
         e1 = sum((R[i] - P[i]) * P[j] for i in range(n) for j in range(i + 1, n))
         e2 = sum(P[i] * A[j] for i in range(n) for j in range(i, n))
-        term *= q ** (e1 + e2)
+        term *= table.power(e1 + e2)
         for Ri, Pi in zip(R, P):
-            term *= q_binomial(Ri, Pi, q)
+            term *= table.binomial(Ri, Pi)
         rhs += term
     return lhs - rhs
 
@@ -479,10 +547,11 @@ def local_relation_residual(A, B, R, q, tt, ss):
 def local_relation_shuffle_rhs(c, A, q, tt, ss):
     """Sequence-form right-hand side: sum over ordered-subsequence permutations."""
     r = len(c)
+    table = _QHahnTable(q, tt, ss)
     rhs = 0 * (q * 0 + 1)
     for p in range(r + 1):
-        coeff = _qhahn_coefficient(p, r, q, tt, ss)
+        coeff = table.coefficient(p, r)
         for tau in shuffles(p, r):
             sub = tuple(c[tau.inv(a) - 1] for a in range(1, p + 1))
-            rhs += coeff * q**tau.length * local_qmoment(sub, A, q)
+            rhs += coeff * table.power(tau.length) * local_qmoment(sub, A, q)
     return rhs

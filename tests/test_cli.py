@@ -326,7 +326,7 @@ def test_boundary_cap_is_a_numerical_failure(tmp_path, capsys):
     code = run(["sample", "qhahn", "--config", str(path), "-o", str(tmp_path / "x.csv")])
     err = capsys.readouterr().err
     assert code == EXIT_NUMERIC
-    assert "non-convergence" in err and "cap=200000" in err
+    assert "non-convergence" in err and "cap=131072 (the next doubling passes max_cap=200000)" in err
 
 
 def test_verify_stochastic(capsys):

@@ -99,6 +99,31 @@ def test_non_reduced_word_rejected():
         HeckeWord(tau, (2,))
 
 
+def test_word_that_is_not_reduced_is_rejected_from_a_tuple():
+    with pytest.raises(ValueError, match="not reduced"):
+        HeckeWord.of((1, 1), k=2)
+    with pytest.raises(ValueError, match="not reduced"):
+        HeckeWord.of((1, 2, 1, 2), k=3)
+    for word, k in [((0,), 2), ((3,), 3), ((1, 0), 3)]:  # letters outside 1..k-1
+        with pytest.raises(ValueError, match="simple transposition"):
+            HeckeWord.of(word, k=k)
+    with pytest.raises(ValueError, match="simple transposition"):
+        HeckeWord(Permutation((2, 1)), (0,))
+
+
+def test_heckeword_of_every_permutation_in_S4():
+    for values in itertools.permutations(range(1, 5)):
+        perm = Permutation(values)
+        hw = HeckeWord(perm)
+        assert len(hw.word) == perm.length
+        prod = Permutation.identity(4)
+        for i in hw.word:
+            prod = prod * Permutation.transposition(i, 4)
+        assert prod == perm
+        from_tuple = HeckeWord.of(hw.word, k=4)
+        assert from_tuple.perm == perm and from_tuple.word == hw.word
+
+
 def test_coincident_arguments_finite_and_consistent():
     f = rand_rational_function(2)
     base = (0.7 + 0.2j, 0.7 + 0.2j)

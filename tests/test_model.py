@@ -456,6 +456,20 @@ def test_enumerate_exact_criterion6_float_pins(xs, ys, cs, tau, value):
     assert abs(tail - 2.518989116173141e-17) < 1e-12 * 2.518989116173141e-17
 
 
+@pytest.mark.parametrize("xs, ys, cs, tau, tol, value, tail", [
+    ([1.5], [2.5], [1], (1,), 1e-11, 0.7629349816849816, 2.518989116173139e-17),
+    ([0.5, 1.5], [2.5, 1.5], [1, 2], (1, 2), 1e-11, 0.254383848133848, 2.518989116173139e-17),
+    ([0.5, 1.5], [2.5, 1.5], [1, 2], (2, 1), 1e-11, 0.4954954954954953, 2.518989116173139e-17),
+    ([1.5], [2.5], [1], (1,), 1e-7, 0.7629349819622214, 9.937115960846865e-09),
+    ([0.5, 1.5], [2.5, 1.5], [1, 2], (1, 2), 1e-7, 0.25438384939776865, 9.937115960846865e-09),
+    ([0.5, 1.5], [2.5, 1.5], [1, 2], (2, 1), 1e-7, 0.49549549740816046, 9.937115960846865e-09),
+])
+def test_enumerate_exact_criterion6_values_are_bit_stable(xs, ys, cs, tau, tol, value, tail):
+    # value and tail bound bit for bit, at a tight tolerance and at the bench's 1e-7
+    m = QHahnModel(q=0.6, mu=(2.4, 2.5, 2.6), kappa=(1.25, 1.3), lam=(0.16, 0.18), colors=(1, 1))
+    assert enumerate_exact(m, HeightRequest.make(xs, ys, cs, Permutation(tau)), tol=tol) == (value, tail)
+
+
 @pytest.mark.parametrize("exact", [False, True])
 def test_enumerate_exact_boundary_only_matches_base_case(exact):
     m = _frac_model((1, 1, 1)) if exact else small_model(q=0.5, n_rows=3, colors=(1, 1, 1))

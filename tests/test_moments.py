@@ -97,6 +97,22 @@ def test_qmoment_matches_enumeration_2x2():
         assert abs(val - exact) / abs(exact) < 1e-6
 
 
+@pytest.mark.parametrize("xs, ys, cs, tau, tol", [
+    ([1.5], [2.5], [1], (1,), 1e-8),
+    ([0.5, 1.5], [3.5, 2.5], [1, 3], (2, 1), 1e-8),
+    ([0.5, 1.5], [3.5, 2.5], [2, 3], (1, 2), 1e-8),
+    ([0.5, 1.5, 2.5], [3.5, 3.5, 2.5], [1, 2, 3], (1, 2, 3), 1e-5),  # about 1 s
+])
+def test_qmoment_matches_enumeration_three_colours(xs, ys, cs, tau, tol):
+    # N = 3 with one path of each colour; the statistic lies in (0, 1], so the
+    # enumeration's tail bound bounds its distance from the full expectation
+    m = QHahnModel(q=0.6, mu=(2.0, 2.15, 2.3, 2.45), kappa=(1.1, 1.2, 1.3), lam=(0.2, 0.25, 0.3), colors=(1, 1, 1))
+    req = HeightRequest.make(xs, ys, cs, Permutation(tau))
+    exact, tail = enumerate_exact(m, req, tol=tol)
+    assert tail < 3 * tol
+    assert abs(qmoment_integral(m, req) - exact) <= tail
+
+
 def test_self_adjointness_of_hecke_factor():
     # <T_tau F, G> = <F, T_{tau^{-1}} G> for the contour pairing
     m = lattice_model()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhahn_polymer.qtools import comp_add, comp_sub, iter_box, unit_comp
+from qhahn_polymer import weights
+from qhahn_polymer.qtools import comp_add, comp_leq, comp_sub, iter_box, q_binomial, q_pochhammer, unit_comp
 from qhahn_polymer.weights import (
     YBE_KINDS,
     fused_outgoing,
@@ -274,6 +275,108 @@ def test_master_ybe_exact_zero():
         assert resid == 0
         checked += 1
     assert checked == 20
+
+
+# ---------------------------------------------------------------------------
+# The shared weight tables against the direct formula: one q_pochhammer and
+# q_binomial product per weight, as each weight was evaluated before the tables.
+
+
+def _direct_coefficient(p, r, q, tt, ss):
+    val = (ss / tt) ** p
+    val *= q_pochhammer(ss / tt, q, r - p) * q_pochhammer(tt, q, p)
+    val /= q_pochhammer(ss, q, r)
+    return val
+
+
+def _direct_weight(A, B, C, D, q, tt, ss):
+    if comp_add(A, B) != comp_add(C, D) or not comp_leq(D, A):
+        return 0
+    if any(x < 0 for x in A + B + C + D):
+        return 0
+    n = len(A)
+    val = _direct_coefficient(sum(D), sum(A), q, tt, ss)
+    val *= q ** sum(D[i] * (A[j] - D[j]) for i in range(n) for j in range(i + 1, n))
+    for Ai, Di in zip(A, D):
+        val *= q_binomial(Ai, Di, q)
+    return val
+
+
+def _direct_outgoing(A, B, q, tt, ss):
+    out = {}
+    AB = comp_add(A, B)
+    for D in iter_box(A):
+        C = comp_sub(AB, D)
+        w = _direct_weight(A, B, C, D, q, tt, ss)
+        if w != 0:
+            out[(C, D)] = w
+    return out
+
+
+class _DirectTable:
+    """Stands in for ``weights._QHahnTable`` and evaluates every factor from scratch."""
+
+    def __init__(self, q, tt, ss):
+        self.q, self.tt, self.ss = q, tt, ss
+
+    def coefficient(self, p, r):
+        return _direct_coefficient(p, r, self.q, self.tt, self.ss)
+
+    def power(self, e):
+        return self.q**e
+
+    def binomial(self, n, m):
+        return q_binomial(n, m, self.q)
+
+    def outcome(self, A, D):
+        return _direct_weight(A, (0,) * len(A), comp_sub(A, D), D, self.q, self.tt, self.ss)
+
+    def weight(self, A, B, C, D):
+        return _direct_weight(A, B, C, D, self.q, self.tt, self.ss)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_weight_tables_equal_the_direct_formula(exact, monkeypatch):
+    # repr equality: the same values bit for bit, the same types and the same dict order
+    rng = np.random.default_rng(61 + exact)
+
+    def scalars():
+        if exact:
+            return tuple(Fraction(int(rng.integers(1, 9)), int(rng.integers(10, 23))) for _ in range(3))
+        return tuple(float(v) for v in rng.uniform(0.05, 0.95, size=3))
+
+    outgoing, local = [], []
+    for _ in range(150):
+        n = int(rng.integers(1, 4))
+        A, B = (tuple(int(v) for v in rng.integers(0, 4, size=n)) for _ in range(2))
+        R = tuple(int(v) for v in rng.integers(0, 2, size=n))
+        q, tt, ss = scalars()
+        outgoing.append((A, B, q, tt, ss))
+        local.append((A, B, R, q, tt, ss))
+    ybe = []
+    for kind in YBE_KINDS:
+        for _ in range(10):
+            boundary, params = random_ybe_instance(kind, rng, colors=2, max_entry=2)
+            ybe.append((kind, boundary, params if exact else {k: float(v) for k, v in params.items()}))
+
+    got_local = [local_relation_residual(*case) for case in local]
+    got_ybe = [ybe_residual(*case) for case in ybe]
+    with monkeypatch.context() as mp:
+        mp.setattr(weights, "_QHahnTable", _DirectTable)
+        ref_local = [local_relation_residual(*case) for case in local]
+        ref_ybe = [ybe_residual(*case) for case in ybe]
+    assert repr([qhahn_outgoing(*case) for case in outgoing]) == repr([_direct_outgoing(*case) for case in outgoing])
+    assert repr(got_local) == repr(ref_local)
+    assert repr(got_ybe) == repr(ref_ybe)
+    if exact:
+        assert all(isinstance(v, Fraction) and v == 0 for v in got_local + got_ybe)
+
+    # one table shared by many incoming boxes, visited out of order, as enumerate_exact shares it
+    q, tt, ss = scalars()
+    table = weights._QHahnTable(q, tt, ss)
+    for A, B, *_ in outgoing[::-1]:
+        assert repr(weights._qhahn_outgoing(A, B, table)) == repr(_direct_outgoing(A, B, q, tt, ss))
+        assert repr(table.coefficient(1, sum(A) + 1)) == repr(_direct_coefficient(1, sum(A) + 1, q, tt, ss))
 
 
 # ---------------------------------------------------------------------------

@@ -65,15 +65,10 @@ class HeckeWord:
             return perm_or_word
         if isinstance(perm_or_word, Permutation):
             return cls(perm_or_word)
-        word = tuple(int(i) for i in perm_or_word)
+        word = tuple(perm_or_word)
         if k is None:
             k = max(word, default=0) + 1
-        perm = _word_product(word, k)  # the word multiplies to perm by construction; only its length is checked
-        if len(word) != perm.length:
-            raise ValueError("word is not reduced (length mismatch)")
-        hw = cls.__new__(cls)
-        hw.perm, hw.word = perm, word
-        return hw
+        return cls(_word_product(word, k), word)
 
     def __repr__(self):
         return f"HeckeWord({self.perm.values}, word={self.word})"

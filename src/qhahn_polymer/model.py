@@ -22,11 +22,10 @@ Python call per vertex and serve as the per-replica oracle and the
 one-replica API: boxes prod(A_c + 1) <= 64 draw from the exact outcome table
 ``vertex_outcome_table``, larger boxes through ``_sample_vertices`` on one row.
 The outcome tables and ``enumerate_exact`` both read the weights from the
-q-Hahn outgoing law of ``weights``, through one weight table per vertex
-(i, j): the model keeps those of its outcome tables, and each
-``enumerate_exact`` call builds its own.  The boundary tables and
-``enumerate_exact`` both take the boundary weights from the one truncation
-``_truncated_boundary``.
+q-Hahn outgoing law of ``weights``; each ``enumerate_exact`` call builds one
+weight table per vertex (i, j) and drops it on return.  The boundary tables
+and ``enumerate_exact`` both take the boundary weights from the one
+truncation ``_truncated_boundary``.
 
 ``enumerate_exact`` is the exact oracle.  The q-moment statistic is a product
 of one power of q per boundary edge and per vertical edge, so the expectation
@@ -46,7 +45,7 @@ from operator import mul
 import numpy as np
 
 from .qtools import ConvergenceError, comp_add, comp_interval, comp_sub, q_pochhammer
-from .weights import _qhahn_outgoing, _QHahnTable
+from .weights import _qhahn_outgoing, _QHahnTable, qhahn_outgoing
 
 __all__ = [
     "QHahnModel",
@@ -89,7 +88,6 @@ class QHahnModel:
     colors: tuple  # boundary composition I with |I| = N
 
     _vertex_tables: dict = field(default_factory=dict, repr=False, compare=False)
-    _weight_tables: dict = field(default_factory=dict, repr=False, compare=False)  # vertex_outcome_table
     _boundary_tables: dict = field(default_factory=dict, repr=False, compare=False)
     _integrals: dict = field(default_factory=dict, repr=False, compare=False)  # verify_shift_invariance
 
@@ -241,22 +239,14 @@ def sample_boundary(model, rng):
 # Vertex sampling.
 
 
-def _weight_table(model, i, j, tables):
-    """Vertex (i, j)'s q-Hahn weight table, one per (i, j) in ``tables``."""
-    table = tables.get((i, j))
-    if table is None:
-        table = tables[(i, j)] = _QHahnTable(model.q, *model.spin_params(i, j))
-    return table
-
-
 def vertex_outcome_table(model, i, j, A):
     """Cumulative outgoing table for small incoming boxes (weights over D <= A)."""
     key = (i, j, A)
     tab = model._vertex_tables.get(key)
     if tab is None:
+        tt, ss = model.spin_params(i, j)
         zero = tuple(0 for _ in A)
-        outgoing = _qhahn_outgoing(A, zero, _weight_table(model, i, j, model._weight_tables))
-        weights = {D: w for (_, D), w in outgoing.items() if w > 0}
+        weights = {D: w for (_, D), w in qhahn_outgoing(A, zero, model.q, tt, ss).items() if w > 0}
         cum = np.cumsum(list(weights.values()))
         if abs(cum[-1] - 1.0) > 1e-9:
             raise ValueError("vertex weights do not normalize (parameter violation)")
@@ -617,7 +607,10 @@ def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
     def outgoing(i, j, A):
         key = (i, j, A)
         if key not in tables:
-            tables[key] = list(_qhahn_outgoing(A, zero, _weight_table(model, i, j, weight_tables)).items())
+            table = weight_tables.get((i, j))
+            if table is None:
+                table = weight_tables[(i, j)] = _QHahnTable(q, *model.spin_params(i, j))
+            tables[key] = list(_qhahn_outgoing(A, zero, table).items())
         return tables[key]
 
     def read_once(i, j, A, e, keep_D):

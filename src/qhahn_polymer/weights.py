@@ -56,7 +56,7 @@ class _QHahnTable:
     multiplication order of ``q_pochhammer``, and memoised q-binomials, q-powers
     and one-colour coefficients, so every value equals the direct formula's
     bit for bit (``==`` for Fractions).  Callers build one per spin pair and
-    keep it for one call, or on the model object for its outcome tables.
+    keep it for one call.
     """
 
     __slots__ = ("q", "_x", "_one", "_qp", "_poch", "_binom", "_pow", "_coef")

@@ -72,7 +72,7 @@ def test_boundary_concentrates_when_lam_近_kappa():
 def test_boundary_table_raises_when_cap_reached_before_tol(monkeypatch):
     m = small_model()
     monkeypatch.setattr(model_module, "_SAMPLER_CAP", 3)
-    with pytest.raises(ConvergenceError, match=r"j=2.*cap=3.*tail bound"):
+    with pytest.raises(ConvergenceError, match=r"j=2 reached cap=4 \(the next doubling passes max_cap=3\).*tail bound"):
         _boundary_table(m, 2)
     assert m._boundary_tables == {}
 

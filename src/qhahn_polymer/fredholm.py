@@ -62,7 +62,7 @@ __all__ = [
 def _circle(contour):
     if contour.k != 1:
         raise ValueError("expected a single contour")
-    return contour.center, contour.radii[0]
+    return contour.centers[0], contour.radii[0]
 
 
 # the shift sum's term cap; its terms behave like u^n / n!, so it needs about e |u| of them

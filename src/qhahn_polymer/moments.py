@@ -1,17 +1,20 @@
 """Nested-contour quadrature for the q-moment and polymer moment formulas.
 
-Contours are concentric circles around the pole cluster.  Trapezoid rule on a
-circle is spectrally accurate for analytic integrands, so node counts double
-until the value stabilizes, from the bottom of the cap's halving ladder (the
-lowest of cap, cap/2, cap/4, ... that is at least 16, one rule for every
-route).  The operator factor T_word expands into at most 2^L terms (L the word
-length), each a product of factors on one variable or on one pair of
-variables, so every term of the k-fold sum contracts pairwise: at k = 3 one
-m x m matrix product per term, O(2^L m^3) BLAS work and O(m^2) memory, and the
-k-dimensional grid is never formed.  The single-contour partition sum contracts
-the same way: by Cauchy's product formula each partition's determinant is a
-product of one-variable and pair factors, one ``_contract`` per partition, on
-the nested routes' node caps and tolerances.
+Contours are nested circles centred on the real axis, each with its own centre.
+One rule (``_nested_circles``) builds them for both families: each circle holds
+the pole cluster and keeps the excluded points outside, and circle a + 1 holds
+circle a and its image (w -> q w on the lattice, v -> v + 1 for the polymer).
+Trapezoid rule on a circle is spectrally accurate for analytic integrands, so
+node counts double until the value stabilizes, from the bottom of the cap's
+halving ladder (the lowest of cap, cap/2, cap/4, ... that is at least 16, one
+rule for every route).  The operator factor T_word expands into at most 2^L
+terms (L the word length), each a product of factors on one variable or on one
+pair of variables, so every term of the k-fold sum contracts pairwise: at k = 3
+one m x m matrix product per term, O(2^L m^3) BLAS work and O(m^2) memory, and
+the k-dimensional grid is never formed.  The single-contour partition sum
+contracts the same way: by Cauchy's product formula each partition's
+determinant is a product of one-variable and pair factors, one ``_contract``
+per partition, on the nested routes' node caps and tolerances.
 
 This module is the numerical core shared with :mod:`.fredholm`: the circle
 rule (``NestedContours.nodes``/``weights``), the node-doubling routine
@@ -56,10 +59,10 @@ _START_FLOOR = 16
 _REFINE_RTOL = {1: 1e-10, 2: 1e-10, 3: 3e-9, 4: 1e-7}
 # absolute stabilization threshold of every node-doubling loop
 _REFINE_ATOL = 1e-13
-# lattice circles: each radius sits this fraction of the way from its lower bound to the clearance
-_LATTICE_PAD = 0.3
-# polymer circles: largest gap between a circle and the cluster or the previous shifted circle
-_SHIFTED_PAD_CAP = 0.35
+# nested circles: each diameter widens on both sides by this fraction of its smaller gap to the
+# excluded points, and by at most _PAD_CAP
+_PAD = 0.3
+_PAD_CAP = 0.35
 # largest radius of the small circle around the sigma cluster
 _SIGMA_RADIUS_CAP = 0.25
 
@@ -70,9 +73,9 @@ class ContourError(ValueError):
 
 @dataclass(frozen=True)
 class NestedContours:
-    """Concentric positively oriented circles; radii ascending (index 1 innermost)."""
+    """Positively oriented circles, one centre and radius each; circle 0 innermost, each inside the next."""
 
-    center: float
+    centers: tuple
     radii: tuple
 
     @property
@@ -82,7 +85,7 @@ class NestedContours:
     def nodes(self, m):
         theta = 2.0 * np.pi * np.arange(m) / m
         ring = np.exp(1j * theta)
-        return [self.center + r * ring for r in self.radii]
+        return [c + r * ring for c, r in zip(self.centers, self.radii)]
 
     def weights(self, m):
         """Quadrature weights absorbing dw/(2*pi*i) per circle."""
@@ -149,6 +152,34 @@ class GFunction:
         return val if log_rep is None else val * np.exp(log_rep)
 
 
+def _nested_circles(inside, left, right, image, k):
+    """k nested circles centred on the real axis, each with its own centre.
+
+    A disc centred on the real axis lies inside another exactly when its real
+    diameter does, and ``image`` (increasing on the real axis) sends such a
+    circle to the circle on the image of its diameter.  So the family is a
+    sequence of nested diameters: the first is the span of ``inside``; each
+    later one is the union of the previous diameter and its image.  Each is
+    then widened on both sides by one pad, ``_PAD`` of the smaller gap to
+    ``left`` and ``right``, at most ``_PAD_CAP``.  Every inside point lies
+    strictly inside circle 0, ``left`` and ``right`` strictly outside the last
+    circle, and circle a with its image strictly inside circle a + 1.
+    """
+    lo, hi = min(inside), max(inside)
+    if not (left < lo and hi < right):
+        raise ContourError(f"pole cluster [{lo:.4g}, {hi:.4g}] is not strictly between "
+                           f"the excluded points {left:.4g} and {right:.4g}")
+    centers, radii = [], []
+    for a in range(k):
+        if a:
+            lo, hi = min(lo, image(lo)), max(hi, image(hi))
+        pad = min(_PAD * (lo - left), _PAD * (right - hi), _PAD_CAP)
+        lo, hi = lo - pad, hi + pad
+        centers.append(0.5 * (lo + hi))
+        radii.append(0.5 * (hi - lo))
+    return NestedContours(centers=tuple(centers), radii=tuple(radii))
+
+
 def build_contours(model, k):
     """Circle family for the lattice q-moment integrals.
 
@@ -157,75 +188,20 @@ def build_contours(model, k):
     the next one.
     """
     inside = [1.0 / m for m in model.mu] + [1.0 / kk for kk in model.kappa]
-    outside_right = min(1.0 / ll for ll in model.lam)
-    lo, hi = min(inside), max(inside)
-    center = 0.5 * (lo + hi)
-    r_cluster = 0.5 * (hi - lo)
-    clearance = min(center - 0.0, outside_right - center)
-    if clearance <= r_cluster:
-        which = "0" if center <= outside_right - center else "1/lam"
-        raise ContourError(
-            f"pole cluster radius {r_cluster:.4g} reaches the excluded point {which} "
-            f"(clearance {clearance:.4g})"
-        )
-    q = model.q
-    radii = []
-    r = r_cluster + _LATTICE_PAD * (clearance - r_cluster)
-    radii.append(r)
-    for _ in range(k - 1):
-        lower = max(r, center * (1.0 - q) + q * r)
-        if lower >= clearance:
-            raise ContourError(
-                "q-scaled containment pushes the outer radius onto the excluded set "
-                f"(needed > {lower:.4g}, clearance {clearance:.4g}); the binding "
-                "constraint is " + ("'0 outside'" if center <= outside_right - center else "'1/lam outside'")
-            )
-        r = lower + _LATTICE_PAD * (clearance - lower)
-        radii.append(r)
-    cont = NestedContours(center=center, radii=tuple(radii))
-    _validate_lattice_contours(cont, model, k)
-    return cont
+    return _nested_circles(inside, 0.0, min(1.0 / ll for ll in model.lam), lambda w: model.q * w, k)
 
 
-def _validate_lattice_contours(cont, model, k):
-    c = cont.center
-    eps = 1e-6
-    for p in [1.0 / m for m in model.mu] + [1.0 / kk for kk in model.kappa]:
-        if abs(p - c) >= cont.radii[0] * (1 - eps):
-            raise ContourError(f"pole {p:.4g} not strictly inside the innermost circle")
-    for p in [0.0] + [1.0 / ll for ll in model.lam]:
-        if abs(p - c) <= cont.radii[-1] * (1 + eps):
-            raise ContourError(f"excluded point {p:.4g} not strictly outside the outer circle")
-    q = model.q
-    for a in range(k - 1):
-        if cont.radii[a] >= cont.radii[a + 1] * (1 - eps):
-            raise ContourError("circles are not strictly nested")
-        if c * (1 - q) + q * cont.radii[a] >= cont.radii[a + 1] * (1 - eps):
-            raise ContourError("q-scaled circle not strictly inside the next circle")
+def build_shifted_contours(pmodel, xs, ys):
+    """Circle family for the polymer moment integrals at the corners (xs[a], ys[a]).
 
-
-def build_shifted_contours(pmodel, k, x, y):
-    """Circle family for the polymer moment integrals (unit-shift containment)."""
-    sigmas, rhos, omegas = pmodel.corner_slots(x, y)
-    inside = sigmas + rhos
-    lo, hi = min(inside), max(inside)
-    center = 0.5 * (lo + hi)
-    r_cluster = 0.5 * (hi - lo)
-    out_max = max(omegas) if omegas else -math.inf
-    clearance = center - out_max
-    slack = clearance - r_cluster - (k - 1)
-    if slack <= 1e-9:
-        raise ContourError(
-            f"omega cluster too close: need clearance > cluster + {k - 1} for {k} "
-            f"unit-shifted circles, have {clearance:.4g} vs {r_cluster:.4g} + {k - 1}"
-        )
-    delta = min(slack / (k + 1), _SHIFTED_PAD_CAP)
-    radii = [r_cluster + delta]
-    for _ in range(k - 1):
-        radii.append(radii[-1] + 1.0 + delta)
-    if omegas and center - radii[-1] <= out_max + 1e-9:
-        raise ContourError("outer circle reaches an omega point")
-    return NestedContours(center=center, radii=tuple(radii))
+    The sigma and rho slots of every corner lie inside every circle, the omega
+    slots of every corner stay outside, and each circle together with its +1
+    shift fits strictly inside the next one.
+    """
+    slots = [pmodel.corner_slots(x, y) for x, y in zip(xs, ys)]
+    inside = [v for sigmas, rhos, _ in slots for v in sigmas + rhos]
+    left = max((v for *_, omegas in slots for v in omegas), default=-math.inf)
+    return _nested_circles(inside, left, math.inf, lambda v: v + 1.0, len(slots))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +491,7 @@ def beta_moment_integral(pmodel, xs, ys, rs, tau=None, nodes=None, with_info=Fal
         raise ValueError("need r ascending")
     if any(x > y - r for x, y, r in zip(xs, ys, rs)):
         raise ValueError("need x_a <= y_a - r_a")
-    contours = build_shifted_contours(pmodel, k, max(xs), max(ys))
+    contours = build_shifted_contours(pmodel, xs, ys)
 
     def g_fn(a):
         def g(v):
@@ -566,7 +542,7 @@ def small_sigma_circle(pmodel, x, y):
     if radius <= spread / 2.0:
         raise ContourError("sigma cluster does not fit: nearest rho/omega too close")
     radius = max(radius, 0.6 * radius + 0.4 * (spread / 2.0))
-    return NestedContours(center=center, radii=(radius,))
+    return NestedContours(centers=(center,), radii=(radius,))
 
 
 def _cauchy_sum(v, axis_vals, lam):

@@ -118,6 +118,22 @@ def test_moments_polymer_and_single(tmp_path, polymer_config, capsys):
     assert abs(rec1["value_re"] - rec2["value_re"]) < 1e-9
 
 
+def test_moments_polymer_unequal_corners(tmp_path, capsys):
+    # the omegas of corner (0, 5) beyond those of corner (2, 3) must stay outside the circles
+    from qhahn_polymer.polymer import PolymerModel, joint_moment_annealed
+
+    cfg = {"sigma": [1.2, 1.3, 1.25], "rho": [0.3, 0.2, 0.25, 0.35, 0.3], "omega": [-3.0, -3.1, -2.9, -0.05, -0.08]}
+    path, out = tmp_path / "corners.json", tmp_path / "p.jsonl"
+    path.write_text(json.dumps({"model": cfg}))
+    code = run(["moments", "polymer", "--config", str(path), "--x", "0", "2", "--y", "5", "3",
+                "--r", "0", "0", "-o", str(out)])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    rec = json.loads(out.read_text().splitlines()[0])
+    tgt = joint_moment_annealed(PolymerModel(cfg["sigma"], cfg["rho"], cfg["omega"]), [(0, 5, 0), (2, 3, 0)])
+    assert abs(rec["value_re"] - tgt) <= 1e-10 * tgt
+
+
 def test_moments_single_contour_records_refinement(tmp_path, polymer_config, capsys):
     from qhahn_polymer.moments import single_contour_moment
     from qhahn_polymer.polymer import PolymerModel

@@ -135,7 +135,7 @@ def test_mb_matches_series_kernel_pointwise():
     pm = poly_model()
     u = -2.0
     kern, cont = mb_kernel_matrix(pm, X, Y, u)
-    center, radius = cont.center, cont.radii[0]
+    center, radius = cont.centers[0], cont.radii[0]
     v = center + radius * np.exp(1j * 2 * np.pi * np.arange(12) / 12)
     mb = kern.matrix(v, v)
     from qhahn_polymer.fredholm import _series_kernel_matrix
@@ -148,7 +148,7 @@ def test_mb_matches_series_kernel_pointwise():
 
 
 def _circle_nodes(cont, m):
-    return cont.center + cont.radii[0] * np.exp(1j * 2 * np.pi * np.arange(m) / m)
+    return cont.centers[0] + cont.radii[0] * np.exp(1j * 2 * np.pi * np.arange(m) / m)
 
 
 @pytest.mark.parametrize("u", [-2.0, -2.0 + 1.5j])
@@ -257,7 +257,7 @@ def test_mb_tiny_u_kernel_small():
     # |K_u| is controlled by |u|^{Re(z - v)} with Re(z - v) >= line separation
     pm = poly_model()
     kern, cont = mb_kernel_matrix(pm, X, Y, -1e-6)
-    center, radius = cont.center, cont.radii[0]
+    center, radius = cont.centers[0], cont.radii[0]
     sep = kern.h - (center + radius)
     v = center + radius * np.exp(1j * 2 * np.pi * np.arange(8) / 8)
     mx = np.max(np.abs(kern.matrix(v, v)))

@@ -7,8 +7,10 @@ from qhahn_polymer.model import HeightRequest, QHahnModel, base_case_product, en
 from qhahn_polymer.moments import (
     ContourError,
     ConvergenceError,
+    _nested_circles,
     beta_moment_integral,
     build_contours,
+    build_shifted_contours,
     qmoment_integral,
     single_contour_moment,
     small_sigma_circle,
@@ -36,24 +38,77 @@ def poly_model():
     )
 
 
+def _random_lattice_models(seed=2026, n=40):
+    # N = 2, q in (0.05, 0.95); the 7 parameters' reciprocals are sorted draws from (0.3, 3),
+    # the smallest three as 1/mu, the next two as 1/kappa and the largest two as 1/lam
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        inv = np.sort(rng.uniform(0.3, 3.0, 7))
+        yield QHahnModel(q=float(rng.uniform(0.05, 0.95)), mu=tuple(1 / inv[:3]), kappa=tuple(1 / inv[3:5]),
+                         lam=tuple(1 / inv[5:]), colors=(1, 1))
+
+
+def _random_joint_requests(seed=2027, n=30):
+    # unequal corners, delays r in {0, 1} and a random pairing tau on a model whose schedules
+    # reach every corner, drawn like _random_polymer_models
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        k = int(rng.integers(2, 4))
+        xs = sorted(int(v) for v in rng.integers(0, 3, k))
+        ys = sorted((xs[-1] + int(v) for v in rng.integers(1, 4, k)), reverse=True)
+        rs = sorted(int(v) for v in rng.integers(0, 2, k))
+        span = max(y - x for x, y in zip(xs, ys))
+        pm = PolymerModel(1.0 + 0.6 * rng.random(xs[-1] + 1), 0.5 * rng.random(ys[0]), -rng.uniform(0.5, 3.0, span))
+        yield pm, xs, ys, rs, Permutation(tuple(int(v) + 1 for v in rng.permutation(k)))
+
+
+def _inside(c1, r1, c2, r2):
+    """The closed disc (c1, r1) lies in the open disc (c2, r2)."""
+    return abs(c1 - c2) + r1 < r2
+
+
+def _assert_nested(cont, inside, excluded, image):
+    # image(c, r) is the circle that the family's map sends the circle (c, r) to
+    cs, rs = cont.centers, cont.radii
+    assert all(abs(p - cs[0]) < rs[0] for p in inside)
+    assert all(abs(p - cs[-1]) > rs[-1] for p in excluded)
+    for a in range(cont.k - 1):
+        assert _inside(cs[a], rs[a], cs[a + 1], rs[a + 1])
+        assert _inside(*image(cs[a], rs[a]), cs[a + 1], rs[a + 1])
+
+
 def test_contours_nest_and_validate():
-    m = lattice_model()
-    cont = build_contours(m, 3)
-    assert cont.radii[0] < cont.radii[1] < cont.radii[2]
-    q = m.q
-    for a in range(2):
-        assert cont.center * (1 - q) + q * cont.radii[a] < cont.radii[a + 1]
-    # small q keeps the k=1 construction feasible
-    m_small_q = QHahnModel(q=0.05, mu=m.mu, kappa=m.kappa, lam=m.lam, colors=m.colors)
-    assert build_contours(m_small_q, 1).k == 1
+    # the lattice map is w -> q w, the polymer map v -> v + 1
+    for m in [lattice_model()] + list(_random_lattice_models()):
+        for k in (1, 2, 3, 4):
+            cont = build_contours(m, k)
+            assert cont.k == k
+            _assert_nested(cont, [1 / v for v in m.mu + m.kappa], [0.0] + [1 / v for v in m.lam],
+                           lambda c, r, q=m.q: (q * c, q * r))
+    corners = [(pm, [x] * k, [y] * k) for pm, x, y in _random_polymer_models() for k in (1, 2, 3, 4)]
+    corners += [(pm, xs, ys) for pm, xs, ys, _, _ in _random_joint_requests()]
+    for pm, xs, ys in corners:
+        cont = build_shifted_contours(pm, xs, ys)
+        assert cont.k == len(xs)
+        slots = [pm.corner_slots(x, y) for x, y in zip(xs, ys)]
+        _assert_nested(cont, [v for sg, rh, _ in slots for v in sg + rh], [v for *_, om in slots for v in om],
+                       lambda c, r: (c + 1.0, r))
 
 
-def test_contour_infeasibility_reported():
-    # a lambda^-1 sitting inside the needed outer radius must be named
+def test_contour_entry_check_names_the_excluded_points():
+    with pytest.raises(ContourError, match="not strictly between"):
+        _nested_circles([0.5, 2.0], 1.0, math.inf, lambda v: v + 1.0, 2)
+
+
+def test_qmoment_base_case_on_a_wide_cluster_model():
+    # min 1/lam = 0.8 sits 0.27 from the pole cluster [0.48, 0.53], while each q-scaled copy
+    # (q = 0.5) reaches halfway to 0
     m = QHahnModel(q=0.5, mu=(2.0, 2.1, 2.05), kappa=(1.9, 1.95), lam=(1.2, 1.25), colors=(1, 1))
-    with pytest.raises(ContourError) as err:
-        build_contours(m, 2)
-    assert "lam" in str(err.value) or "excluded" in str(err.value)
+    for ys, cs, tauv in (([2.5, 1.5], [1, 2], (2, 1)), ([2.5, 2.5], [1, 2], (1, 2)),
+                         ([2.5, 2.5, 1.5], [1, 2, 2], (3, 1, 2)), ([2.5, 1.5, 0.5], [1, 1, 2], (3, 2, 1))):
+        req = HeightRequest.make([0.5] * len(ys), ys, cs, Permutation(tauv))
+        tgt = base_case_product(m, req)
+        assert abs(qmoment_integral(m, req) - tgt) <= 1e-8 * tgt
 
 
 def test_qmoment_diagonal_request_is_one():
@@ -178,6 +233,31 @@ def test_beta_integral_delayed_and_joint():
         specs = [(xs[a], ys[a], rs[tau.inv(a + 1) - 1]) for a in range(2)]
         tgt = joint_moment_annealed(pm, specs)
         assert abs(val - tgt) < 1e-8 * (1 + abs(tgt))
+
+
+def test_beta_integral_takes_the_slots_of_every_corner():
+    # corner (0, 5) has poles at omega_1..omega_5, corner (2, 3) only at omega_1: circles built
+    # from the corner (2, 3) alone would enclose omega_4 and omega_5 and give 0.0020655
+    pm = PolymerModel((1.2, 1.3, 1.25), (0.3, 0.2, 0.25, 0.35, 0.3), (-3.0, -3.1, -2.9, -0.05, -0.08))
+    val = beta_moment_integral(pm, (0, 2), (5, 3), (0, 0))
+    tgt = joint_moment_annealed(pm, [(0, 5, 0), (2, 3, 0)])
+    assert abs(val - tgt) <= 1e-10 * tgt
+
+
+def test_beta_integral_on_random_models():
+    # no request is refused; a joint request returns its exact value or raises ConvergenceError
+    for pm, x, y in _random_polymer_models():
+        for k in (1, 2, 3):
+            val = beta_moment_integral(pm, [x] * k, [y] * k, [0] * k)
+            exact = moment_annealed(pm, x, y, 0, k)
+            assert abs(val - exact) <= 1e-10 * exact, (pm, x, y, k, val, exact)
+    for pm, xs, ys, rs, tau in _random_joint_requests():
+        try:
+            val = beta_moment_integral(pm, xs, ys, rs, tau=tau)
+        except ConvergenceError:
+            continue
+        exact = joint_moment_annealed(pm, [(xs[a], ys[a], rs[tau.inv(a + 1) - 1]) for a in range(len(xs))])
+        assert abs(val - exact) <= 1e-10 * exact, (pm, xs, ys, rs, tau, val, exact)
 
 
 def test_single_contour_matches_nested():
@@ -467,7 +547,7 @@ def _grid_sum(cont, m, axis_fns, pair_fn, op_factor):
 def test_contraction_matches_full_grid():
     import itertools
 
-    from qhahn_polymer.moments import GFunction, build_shifted_contours
+    from qhahn_polymer.moments import GFunction
 
     lat = lattice_model()
     q = lat.q
@@ -488,7 +568,7 @@ def test_contraction_matches_full_grid():
     def poly_g(a):
         return lambda v: (v - pm.omega(a + 1)) / (v - pm.rho(a + 1))
 
-    poly = (build_shifted_contours(pm, 3, 1, 3), [GFunction(pm, 1, 3).f] * 3,
+    poly = (build_shifted_contours(pm, [1] * 3, [3] * 3), [GFunction(pm, 1, 3).f] * 3,
             lambda va, vb: (vb - va) / (vb - va - 1.0),
             ([poly_g(a) for a in range(3)], 1.0, lambda vi, vj: (vj - vi - 1.0) / (vj - vi)))
     cases = [(case, tauv, 10) for case in (lattice_case(3), poly)
@@ -502,7 +582,8 @@ def test_contraction_matches_full_grid():
 
 
 def test_k3_quadrature_converges_on_the_narrow_margin_request():
-    # margin 0.033: the 192 -> 384 change is 1.8e-5, so acceptance needs 768 nodes
+    # margin 0.033: the 96 -> 192 change is 2.7e-3 and the 192 -> 384 change 1.5e-6, so acceptance
+    # needs the 384 level
     import tracemalloc
 
     m = QHahnModel(q=0.5, mu=(2, 2.2, 2.4, 2.6), kappa=(1.5, 1.6, 1.7), lam=(0.5, 0.6, 0.7), colors=(1, 1, 1))
@@ -513,7 +594,7 @@ def test_k3_quadrature_converges_on_the_narrow_margin_request():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert info == {"nodes": 768, "converged": True}
+    assert info == {"nodes": 384, "converged": True}
     tgt = base_case_product(m, req)
     assert abs(val - tgt) <= 1e-9 * abs(tgt)
     assert peak < 96 * 2**20

@@ -4,15 +4,25 @@ Configuration may come from a JSON file (--config) with flags overriding its
 fields; every run emits a manifest (echoed config, seed, package version) next
 to its outputs.  Exit codes: 0 success, 2 validation error, 3 numerical
 non-convergence.
+
+Each subcommand handler ``_cmd_*(args, config)`` computes and returns
+``(records, extra, failure)``: its JSON records (or, for the CSV-first
+``sample`` and ``polymer dp``, a ``_Table`` for --output), the manifest's
+extra fields, and a failure message or None.  A handler writes nothing but its
+--export CSV.  ``main`` reads the config once, writes the records and the
+manifest, and only then turns a failure into exit code 2, so a failing check
+still leaves every record behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -29,20 +39,13 @@ class ValidationFailure(Exception):
     pass
 
 
-def _load_config(path):
-    with open(path) as fh:
-        return json.load(fh)
+# the CSV that a CSV-first command writes to --output; its manifest goes to --manifest
+_Table = namedtuple("_Table", "header rows")
 
 
 def _emit(records, path, header=None):
     """Write JSON lines (dicts) or CSV rows (tuples with a header)."""
-    if path in (None, "-"):
-        out = sys.stdout
-        close = False
-    else:
-        out = open(path, "w", newline="")
-        close = True
-    try:
+    with contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", newline="") as out:
         if header is not None:
             w = csv.writer(out)
             w.writerow(header)
@@ -50,12 +53,9 @@ def _emit(records, path, header=None):
         else:
             for rec in records:
                 out.write(json.dumps(rec) + "\n")
-    finally:
-        if close:
-            out.close()
 
 
-def _manifest(args, extra=None):
+def _manifest(args, config, extra):
     # F2 and the determinants move at the 1e-14 level with the BLAS build and
     # its thread count, so both are recorded
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -63,24 +63,23 @@ def _manifest(args, extra=None):
         "manifest": True,
         "version": __version__,
         "seed": args.seed,
-        "workers": getattr(args, "workers", 1),
+        "workers": args.workers,
         "argv": sys.argv[1:],
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
-    if getattr(args, "config", None):
-        rec["config"] = _load_config(args.config)
+    if args.config:
+        rec["config"] = config
     if extra:
         rec.update(extra)
     return rec
 
 
-def _model_block(args):
+def _model_block(config):
     """The config's "model" object ({} without --config)."""
-    cfg = _load_config(args.config) if args.config else {}
-    block = cfg.get("model", {}) if isinstance(cfg, dict) else None
+    block = config.get("model", {}) if isinstance(config, dict) else None
     if not isinstance(block, dict):
         raise ValidationFailure("config field 'model' must be a JSON object")
     return block
@@ -106,10 +105,10 @@ def _number_lists(block, names):
     return [tuple(block[k]) for k in names]
 
 
-def _model_from_args(args):
+def _model_from_args(args, config):
     from .model import QHahnModel
 
-    block = dict(_model_block(args))
+    block = dict(_model_block(config))
     if args.q is not None:
         block["q"] = args.q
     _require(block, ("q", "mu", "kappa", "lam", "colors"))
@@ -121,17 +120,17 @@ def _model_from_args(args):
     return QHahnModel(q=block["q"], mu=mu, kappa=kappa, lam=lam, colors=colors)
 
 
-def _polymer_from_args(args):
+def _polymer_model(config):
     from .polymer import PolymerModel
 
-    return PolymerModel(*_number_lists(_model_block(args), ("sigma", "rho", "omega")))
+    return PolymerModel(*_number_lists(_model_block(config), ("sigma", "rho", "omega")))
 
 
-def _freq_model_from_args(args):
+def _freq_model(config):
     from .asymptotics import FreqModel
 
     defaults = {"sigma": [0.0], "alpha": [1.0], "rho": [-1.0], "beta": [1.0], "omega": [-2.0], "gamma": [1.0]}
-    return FreqModel(*_number_lists({**defaults, **_model_block(args)}, tuple(defaults)))
+    return FreqModel(*_number_lists({**defaults, **_model_block(config)}, tuple(defaults)))
 
 
 def _check_polymer_point(pmodel, x, y, r=0, omega_span=None):
@@ -148,124 +147,118 @@ def _check_polymer_point(pmodel, x, y, r=0, omega_span=None):
 # Subcommand handlers.
 
 
-def _cmd_verify(args):
+def _fraction(rng):
+    """A random rational in (0, 1) for q, t and s."""
+    return Fraction(int(rng.integers(1, 8)), int(rng.integers(9, 17)))
+
+
+def _comp(rng, n):
+    """n random path counts in {0, 1, 2}, one per color."""
+    return tuple(int(v) for v in rng.integers(0, 3, size=n))
+
+
+def _stochastic_trial(rng, args):
+    from .weights import qhahn_outgoing, sixv_outgoing
+
+    q, tt, ss = _fraction(rng), _fraction(rng), _fraction(rng)
+    A, B = _comp(rng, args.colors), _comp(rng, args.colors)
+    ok = sum(qhahn_outgoing(A, B, q, tt, ss).values()) == 1
+    j = int(rng.integers(0, args.colors + 1))
+    return ok and sum(sixv_outgoing(A, j, q, tt, ss).values()) == 1
+
+
+def _local_alg_trial(rng, args):
+    from .weights import local_relation_residual
+
+    n = int(rng.integers(1, 4))
+    A, B, R = _comp(rng, n), _comp(rng, n), _comp(rng, n)
+    q, tt, ss = _fraction(rng), _fraction(rng), _fraction(rng)
+    return local_relation_residual(A, B, R, q, tt, ss) == 0
+
+
+# the pass/fail trials of verify, and the label of their failure count
+_TRIALS = {"stochastic": (_stochastic_trial, "stochasticity failures"),
+           "local-alg": (_local_alg_trial, "local relation failures")}
+
+
+def _cmd_verify(args, config):
     from .qtools import spawn_rng
 
     rng = spawn_rng(args.seed)
-    records = []
-
-    def fraction():  # a random rational in (0, 1) for q, t and s
-        return Fraction(int(rng.integers(1, 8)), int(rng.integers(9, 17)))
-
+    failure = None
     if args.what == "ybe":
         from .weights import canonical_ybe_kind, random_ybe_instance, ybe_residual
 
         kind = canonical_ybe_kind(args.kind)
-        nonzero = 0
-        for trial in range(args.trials):
-            boundary, params = random_ybe_instance(kind, rng, colors=args.colors, max_entry=args.max_entry)
-            resid = ybe_residual(kind, boundary, params)
-            if resid != 0:
-                nonzero += 1
-            records.append({"trial": trial, "kind": kind, "residual_zero": resid == 0})
+        zero = [ybe_residual(kind, *random_ybe_instance(kind, rng, colors=args.colors, max_entry=args.max_entry)) == 0
+                for _ in range(args.trials)]
+        records = [{"trial": i, "kind": kind, "residual_zero": z} for i, z in enumerate(zero)]
+        nonzero = zero.count(False)
         summary = {"kind": kind, "trials": args.trials, "nonzero_residuals": nonzero}
         if nonzero:
-            raise ValidationFailure(f"nonzero residuals: {nonzero}")
-    elif args.what == "stochastic":
-        from .weights import qhahn_outgoing, sixv_outgoing
-
-        bad = 0
-        for trial in range(args.trials):
-            q, tt, ss = fraction(), fraction(), fraction()
-            A = tuple(int(v) for v in rng.integers(0, 3, size=args.colors))
-            B = tuple(int(v) for v in rng.integers(0, 3, size=args.colors))
-            ok = sum(qhahn_outgoing(A, B, q, tt, ss).values()) == 1
-            j = int(rng.integers(0, args.colors + 1))
-            ok = ok and sum(sixv_outgoing(A, j, q, tt, ss).values()) == 1
-            bad += 0 if ok else 1
-            records.append({"trial": trial, "ok": ok})
-        summary = {"trials": args.trials, "failures": bad}
-        if bad:
-            raise ValidationFailure(f"stochasticity failures: {bad}")
-    elif args.what == "local-alg":
-        from .weights import local_relation_residual
-
-        bad = 0
-        for trial in range(args.trials):
-            n = int(rng.integers(1, 4))
-            A = tuple(int(v) for v in rng.integers(0, 3, size=n))
-            B = tuple(int(v) for v in rng.integers(0, 3, size=n))
-            R = tuple(int(v) for v in rng.integers(0, 3, size=n))
-            q, tt, ss = fraction(), fraction(), fraction()
-            ok = local_relation_residual(A, B, R, q, tt, ss) == 0
-            bad += 0 if ok else 1
-            records.append({"trial": trial, "ok": ok})
-        summary = {"trials": args.trials, "failures": bad}
-        if bad:
-            raise ValidationFailure(f"local relation failures: {bad}")
+            failure = f"nonzero residuals: {nonzero}"
+    elif args.what in _TRIALS:
+        trial, label = _TRIALS[args.what]
+        oks = [trial(rng, args) for _ in range(args.trials)]
+        records = [{"trial": i, "ok": ok} for i, ok in enumerate(oks)]
+        summary = {"trials": args.trials, "failures": oks.count(False)}
+        if summary["failures"]:
+            failure = f"{label}: {summary['failures']}"
     elif args.what == "local-rat":
         from .hecke import local_rational_residual
 
-        worst = 0.0
+        records = []
         for trial in range(args.trials):
             r = int(rng.integers(1, 5))
             w = tuple(complex(x, y) for x, y in rng.normal(size=(r, 2)))
-            resid = abs(local_rational_residual(r, 0.55, 0.35, 0.4, w, 0.62))
-            worst = max(worst, resid)
-            records.append({"trial": trial, "r": r, "residual": resid})
-        summary = {"trials": args.trials, "worst_residual": worst}
-        if worst > 1e-12:
-            raise ValidationFailure(f"rational local relation residual {worst:.2e} > 1e-12")
-    elif args.what == "hecke":
+            records.append({"trial": trial, "r": r,
+                            "residual": abs(local_rational_residual(r, 0.55, 0.35, 0.4, w, 0.62))})
+        summary = {"trials": args.trials, "worst_residual": max([0.0, *(rec["residual"] for rec in records)])}
+        if summary["worst_residual"] > 1e-12:
+            failure = f"rational local relation residual {summary['worst_residual']:.2e} > 1e-12"
+    else:
         from .hecke import hecke_suite
 
-        errs = hecke_suite(min(args.colors + 1, 4), 0.44, rng, npoints=args.trials)
-        records.append({k: v for k, v in errs.items()})
-        summary = dict(errs)
-        if max(errs.values()) > 1e-10:
-            raise ValidationFailure("Hecke relation error above 1e-10")
-    else:
-        raise ValidationFailure(f"unknown verify target {args.what!r}")
-    records.append(_manifest(args, {"summary": summary}))
-    _emit(records, args.output)
+        summary = hecke_suite(min(args.colors + 1, 4), 0.44, rng, npoints=args.trials)
+        records = [dict(summary)]
+        if max(summary.values()) > 1e-10:
+            failure = "Hecke relation error above 1e-10"
+    return records, {"summary": summary}, failure
 
 
-def _cmd_sample(args):
+def _cmd_sample(args, config):
     from .model import sample_grids
     from .qtools import spawn_rng
 
-    model = _model_from_args(args)
-    H = sample_grids(model, args.samples, spawn_rng(args.seed)).heights()
-    _, c, ix, iy = np.indices(H.shape)
-    rows = np.stack([2 * ix + 1, 2 * iy + 1, c + 1, H], axis=-1).reshape(-1, 4).tolist()
-    _emit(rows, args.output, header=("facet_x2", "facet_y2", "color", "value"))
-    _emit([_manifest(args)], args.manifest)
+    H = sample_grids(_model_from_args(args, config), args.samples, spawn_rng(args.seed)).heights()
+    replica, c, ix, iy = np.indices(H.shape)
+    rows = np.stack([replica, 2 * ix + 1, 2 * iy + 1, c + 1, H], axis=-1).reshape(-1, 5).tolist()
+    return _Table(("replica", "facet_x2", "facet_y2", "color", "value"), rows), None, None
 
 
-def _cmd_moments(args):
+def _value_record(request, val, info):
+    return {"request": request, "value_re": val.real, "value_im": val.imag,
+            "nodes": info["nodes"], "converged": info["converged"]}
+
+
+def _cmd_moments(args, config):
     from .qtools import Permutation
 
-    records = []
     if args.target == "qhahn":
         from .model import HeightRequest
         from .moments import qmoment_integral
 
-        model = _model_from_args(args)
+        model = _model_from_args(args, config)
         if not args.x:
             raise ValidationFailure("moments qhahn needs --x, --y and --colors-list values")
         tau = Permutation(tuple(args.tau)) if args.tau else None
         req = HeightRequest.make(args.x, args.y, args.colors_list, tau)
         val, info = qmoment_integral(model, req, with_info=True)
-        records.append({
-            "request": {"x": args.x, "y": args.y, "colors": args.colors_list,
-                        "tau": list(tau.values) if tau else None},
-            "value_re": val.real, "value_im": val.imag,
-            "nodes": info["nodes"], "converged": info["converged"],
-        })
+        request = {"x": args.x, "y": args.y, "colors": args.colors_list, "tau": args.tau}
     elif args.target == "polymer":
         from .moments import beta_moment_integral
 
-        pmodel = _polymer_from_args(args)
+        pmodel = _polymer_model(config)
         tau = Permutation(tuple(args.tau)) if args.tau else None
         xs = [int(v) for v in args.x]
         ys = [int(v) for v in args.y]
@@ -275,139 +268,96 @@ def _cmd_moments(args):
         for x, y, r in zip(xs, ys, rs):
             _check_polymer_point(pmodel, x, y, r)
         val, info = beta_moment_integral(pmodel, xs, ys, rs, tau=tau, with_info=True)
-        records.append({
-            "request": {"x": xs, "y": ys, "r": rs, "tau": list(tau.values) if tau else None},
-            "value_re": val.real, "value_im": val.imag,
-            "nodes": info["nodes"], "converged": info["converged"],
-        })
-    elif args.target == "single-contour":
+        request = {"x": xs, "y": ys, "r": rs, "tau": args.tau}
+    else:
         from .moments import single_contour_moment
 
-        pmodel = _polymer_from_args(args)
+        pmodel = _polymer_model(config)
         if len(args.x) != 1 or len(args.y) != 1:
             raise ValidationFailure("single-contour needs exactly one --x and one --y value")
-        _check_polymer_point(pmodel, int(args.x[0]), int(args.y[0]))
-        val, info = single_contour_moment(pmodel, int(args.x[0]), int(args.y[0]), args.k, with_info=True)
-        records.append({
-            "request": {"x": int(args.x[0]), "y": int(args.y[0]), "k": args.k},
-            "value_re": val.real, "value_im": val.imag,
-            "nodes": info["nodes"], "converged": info["converged"],
-        })
-    else:
-        raise ValidationFailure(f"unknown moments target {args.target!r}")
-    records.append(_manifest(args))
-    _emit(records, args.output)
+        x, y = int(args.x[0]), int(args.y[0])
+        _check_polymer_point(pmodel, x, y)
+        val, info = single_contour_moment(pmodel, x, y, args.k, with_info=True)
+        request = {"x": x, "y": y, "k": args.k}
+    return [_value_record(request, val, info)], None, None
 
 
-def _cmd_polymer(args):
+def _cmd_polymer(args, config):
     from .polymer import (mc_statistics, partition_bruteforce, partition_dp,
                           rwre_hitting, sample_environment)
     from .qtools import spawn_rng
 
-    pmodel = _polymer_from_args(args)
+    pmodel = _polymer_model(config)
     _check_polymer_point(pmodel, args.x, args.y, args.r, omega_span=args.y)
-    records = []
-    if args.action == "dp":
-        env = sample_environment(pmodel, args.x, args.y, spawn_rng(args.seed))
-        field = partition_dp(env, args.r, args.x, args.y)
-        rows = []
-        for x in range(args.x + 1):
-            for y in range(args.y + 1):
-                v = field.table[x, y]
-                if not np.isnan(v):
-                    rows.append((0, x, y, args.r, float(v)))
-        _emit(rows, args.output, header=("replica", "x", "y", "r", "value"))
-        _emit([_manifest(args)], args.manifest)
-        return
-    if args.action == "brute":
-        env = sample_environment(pmodel, args.x, args.y, spawn_rng(args.seed))
-        z_dp = partition_dp(env, args.r, args.x, args.y).value(args.x, args.y)
-        z_bf = partition_bruteforce(env, args.r, args.x, args.y)
-        z_rw = rwre_hitting(env, args.r, args.x, args.y)
-        records.append({"dp": z_dp, "bruteforce": z_bf, "rwre": z_rw,
-                        "max_abs_diff": max(abs(z_dp - z_bf), abs(z_dp - z_rw))})
-    elif args.action == "mc":
+    if args.action == "mc":
         mode = "logZ" if args.log else "moments"
         stats = mc_statistics(pmodel, args.r, args.x, args.y, args.samples,
                               seed=args.seed, mode=mode, max_power=args.max_power,
                               keep_samples=bool(args.export), workers=args.workers)
-        if mode == "moments":
-            records.append({"n": stats.n, "moments": {str(k): v for k, v in stats.moments.items()}})
-        else:
-            records.append({"n": stats.n, "log_mean": stats.log_mean, "log_sd": stats.log_sd})
         if args.export:
             rows = [(i, args.x, args.y, args.r, float(v)) for i, v in enumerate(stats.samples)]
             _emit(rows, args.export, header=("replica", "x", "y", "r",
                                              "log_value" if args.log else "value"))
-    else:
-        raise ValidationFailure(f"unknown polymer action {args.action!r}")
-    records.append(_manifest(args))
-    _emit(records, args.output)
+        if mode == "moments":
+            return [{"n": stats.n, "moments": {str(k): v for k, v in stats.moments.items()}}], None, None
+        return [{"n": stats.n, "log_mean": stats.log_mean, "log_sd": stats.log_sd}], None, None
+    env = sample_environment(pmodel, args.x, args.y, spawn_rng(args.seed))
+    if args.action == "dp":
+        table = partition_dp(env, args.r, args.x, args.y).table
+        rows = [(0, x, y, args.r, float(table[x, y]))
+                for x in range(args.x + 1) for y in range(args.y + 1) if not np.isnan(table[x, y])]
+        return _Table(("replica", "x", "y", "r", "value"), rows), None, None
+    z_dp = partition_dp(env, args.r, args.x, args.y).value(args.x, args.y)
+    z_bf = partition_bruteforce(env, args.r, args.x, args.y)
+    z_rw = rwre_hitting(env, args.r, args.x, args.y)
+    return [{"dp": z_dp, "bruteforce": z_bf, "rwre": z_rw,
+             "max_abs_diff": max(abs(z_dp - z_bf), abs(z_dp - z_rw))}], None, None
 
 
-def _cmd_fredholm(args):
-    records = []
+def _mb_fields(info, converged_key):
+    """The Mellin-Barnes determinant's discretisation, as both fredholm records give it."""
+    return {"nodes_C": info["nodes"], "nodes_L": info["nodes_L"], "T": info["T"],
+            converged_key: info["converged"], "panels": info["panels"], "tail": info["tail"]}
+
+
+def _cmd_fredholm(args, config):
+    from .fredholm import laplace_series_det, mb_determinant, tracy_widom_F2
+
     if args.action == "tw-cdf":
-        from .fredholm import tracy_widom_F2
-
         val, info = tracy_widom_F2(args.r, with_info=True)
-        records.append({"r": args.r, "F2": val, "nodes": info["nodes"], "converged": info["converged"]})
+        return [{"r": args.r, "F2": val, "nodes": info["nodes"], "converged": info["converged"]}], None, None
+    pmodel = _polymer_model(config)
+    x, y = args.x, args.y
+    _check_polymer_point(pmodel, x, y)
+    if args.action == "laplace":
+        det, mb = mb_determinant(pmodel, x, y, args.u, with_info=True)
+        record = {"u_re": args.u, "u_im": 0.0, "det_re": det.real, "det_im": det.imag,
+                  **_mb_fields(mb, "converged")}
     else:
-        pmodel = _polymer_from_args(args)
-        x, y = args.x, args.y
-        _check_polymer_point(pmodel, x, y)
-        if args.action == "laplace":
-            from .fredholm import mb_determinant
-
-            det_mb, info = mb_determinant(pmodel, x, y, args.u, with_info=True)
-            records.append({
-                "u_re": args.u, "u_im": 0.0,
-                "det_re": det_mb.real, "det_im": det_mb.imag,
-                "nodes_C": info["nodes"], "nodes_L": info["nodes_L"], "T": info["T"],
-                "converged": info["converged"], "panels": info["panels"], "tail": info["tail"],
-            })
-        elif args.action == "mb-check":
-            from .fredholm import laplace_series_det, mb_determinant
-
-            d1, series = laplace_series_det(pmodel, x, y, args.u, with_info=True)
-            d2, mb = mb_determinant(pmodel, x, y, args.u, with_info=True)
-            records.append({
-                "u_re": args.u, "series_re": d1.real, "mb_re": d2.real,
-                "abs_diff": abs(d1 - d2),
-                "series_nodes": series["nodes"], "series_converged": series["converged"],
-                "series_terms": series["terms"],
-                "nodes_C": mb["nodes"], "nodes_L": mb["nodes_L"], "T": mb["T"],
-                "mb_converged": mb["converged"], "panels": mb["panels"], "tail": mb["tail"],
-            })
-        else:
-            raise ValidationFailure(f"unknown fredholm action {args.action!r}")
-    records.append(_manifest(args))
-    _emit(records, args.output)
+        d1, series = laplace_series_det(pmodel, x, y, args.u, with_info=True)
+        d2, mb = mb_determinant(pmodel, x, y, args.u, with_info=True)
+        record = {"u_re": args.u, "series_re": d1.real, "mb_re": d2.real, "abs_diff": abs(d1 - d2),
+                  "series_nodes": series["nodes"], "series_converged": series["converged"],
+                  "series_terms": series["terms"], **_mb_fields(mb, "mb_converged")}
+    return [record], None, None
 
 
-def _cmd_tw(args):
+def _cmd_tw(args, config):
     from .asymptotics import tw_experiment
 
-    fm = _freq_model_from_args(args)
-    batches = tw_experiment(fm, args.theta, args.t, args.samples, seed=args.seed,
+    batches = tw_experiment(_freq_model(config), args.theta, args.t, args.samples, seed=args.seed,
                             workers=args.workers)
-    rows = []
-    for b in batches:
-        for i, v in enumerate(b.samples):
-            rows.append((b.t, i, float(v)))
     if args.export:
-        _emit(rows, args.export, header=("t", "replica", "rescaled_value"))
-    records = [{"t": b.t, "ks": b.ks, "n": b.n, "ks_null_mean": b.ks_null_mean,
-                "ks_null_95": b.ks_null_95, "mean": b.mean, "sd": b.sd, "regime": b.regime}
-               for b in batches]
-    records.append(_manifest(args))
-    _emit(records, args.output)
+        _emit([(b.t, i, float(v)) for b in batches for i, v in enumerate(b.samples)], args.export,
+              header=("t", "replica", "rescaled_value"))
+    return [{"t": b.t, "ks": b.ks, "n": b.n, "ks_null_mean": b.ks_null_mean, "ks_null_95": b.ks_null_95,
+             "mean": b.mean, "sd": b.sd, "regime": b.regime} for b in batches], None, None
 
 
-def _cmd_descent(args):
+def _cmd_descent(args, config):
     from .asymptotics import HFunction, check_steep_descent, h_checks, theta_constants
 
-    fm = _freq_model_from_args(args)
+    fm = _freq_model(config)
     hf = HFunction(fm, theta_constants(fm, args.theta))
     records = [{"h_checks": {k: (v if not isinstance(v, dict) else {str(kk): vv for kk, vv in v.items()})
                              for k, v in h_checks(hf).items()}}]
@@ -415,10 +365,8 @@ def _cmd_descent(args):
         ok, (grid, prof) = check_steep_descent(hf, which, grid=args.grid)
         records.append({"contour": which, "monotone_or_positive": bool(ok),
                         "profile_head": list(map(float, prof[:5]))})
-        if not ok:
-            raise ValidationFailure(f"descent profile check failed for {which}")
-    records.append(_manifest(args))
-    _emit(records, args.output)
+    failed = [rec["contour"] for rec in records[1:] if not rec["monotone_or_positive"]]
+    return records, None, f"descent profile check failed for {failed[0]}" if failed else None
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +400,8 @@ def build_parser():
     common.add_argument("--output", "-o", default="-",
                         help="output path (JSON lines); '-' = stdout")
 
-    p = argparse.ArgumentParser(prog="qhahn-polymer", description=__doc__)
+    # --help shows the docstring's first two paragraphs; the handler contract is for the code's readers
+    p = argparse.ArgumentParser(prog="qhahn-polymer", description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", parents=[common], help="exact and numeric identity verification")
@@ -520,10 +469,21 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        config = {}
+        if args.config:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        records, extra, failure = args.func(args, config)
+        manifest = _manifest(args, config, extra)
+        if isinstance(records, _Table):
+            _emit(records.rows, args.output, header=records.header)
+            _emit([manifest], args.manifest)
+        else:
+            _emit([*records, manifest], args.output)
+        if failure:
+            raise ValidationFailure(failure)
     except (ValidationFailure, ValueError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

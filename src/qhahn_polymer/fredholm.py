@@ -67,6 +67,8 @@ def _circle(contour):
 
 # the shift sum's term cap; its terms behave like u^n / n!, so it needs about e |u| of them
 _SHIFT_TERMS = 2000
+# the shift sum stops after three terms in a row below this size
+_SHIFT_TOL = 1e-16
 # stabilization threshold of the circle determinant's node doubling
 _NYSTROM_RTOL = 1e-10
 # stabilization threshold of F2, and the node cap of both determinants
@@ -74,7 +76,7 @@ _F2_RTOL = 1e-9
 _NODE_CAP = 1024
 
 
-def _series_kernel_matrix(gf, u, v, tol=1e-16, n_cap=_SHIFT_TERMS):
+def _series_kernel_matrix(gf, u, v):
     """K(v_a, v_b) = sum_n g(v_a)/g(v_a + n) u^n / (v_a + n - v_b).
 
     The column g(v)/g(v + n) u^n is telescoped as col_{n-1} u f(v + n - 1), so
@@ -88,17 +90,17 @@ def _series_kernel_matrix(gf, u, v, tol=1e-16, n_cap=_SHIFT_TERMS):
     col = np.ones(v.size, dtype=complex)
     quiet = 0
     n = 0
-    while n < n_cap:
+    while n < _SHIFT_TERMS:
         n += 1
         col *= u * gf.f(v + (n - 1))
         np.add(diff, n, out=term)
         np.divide(col[:, None], term, out=term)
         K += term
         mx = np.abs(term).max()
-        quiet = quiet + 1 if mx < tol else 0
+        quiet = quiet + 1 if mx < _SHIFT_TOL else 0
         if quiet >= 3:
             return K, n
-    raise ConvergenceError(f"shift sum did not converge within {n_cap} terms", None)
+    raise ConvergenceError(f"shift sum did not converge within {_SHIFT_TERMS} terms", None)
 
 
 def fredholm_det(kernel, contour, with_info=False):

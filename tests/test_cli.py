@@ -73,7 +73,7 @@ def test_sample_emits_height_csv(tmp_path, qhahn_config, capsys):
     capsys.readouterr()
     assert code == EXIT_OK
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "facet_x2,facet_y2,color,value"
+    assert lines[0] == "replica,facet_x2,facet_y2,color,value"
     assert len(lines) > 1
 
 
@@ -390,6 +390,93 @@ def test_sample_rows_cover_every_facet_and_color(tmp_path, qhahn_config, capsys)
     capsys.readouterr()
     rows = [tuple(int(v) for v in line.split(",")) for line in out.read_text().splitlines()[1:]]
     assert len(rows) == 3 * 2 * 3 * 3
-    assert [row[:3] for row in rows[:4]] == [(1, 1, 1), (1, 3, 1), (1, 5, 1), (3, 1, 1)]
-    assert rows[0][3] == 0  # heights vanish at (1/2, 1/2)
+    assert [row[1:4] for row in rows[:4]] == [(1, 1, 1), (1, 3, 1), (1, 5, 1), (3, 1, 1)]
+    assert rows[0][4] == 0  # heights vanish at (1/2, 1/2)
     assert all(v >= 0 for *_, v in rows)
+    # a leading replica column: replica r holds rows r * 18 .. r * 18 + 17
+    assert [row[0] for row in rows] == [r for r in range(3) for _ in range(2 * 3 * 3)]
+
+
+def test_failing_ybe_check_keeps_its_records(monkeypatch, capsys):
+    import qhahn_polymer.weights as weights
+
+    real, calls = weights.ybe_residual, []
+
+    def second_trial_fails(*args):
+        calls.append(args)
+        return 1 if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(weights, "ybe_residual", second_trial_fails)
+    code = run(["verify", "ybe", "--trials", "3", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert "nonzero residuals: 1" in captured.err
+    *recs, manifest = [json.loads(line) for line in captured.out.splitlines()]
+    assert [(rec["trial"], rec["residual_zero"]) for rec in recs] == [(0, True), (1, False), (2, True)]
+    assert manifest["manifest"] and manifest["summary"] == {"kind": "qhahn", "trials": 3, "nonzero_residuals": 1}
+
+
+def test_failing_descent_check_records_every_contour(monkeypatch, tmp_path, capsys):
+    import qhahn_polymer.asymptotics as asymptotics
+
+    real = asymptotics.check_steep_descent
+
+    def circle_fails(hf, which, **kwargs):
+        ok, profile = real(hf, which, **kwargs)
+        return ok and which != "circle", profile
+
+    monkeypatch.setattr(asymptotics, "check_steep_descent", circle_fails)
+    out = tmp_path / "d.jsonl"
+    code = run(["descent", "--which", "line", "circle", "arcs", "-o", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "descent profile check failed for circle" in capsys.readouterr().err
+    _, *recs, manifest = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(rec["contour"], rec["monotone_or_positive"]) for rec in recs] == [
+        ("line", True), ("circle", False), ("arcs", True)]
+    assert manifest["manifest"]
+
+
+_MANIFEST_KEYS = {"manifest", "version", "seed", "workers", "argv", "numpy", "blas", "blas_version", "blas_threads"}
+_VALUE_KEYS = {"request", "value_re", "value_im", "nodes", "converged"}
+_MB_KEYS = {"nodes_C", "nodes_L", "T", "panels", "tail"}
+_HECKE_KEYS = {"quadratic", "braid", "word_independence", "composition", "symmetric_eigenvalue"}
+
+
+@pytest.mark.parametrize("argv, config, record_keys, summary_keys", [
+    (["verify", "ybe", "--trials", "2"], None, [{"trial", "kind", "residual_zero"}] * 2,
+     {"kind", "trials", "nonzero_residuals"}),
+    (["verify", "stochastic", "--trials", "2"], None, [{"trial", "ok"}] * 2, {"trials", "failures"}),
+    (["verify", "local-alg", "--trials", "2"], None, [{"trial", "ok"}] * 2, {"trials", "failures"}),
+    (["verify", "local-rat", "--trials", "2"], None, [{"trial", "r", "residual"}] * 2, {"trials", "worst_residual"}),
+    (["verify", "hecke", "--trials", "2"], None, [_HECKE_KEYS], _HECKE_KEYS),
+    (["moments", "qhahn", "--x", "0.5", "--y", "2.5", "--colors-list", "1"], "qhahn_config", [_VALUE_KEYS], None),
+    (["moments", "polymer", "--x", "1", "--y", "3", "--r", "0"], "polymer_config", [_VALUE_KEYS], None),
+    (["moments", "single-contour", "--x", "1", "--y", "3"], "polymer_config", [_VALUE_KEYS], None),
+    (["polymer", "brute", "--x", "2", "--y", "5"], "polymer_config",
+     [{"dp", "bruteforce", "rwre", "max_abs_diff"}], None),
+    (["polymer", "mc", "--x", "2", "--y", "5", "--samples", "50"], "polymer_config", [{"n", "moments"}], None),
+    (["polymer", "mc", "--x", "2", "--y", "5", "--samples", "50", "--log"], "polymer_config",
+     [{"n", "log_mean", "log_sd"}], None),
+    (["fredholm", "laplace"], "polymer_config", [{"u_re", "u_im", "det_re", "det_im", "converged"} | _MB_KEYS], None),
+    (["fredholm", "mb-check"], "polymer_config",
+     [{"u_re", "series_re", "mb_re", "abs_diff", "series_nodes", "series_converged", "series_terms",
+       "mb_converged"} | _MB_KEYS], None),
+    (["fredholm", "tw-cdf"], None, [{"r", "F2", "nodes", "converged"}], None),
+    (["tw", "--t", "12", "--samples", "120", "--workers", "1"], None,
+     [{"t", "ks", "n", "ks_null_mean", "ks_null_95", "mean", "sd", "regime"}], None),
+    (["descent", "--which", "line", "arcs"], None,
+     [{"h_checks"}] + [{"contour", "monotone_or_positive", "profile_head"}] * 2, None),
+], ids=lambda v: " ".join(v) if isinstance(v, list) and isinstance(v[0], str) else None)
+def test_output_schema_is_pinned(request, tmp_path, capsys, argv, config, record_keys, summary_keys):
+    # the record, manifest and verify-summary key sets of every JSON-lines subcommand
+    out = tmp_path / "o.jsonl"
+    if config is not None:
+        argv = [*argv, "--config", request.getfixturevalue(config)]
+    assert run([*argv, "-o", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    *recs, manifest = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [set(rec) for rec in recs] == record_keys
+    extra = {"config"} if config is not None else set()
+    if summary_keys is not None:
+        assert set(manifest.pop("summary")) == summary_keys
+    assert set(manifest) == _MANIFEST_KEYS | extra

@@ -287,6 +287,8 @@ def _cmd_polymer(args, config):
                           rwre_hitting, sample_environment)
     from .qtools import spawn_rng
 
+    if args.manifest is not None and args.action != "dp":
+        raise ValidationFailure(f"--manifest is only for polymer dp; polymer {args.action} writes it to --output")
     pmodel = _polymer_model(config)
     _check_polymer_point(pmodel, args.x, args.y, args.r, omega_span=args.y)
     if args.action == "mc":
@@ -372,16 +374,20 @@ def _cmd_descent(args, config):
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text):
-    """The argparse type of --workers and of its environment default."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(
-            f"need a positive integer (from --workers or QHAHN_POLYMER_WORKERS), got {text!r}")
-    return value
+def _count(least, source=""):
+    """The argparse type of an integer flag that must be at least ``least``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            need = "a positive integer" if least == 1 else f"an integer >= {least}"
+            raise argparse.ArgumentTypeError(f"need {need}{source}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser():
@@ -391,7 +397,7 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0)
     # a string default goes through ``type`` too, so a malformed
     # QHAHN_POLYMER_WORKERS is a usage error like a malformed flag
-    common.add_argument("--workers", type=_positive_int,
+    common.add_argument("--workers", type=_count(1, " (from --workers or QHAHN_POLYMER_WORKERS)"),
                         default=os.environ.get("QHAHN_POLYMER_WORKERS") or usable_cpus(),
                         help="threads for the replica blocks of tw and polymer mc "
                              "(default: QHAHN_POLYMER_WORKERS, else the usable CPUs); "
@@ -409,9 +415,9 @@ def build_parser():
     v.add_argument("--kind", default="qhahn",
                    help="Yang-Baxter kind: qhahn|sixvertex|qhahn-deformed|sixvertex-deformed "
                         "(aliases WYB|hsYB|defWYB|defhsYB)")
-    v.add_argument("--colors", type=int, default=2)
+    v.add_argument("--colors", type=_count(1), default=2)
     v.add_argument("--max-entry", type=int, default=2)
-    v.add_argument("--trials", type=int, default=100)
+    v.add_argument("--trials", type=_count(1), default=100)
     v.set_defaults(func=_cmd_verify)
 
     s = sub.add_parser("sample", parents=[common], help="sample q-Hahn configurations; emit height CSV")
@@ -437,11 +443,12 @@ def build_parser():
     po.add_argument("--x", type=int, required=True)
     po.add_argument("--y", type=int, required=True)
     po.add_argument("--r", type=int, default=0)
-    po.add_argument("--samples", type=int, default=10000)
+    # a standard error needs two replicas
+    po.add_argument("--samples", type=_count(2), default=10000)
     po.add_argument("--max-power", type=int, default=3)
     po.add_argument("--log", action="store_true")
     po.add_argument("--export", help="CSV path for raw samples")
-    po.add_argument("--manifest", default="-")
+    po.add_argument("--manifest", help="manifest path for dp, whose CSV goes to --output (default: stdout)")
     po.set_defaults(func=_cmd_polymer)
 
     f = sub.add_parser("fredholm", parents=[common], help="Laplace-transform determinants and F2")
@@ -463,7 +470,7 @@ def build_parser():
     d.add_argument("--theta", type=float, default=0.3)
     d.add_argument("--which", nargs="+", default=["line"],
                    choices=["line", "circle", "arcs"])
-    d.add_argument("--grid", type=int, default=200)
+    d.add_argument("--grid", type=_count(1), default=200)
     d.set_defaults(func=_cmd_descent)
     return p
 

@@ -106,9 +106,13 @@ def _apply_word(word, f, w, const, coeff, limit_coeff):
 
 def apply_T(word, f, w, q):
     """Evaluate (T_tau f)(w) for tau given by a HeckeWord/Permutation/word."""
-    hw = HeckeWord.of(word, k=len(tuple(w)))
+    return _apply_T_word(HeckeWord.of(word, k=len(tuple(w))).word, f, w, q)
+
+
+def _apply_T_word(word, f, w, q):
+    """``apply_T`` along a word already known to be reduced."""
     return _apply_word(
-        hw.word,
+        word,
         f,
         w,
         const=q,
@@ -210,7 +214,7 @@ def hecke_suite(k, q, rng, npoints=50):
         f = rand_f()
         w = rand_pt()
         words = _all_reduced_words(tau)
-        vals = [_apply_word(wd, f, w, q, lambda a, b: (b - q * a) / (b - a), lambda m: (1 - q) * m) for wd in words[:6]]
+        vals = [_apply_T_word(wd, f, w, q) for wd in words[:6]]
         for v in vals[1:]:
             errs["word_independence"] = max(errs["word_independence"], abs(v - vals[0]))
         for pi in perms:

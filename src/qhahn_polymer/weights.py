@@ -11,11 +11,19 @@ Three weight families live here:
 All functions use generic scalar arithmetic, so ``fractions.Fraction``
 parameters give exact values and the Yang-Baxter / local-relation residuals
 below are computed with no rounding at all.
+
+The five Yang-Baxter equations checked here (plain and eta-deformed q-Hahn
+and six-vertex, and the master equation of the fused family) share one
+three-vertex sum, ``_ybe_sides``; each residual only builds its six vertex
+weights.  The left side sums over line 1's internal label K1, the right side
+over line 2's K2, each over the labels its first vertex can emit.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from operator import sub
 
@@ -267,11 +275,19 @@ def fused_outgoing(A, B, q, z, big_n, big_m):
 
 
 # ---------------------------------------------------------------------------
-# Yang-Baxter residuals.  Boundary convention for all four kinds:
-# three incoming labels (A1, A2, A3) and three outgoing (B1, B2, B3), where
-# line 1 is the one whose crossing with the vertical line carries the deformed
-# (or lower) vertex on the left-hand side.  For the six-vertex kinds line 1 is
-# thin: A1 and B1 are single colors in 0..n.
+# Yang-Baxter residuals.  All five equations have one shape.  Lines 1, 2, 3
+# enter with labels (A1, A2, A3), leave with (B1, B2, B3) and carry the
+# internal label K_i between their two crossings.  A vertex weight
+# R(A, B; C, D) takes the incoming labels A, B to the outgoing C, D, and
+#
+#   LHS = sum R12(A2, A1; K2, K1) R13(A3, K1; K3, B1) R23(K3, K2; B3, B2),
+#   RHS = sum S23(A3, A2; K3, K2) S13(K3, A1; B3, K1) S12(K2, K1; B2, B1).
+#
+# The left side sums over the label K1 that its first vertex emits, the right
+# side over K2; conservation at the vertices fixes the other two.  Line 1 is
+# the one whose crossing with the vertical line carries the deformed (or
+# lower) vertex on the left-hand side.  For the six-vertex kinds line 1 is
+# thin: A1 and B1 are single colors in 0..n, summed as unit compositions.
 
 YBE_KINDS = ("qhahn", "sixvertex", "qhahn-deformed", "sixvertex-deformed")
 
@@ -308,81 +324,79 @@ def ybe_residual(kind, boundary, params):
     return residual(boundary, **params)
 
 
-def _ybe_residual_fat(boundary, q, t1, t2, t3, eta):
+def _fits(K, cap):
+    """K is a label that a line of capacity ``cap`` can carry."""
+    return min(K, default=0) >= 0 and sum(K) <= cap
+
+
+def _ybe_sides(boundary, caps, lhs, rhs, q):
+    """(LHS, RHS) of the Yang-Baxter equation in the shape above.
+
+    ``lhs`` is (R12, R13, R23, K1s) and ``rhs`` is (S23, S13, S12, K2s): the
+    weights, called as R(A, B, C, D) and multiplied in this order, and the
+    labels that the side's first vertex can emit.  The two derived labels must
+    be nonnegative with |K_i| <= caps[i - 1] before any weight is evaluated,
+    and a zero weight ends its product.  Both sums start at Fraction(0) for a
+    Fraction q, else at 0.
+    """
     A1, A2, A3, B1, B2, B3 = boundary
-    one = Fraction(1) if isinstance(q, Fraction) else 1
+    cap1, cap2, cap3 = caps
+    R12, R13, R23, K1s = lhs
+    left = right = Fraction(0) if isinstance(q, Fraction) else 0
+    A12, A23 = comp_add(A2, A1), comp_add(A3, A2)
+    for K1 in K1s:
+        K2 = comp_sub(A12, K1)
+        K3 = comp_sub(comp_add(A3, K1), B1)
+        if _fits(K2, cap2) and _fits(K3, cap3) and (w1 := R12(A2, A1, K2, K1)) != 0:
+            if (w2 := R13(A3, K1, K3, B1)) != 0:
+                left += w1 * w2 * R23(K3, K2, B3, B2)
+    S23, S13, S12, K2s = rhs
+    for K2 in K2s:
+        K3 = comp_sub(A23, K2)
+        K1 = comp_sub(comp_add(K3, A1), B3)
+        if _fits(K3, cap3) and _fits(K1, cap1) and (w1 := S23(A3, A2, K3, K2)) != 0:
+            if (w2 := S13(K3, A1, B3, K1)) != 0:
+                right += w1 * w2 * S12(K2, K1, B2, B1)
+    return left, right
+
+
+def _ybe_residual_fat(boundary, q, t1, t2, t3, eta):
     tt1, tt2, tt3 = t1 * t1, t2 * t2, t3 * t3
     e2 = eta * eta
     ett1, ett2, ett3 = e2 * tt1, e2 * tt2, e2 * tt3
-    W12, W13, W23 = (_QHahnTable(q, ta, tb) for ta, tb in ((tt1, tt2), (tt1, tt3), (tt2, tt3)))
-    eW12, eW13, eW23 = (_QHahnTable(q, ta, tb) for ta, tb in ((ett1, ett2), (ett1, ett3), (ett2, ett3)))
-
-    lhs = 0 * one
-    for K1 in iter_box(A2):
-        K2 = comp_add(comp_sub(A2, K1), A1)
-        K3 = comp_sub(comp_add(A3, K1), B1)
-        if any(x < 0 for x in K2 + K3):
-            continue
-        w1 = W12.weight(A2, A1, K2, K1)
-        if w1 == 0:
-            continue
-        w2 = eW13.weight(A3, K1, K3, B1)
-        if w2 == 0:
-            continue
-        lhs += w1 * w2 * W23.weight(K3, K2, B3, B2)
-
-    rhs = 0 * one
-    for K2 in iter_box(A3):
-        K3 = comp_add(comp_sub(A3, K2), A2)
-        K1 = comp_sub(comp_add(K3, A1), B3)
-        if any(x < 0 for x in K3 + K1):
-            continue
-        w1 = eW23.weight(A3, A2, K3, K2)
-        if w1 == 0:
-            continue
-        w2 = W13.weight(K3, A1, B3, K1)
-        if w2 == 0:
-            continue
-        rhs += w1 * w2 * eW12.weight(K2, K1, B2, B1)
+    W12, W13, W23, eW12, eW13, eW23 = (_QHahnTable(q, ta, tb).weight for ta, tb in (
+        (tt1, tt2), (tt1, tt3), (tt2, tt3), (ett1, ett2), (ett1, ett3), (ett2, ett3)))
+    # each first vertex is a q-Hahn weight, whose outgoing D ranges over the box of its A
+    lhs, rhs = _ybe_sides(boundary, (math.inf,) * 3, (W12, eW13, W23, iter_box(boundary[1])),
+                          (eW23, W13, eW12, iter_box(boundary[2])), q)
     return lhs - rhs
+
+
+def _color(J):
+    """The color 0..n of a thin line's unit composition."""
+    return J.index(1) + 1 if 1 in J else 0
 
 
 def _ybe_residual_thin(boundary, q, x, s, t, eta):
     a1, A2, A3, b1, B2, B3 = boundary
     n = len(A2)
-    one = Fraction(1) if isinstance(q, Fraction) else 1
+    if not (0 <= a1 <= n and 0 <= b1 <= n):
+        raise ValueError("edge colors must lie in 0..n")
+    units = [unit_comp(n, c) for c in range(n + 1)]
+
+    def thin(z, spin):
+        return lambda I, J, K, L: sixv_weight(I, _color(J), K, _color(L), q, z, spin)
+
     table = _QHahnTable(q, t * t, s * s)
-    xt_eta, t_eta = x * t / eta, t * eta
-    xs_eta, s_eta = x * s / eta, s * eta
-
-    lhs = 0 * one
-    for k1 in range(n + 1):
-        K2 = comp_sub(comp_add(A2, unit_comp(n, a1)), unit_comp(n, k1))
-        K3 = comp_sub(comp_add(A3, unit_comp(n, k1)), unit_comp(n, b1))
-        if any(v < 0 for v in K2 + K3):
-            continue
-        w_cross = sixv_weight(A2, a1, K2, k1, q, xt_eta, t_eta)
-        if w_cross == 0:
-            continue
-        w_vert = sixv_weight(A3, k1, K3, b1, q, x * s, s)
-        if w_vert == 0:
-            continue
-        lhs += w_cross * w_vert * table.weight(K3, K2, B3, B2)
-
-    rhs = 0 * one
-    for k1 in range(n + 1):
-        K3 = comp_sub(comp_add(B3, unit_comp(n, k1)), unit_comp(n, a1))
-        K2 = comp_sub(comp_add(A3, A2), K3)
-        if any(v < 0 for v in K3 + K2):
-            continue
-        w_bot = table.weight(A3, A2, K3, K2)
-        if w_bot == 0:
-            continue
-        w_vert = sixv_weight(K3, a1, B3, k1, q, xs_eta, s_eta)
-        if w_vert == 0:
-            continue
-        rhs += w_bot * w_vert * sixv_weight(K2, k1, B2, b1, q, x * t, t)
+    lhs, rhs = _ybe_sides((units[a1], A2, A3, units[b1], B2, B3), (1, math.inf, math.inf),
+                          (thin(x * t / eta, t * eta), thin(x * s, s), table.weight, units),
+                          (table.weight, thin(x * s / eta, s * eta), thin(x * t, t), iter_box(A3)), q)
     return lhs - rhs
+
+
+def _capped_box(bounds, cap):
+    """The compositions D <= bounds with |D| <= cap, in ``iter_box`` order."""
+    return (D for D in iter_box(tuple(min(v, cap) for v in bounds)) if sum(D) <= cap)
 
 
 def master_ybe_residual(boundary, q, x, y, z, caps):
@@ -392,44 +406,14 @@ def master_ybe_residual(boundary, q, x, y, z, caps):
     vertical line capacity L; spectral arguments are the ratios of x, y, z.
     Exactly zero for any capacity-respecting boundary.
     """
-    A1, A2, A3, B1, B2, B3 = boundary
+    A1, A2, A3 = boundary[:3]
     big_n, big_m, big_l = caps
-    n = len(A1)
-
-    def terms(side):
-        total = 0
-        k1_bound = comp_add(A2, A1) if side == "lhs" else comp_add(B2, B1)
-        for K1 in iter_box(tuple(min(v, big_n) for v in k1_bound)):
-            if sum(K1) > big_n:
-                continue
-            if side == "lhs":
-                K2 = comp_sub(comp_add(A2, A1), K1)
-                K3 = comp_sub(comp_add(A3, K1), B1)
-                if any(v < 0 for v in K2 + K3) or sum(K2) > big_m or sum(K3) > big_l:
-                    continue
-                w = fused_weight(A2, A1, K2, K1, q, x / y, big_n, big_m)
-                if w == 0:
-                    continue
-                w = w * fused_weight(A3, K1, K3, B1, q, x / z, big_n, big_l)
-                if w == 0:
-                    continue
-                w = w * fused_weight(K3, K2, B3, B2, q, y / z, big_m, big_l)
-            else:
-                K2 = comp_sub(comp_add(B2, B1), K1)
-                K3 = comp_sub(comp_add(A3, A2), K2)
-                if any(v < 0 for v in K2 + K3) or sum(K2) > big_m or sum(K3) > big_l:
-                    continue
-                w = fused_weight(A3, A2, K3, K2, q, y / z, big_m, big_l)
-                if w == 0:
-                    continue
-                w = w * fused_weight(K3, A1, B3, K1, q, x / z, big_n, big_l)
-                if w == 0:
-                    continue
-                w = w * fused_weight(K2, K1, B2, B1, q, x / y, big_n, big_m)
-            total += w
-        return total
-
-    return terms("lhs") - terms("rhs")
+    W12, W13, W23 = (partial(fused_weight, q=q, z=ratio, big_n=horizontal, big_m=vertical)
+                     for ratio, horizontal, vertical in ((x / y, big_n, big_m), (x / z, big_n, big_l),
+                                                         (y / z, big_m, big_l)))
+    lhs, rhs = _ybe_sides(boundary, caps, (W12, W13, W23, _capped_box(comp_add(A2, A1), big_n)),
+                          (W23, W13, W12, _capped_box(comp_add(A3, A2), big_m)), q)
+    return lhs - rhs
 
 
 def _rand_frac(rng, lo_num=1, hi_num=9, lo_den=10, hi_den=23):

@@ -212,6 +212,40 @@ def test_workers_environment_default(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["workers"] == 3
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "ybe", "--trials", "0"], "--trials"),
+    (["verify", "stochastic", "--trials", "-3"], "--trials"),
+    (["verify", "ybe", "--colors", "0"], "--colors"),
+    (["polymer", "mc", "--x", "1", "--y", "3", "--samples", "0"], "--samples"),
+    (["polymer", "mc", "--x", "1", "--y", "3", "--samples", "1"], "--samples"),
+    (["descent", "--grid", "0"], "--grid"),
+])
+def test_unusable_counts_are_usage_errors(argv, flag, capsys):
+    # each of these used to exit 0 with a vacuous pass or NaN moments, or die with a traceback
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    assert f"argument {flag}: need " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["brute", "mc"])
+def test_polymer_manifest_flag_is_only_for_dp(action, tmp_path, polymer_config, monkeypatch, capsys):
+    from qhahn_polymer import polymer
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --manifest was refused")
+
+    monkeypatch.setattr(polymer, "sample_environment", no_work)
+    monkeypatch.setattr(polymer, "mc_statistics", no_work)
+    manifest = tmp_path / "m.jsonl"
+    code = run(["polymer", action, "--config", polymer_config, "--x", "2", "--y", "5", "--samples", "100",
+                "--manifest", str(manifest)])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert "--manifest is only for polymer dp" in captured.err and captured.out == ""
+    assert not manifest.exists()
+
+
 def test_fredholm_subcommands(tmp_path, polymer_config, capsys):
     out = tmp_path / "f.jsonl"
     code = run(["fredholm", "tw-cdf", "--r", "0", "-o", str(out)])

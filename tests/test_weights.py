@@ -1,4 +1,6 @@
+import contextlib
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from qhahn_polymer.weights import (
     local_qmoment,
     local_relation_residual,
     local_relation_shuffle_rhs,
+    master_ybe_residual,
     qhahn_outgoing,
     qhahn_weight,
     random_ybe_instance,
@@ -234,47 +237,95 @@ def test_local_relation_shuffle_form_matches():
         assert lhs == local_relation_shuffle_rhs(c, A, Q, TT, SS)
 
 
-def test_master_ybe_exact_zero():
-    from qhahn_polymer.weights import master_ybe_residual
+def _master_draw(rng):
+    """A random capacity-respecting master-equation instance, or None when the draw is rejected."""
+    n = 2
+    caps = tuple(int(v) for v in rng.integers(1, 3, size=3))
+    big_n, big_m, big_l = caps
+    q = Fraction(int(rng.integers(1, 6)), int(rng.integers(7, 13)))
+    x = Fraction(int(rng.integers(1, 6)), int(rng.integers(7, 13)))
+    y = Fraction(int(rng.integers(1, 6)), int(rng.integers(7, 13)))
+    z = Fraction(int(rng.integers(1, 6)), int(rng.integers(7, 13)))
+    # reject spectral ratios landing on q-power poles of the weights
+    ratios = (x / y, x / z, y / z)
+    if any(r == q**j for r in ratios for j in range(-6, 7)):
+        return None
 
+    def draw(cap):
+        while True:
+            c = tuple(int(v) for v in rng.integers(0, cap + 1, size=n))
+            if sum(c) <= cap:
+                return c
+
+    A1, A2, A3 = draw(big_n), draw(big_m), draw(big_l)
+    total = comp_add(comp_add(A1, A2), A3)
+    B1 = tuple(int(rng.integers(0, v + 1)) for v in total)
+    rest = comp_sub(total, B1)
+    B2 = tuple(int(rng.integers(0, v + 1)) for v in rest)
+    B3 = comp_sub(rest, B2)
+    if sum(B1) > big_n or sum(B2) > big_m or sum(B3) > big_l:
+        return None
+    return (A1, A2, A3, B1, B2, B3), q, x, y, z, caps
+
+
+def test_master_ybe_exact_zero():
     rng = np.random.default_rng(41)
     checked = 0
     attempts = 0
     while checked < 20 and attempts < 400:
         attempts += 1
-        n = 2
-        caps = tuple(int(v) for v in rng.integers(1, 3, size=3))
-        big_n, big_m, big_l = caps
-        q = Fraction(int(rng.integers(1, 6)), int(rng.integers(7, 13)))
-        x = Fraction(int(rng.integers(1, 6)), int(rng.integers(7, 13)))
-        y = Fraction(int(rng.integers(1, 6)), int(rng.integers(7, 13)))
-        z = Fraction(int(rng.integers(1, 6)), int(rng.integers(7, 13)))
-        # reject spectral ratios landing on q-power poles of the weights
-        ratios = (x / y, x / z, y / z)
-        if any(r == q**j for r in ratios for j in range(-6, 7)):
-            continue
-
-        def draw(cap):
-            while True:
-                c = tuple(int(v) for v in rng.integers(0, cap + 1, size=n))
-                if sum(c) <= cap:
-                    return c
-
-        A1, A2, A3 = draw(big_n), draw(big_m), draw(big_l)
-        total = comp_add(comp_add(A1, A2), A3)
-        B1 = tuple(int(rng.integers(0, v + 1)) for v in total)
-        rest = comp_sub(total, B1)
-        B2 = tuple(int(rng.integers(0, v + 1)) for v in rest)
-        B3 = comp_sub(rest, B2)
-        if sum(B1) > big_n or sum(B2) > big_m or sum(B3) > big_l:
+        case = _master_draw(rng)
+        if case is None:
             continue
         try:
-            resid = master_ybe_residual((A1, A2, A3, B1, B2, B3), q, x, y, z, caps)
+            resid = master_ybe_residual(*case)
         except ZeroDivisionError:
             continue  # residual pole coincidence; draw again
         assert resid == 0
         checked += 1
     assert checked == 20
+
+
+def _brute_force_sides(boundary, caps, lhs, rhs):
+    """Both Yang-Baxter sides summed over every internal labelling in the box of the boundary's total."""
+    A1, A2, A3, B1, B2, B3 = boundary
+    (R12, R13, R23, _), (S23, S13, S12, _) = lhs, rhs
+    labels = list(iter_box(comp_add(comp_add(A1, A2), A3)))
+    left = right = 0
+    for K1, K2, K3 in product(labels, repeat=3):
+        if any(sum(K) > cap for K, cap in zip((K1, K2, K3), caps)):
+            continue
+        if (comp_add(A2, A1) == comp_add(K2, K1) and comp_add(A3, K1) == comp_add(K3, B1)
+                and comp_add(K3, K2) == comp_add(B3, B2)):
+            left += R12(A2, A1, K2, K1) * R13(A3, K1, K3, B1) * R23(K3, K2, B3, B2)
+        if (comp_add(A3, A2) == comp_add(K3, K2) and comp_add(K3, A1) == comp_add(B3, K1)
+                and comp_add(K2, K1) == comp_add(B2, B1)):
+            right += S23(A3, A2, K3, K2) * S13(K3, A1, B3, K1) * S12(K2, K1, B2, B1)
+    return left, right
+
+
+@pytest.mark.parametrize("kind", [*YBE_KINDS, "master"])
+def test_ybe_sides_equal_brute_force(kind, monkeypatch):
+    # an exact-zero residual cannot see a candidate set that drops the same terms from both sides
+    rng = np.random.default_rng(43)
+    real, seen = weights._ybe_sides, []
+
+    def recorded(boundary, caps, lhs, rhs, q):
+        sides = real(boundary, caps, lhs, rhs, q)
+        seen.append((sides, _brute_force_sides(boundary, caps, lhs, rhs)))
+        return sides
+
+    monkeypatch.setattr(weights, "_ybe_sides", recorded)
+    while len(seen) < 4:
+        if kind != "master":
+            ybe_residual(kind, *random_ybe_instance(kind, rng, colors=2, max_entry=1))
+        elif (case := _master_draw(rng)) is not None:
+            with contextlib.suppress(ZeroDivisionError):
+                master_ybe_residual(*case)
+    for sides, brute in seen:
+        assert all(isinstance(v, Fraction) for v in sides)
+        assert sides == brute
+    assert any(sides[0] != 0 for sides, _ in seen)
 
 
 # ---------------------------------------------------------------------------

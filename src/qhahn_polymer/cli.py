@@ -3,7 +3,8 @@
 Configuration may come from a JSON file (--config) with flags overriding its
 fields; every run emits a manifest (echoed config, seed, package version) next
 to its outputs.  Exit codes: 0 success, 2 validation error, 3 numerical
-non-convergence.
+non-convergence, 4 output failure (stdout closed early, as by a pipe to
+``head``).
 
 Each subcommand handler ``_cmd_*(args, config)`` computes and returns
 ``(records, extra, failure)``: its JSON records (or, for the CSV-first
@@ -33,6 +34,7 @@ from .qtools import ConvergenceError
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
+EXIT_OUTPUT = 4
 
 
 class ValidationFailure(Exception):
@@ -416,14 +418,14 @@ def build_parser():
                    help="Yang-Baxter kind: qhahn|sixvertex|qhahn-deformed|sixvertex-deformed "
                         "(aliases WYB|hsYB|defWYB|defhsYB)")
     v.add_argument("--colors", type=_count(1), default=2)
-    v.add_argument("--max-entry", type=int, default=2)
+    v.add_argument("--max-entry", type=_count(0), default=2)
     v.add_argument("--trials", type=_count(1), default=100)
     v.set_defaults(func=_cmd_verify)
 
     s = sub.add_parser("sample", parents=[common], help="sample q-Hahn configurations; emit height CSV")
     s.add_argument("target", choices=["qhahn"])
     s.add_argument("--q", type=float)
-    s.add_argument("--samples", type=int, default=1)
+    s.add_argument("--samples", type=_count(1), default=1)
     s.add_argument("--manifest", default="-")
     s.set_defaults(func=_cmd_sample)
 
@@ -445,7 +447,7 @@ def build_parser():
     po.add_argument("--r", type=int, default=0)
     # a standard error needs two replicas
     po.add_argument("--samples", type=_count(2), default=10000)
-    po.add_argument("--max-power", type=int, default=3)
+    po.add_argument("--max-power", type=_count(1), default=3)
     po.add_argument("--log", action="store_true")
     po.add_argument("--export", help="CSV path for raw samples")
     po.add_argument("--manifest", help="manifest path for dp, whose CSV goes to --output (default: stdout)")
@@ -491,6 +493,9 @@ def main(argv=None):
             _emit([*records, manifest], args.output)
         if failure:
             raise ValidationFailure(failure)
+    except BrokenPipeError as exc:
+        print(f"output failure: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     except (ValidationFailure, ValueError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

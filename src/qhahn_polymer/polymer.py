@@ -123,8 +123,10 @@ def beta_draws(rng, a, b, size=None):
     """Beta(a, b) variates; inverse-CDF fast path for a = 1, two-Gamma ratio otherwise.
 
     The a = 1 path takes all of ``size`` from one ``rng.random`` call, so a
-    leading axis of rows consumes the stream as one call per row would; with
-    b = 1 as well it skips the power, since x ** 1.0 == x.  The two-Gamma path
+    leading axis of rows consumes the stream as one call per row would, and
+    returns 1 - (1 - w) ** (1/b).  With b = 1 as well it returns the uniforms
+    w themselves, which is the same value: ``rng.random`` gives multiples of
+    2**-53 in [0, 1), so 1 - w and 1 - (1 - w) are exact.  The two-Gamma path
     hands ``rng.standard_gamma`` contiguous shape arrays, which draws the same
     values as ``rng.gamma`` on the broadcast view, faster.
     """
@@ -133,9 +135,10 @@ def beta_draws(rng, a, b, size=None):
         size = a_arr.shape
     if np.all(a_arr == 1.0):
         w = rng.random(size)
+        if np.all(b_arr == 1.0):
+            return w
         np.subtract(1.0, w, out=w)
-        if not np.all(b_arr == 1.0):
-            np.power(w, 1.0 / np.broadcast_to(b_arr, size), out=w)
+        np.power(w, 1.0 / np.broadcast_to(b_arr, size), out=w)
         return np.subtract(1.0, w, out=w)
     # .copy(), not np.ascontiguousarray, which turns size () into shape (1,)
     g1 = rng.standard_gamma(np.broadcast_to(a_arr, size).copy())
@@ -341,10 +344,16 @@ def _dp_block(model, r, x, y, n_block, rng, want_log):
     diagonal boundary cell (= 1) is inside the window.  Scaling by a power of
     two is exact, so the values equal the unscaled recurrence wherever that
     stays in float range, and stay in float range for any depth; linear mode
-    raises if a corner value falls below the normal float range.  The draws
-    are those of ``beta_draws`` row by row; rows with a = 1 in every cell and
-    the full width draw ``_ROW_CHUNK`` rows per call, which consumes the same
-    stream.
+    raises if a corner value falls below the normal float range.
+
+    The draws are those of ``beta_draws`` row by row, in the same order, from
+    shapes sliced out of the sigma, rho and omega schedules built once per
+    call.  Full-width rows go ``_ROW_CHUNK`` at a time: with a = 1 in every
+    cell of the chunk one call draws them all, which consumes the stream as
+    one call per row does.  Where a = b = 1 in every cell of a chunk or of a
+    window row, Beta(1, 1), the eta are the uniforms themselves, drawn by
+    ``rng.random`` into one buffer per call; ``beta_draws`` returns the same
+    values (see there), so the result is bit for bit what it gives.
     """
     band = y - x
     if band == 0:
@@ -353,16 +362,30 @@ def _dp_block(model, r, x, y, n_block, rng, want_log):
         raise IndexError("omega schedule shorter than the diagonal range y - x")
     if x > y - r:
         raise IndexError("corner outside the domain: need r <= y - x")
-    sigma = np.array([model.sigma(i) for i in range(0, x + 1)])
-    omega = np.array([model.omega(d) for d in range(1, band + 1)])
+    # the schedules once per call: rho[k] is row y = r + 1 + k, and cell
+    # (x', y) takes omega_at[y - x'], omega_{y - x'} with the index clamped to
+    # 1..band; out-of-band cells (y - x' > band) never reach the corner, and
+    # clamping keeps the vector draw simple
+    sigma = np.array(list(map(model.sigma, range(0, x + 1))))
+    rho = np.array(list(map(model.rho, range(r + 1, y + 1))))[:, None]
+    omega = np.array(list(map(model.omega, range(1, band + 1))))
+    omega_at = omega[np.clip(np.arange(y + 1), 1, band) - 1]
+    buf = None  # the Beta(1, 1) uniforms; allocated at the first such row, so other models never hold it
 
-    def shapes(k0, k1):
-        """Beta shapes (a, b) of rows r+1+k0 .. r+k1 on all x + 1 columns."""
-        yy = np.arange(r + 1 + k0, r + 1 + k1)[:, None]
-        rho = np.array([[model.rho(j)] for j in range(r + 1 + k0, r + 1 + k1)])
-        # out-of-band cells (yy - x' > band) never reach the corner; clamping
-        # their diagonal index keeps the vector draw simple and is harmless
-        return sigma - rho, rho - omega[np.clip(yy - np.arange(x + 1), 1, band) - 1]
+    def draws(k0, k1, m):
+        """The eta of rows k0..k1-1 on columns 0..m-1: shape (k1 - k0, n_block, m), or one array per row."""
+        nonlocal buf
+        a = sigma[:m] - rho[k0:k1]
+        b = rho[k0:k1] - omega_at[np.arange(r + 1 + k0, r + 1 + k1)[:, None] - np.arange(m)]
+        if not (a == 1.0).all():
+            return [beta_draws(rng, ak, bk, size=(n_block, m)) for ak, bk in zip(a, b)]
+        if not (b == 1.0).all():
+            return beta_draws(rng, 1.0, b[:, None, :], size=(k1 - k0, n_block, m))
+        if buf is None:
+            buf = np.empty(_ROW_CHUNK * n_block * (x + 1))
+        out = buf[: (k1 - k0) * n_block * m].reshape(k1 - k0, n_block, m)
+        rng.random(out=out)  # Beta(1, 1): the uniforms themselves, as in beta_draws
+        return out
 
     s = np.zeros((x + 1, n_block))
     s[0] = 1.0  # Z_{0, r} = 1
@@ -392,20 +415,13 @@ def _dp_block(model, r, x, y, n_block, rng, want_log):
     # ends in the boundary cell Z = 1
     for i in range(x):
         m = i + 2
-        a, b = shapes(i, i + 1)
-        step(beta_draws(rng, a[0, :m], b[0, :m], size=(n_block, m)), m, m - 1)
+        step(draws(i, i + 1, m)[0], m, m - 1)
         s[m - 1] = 1.0
         E[m - 1] = 0
         renormalise(m)
     m = x + 1
     for k0 in range(x, y - r, _ROW_CHUNK):
-        k1 = min(k0 + _ROW_CHUNK, y - r)
-        a, b = shapes(k0, k1)
-        if np.all(a == 1.0):
-            draws = beta_draws(rng, 1.0, b[:, None, :], size=(k1 - k0, n_block, m))
-        else:
-            draws = [beta_draws(rng, ak, bk, size=(n_block, m)) for ak, bk in zip(a, b)]
-        for draw in draws:
+        for draw in draws(k0, min(k0 + _ROW_CHUNK, y - r), m):
             step(draw, m, m)
         renormalise(m)
     if want_log:
@@ -468,8 +484,8 @@ def sample_log_partition(model, r, x, y, samples, seed=0, block=256, workers=Non
     ``workers`` threads run the blocks (``None``: ``usable_cpus()``); the
     values do not depend on it.  The threads share out whole blocks, and a
     256-replica block is many short array operations, so on the a = 1 path
-    two threads gain little (1000 replicas at t = 32 to 96: 0.9x to 1.3x on a
-    2-vCPU x86_64 guest).
+    two threads gain little.  On the homogeneous model (a = b = 1) the draws
+    are the raw uniforms, which ``_dp_block`` explains.
     """
     return _replica_blocks(model, r, x, y, samples, seed, block, want_log=True, workers=workers)
 

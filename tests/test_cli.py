@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qhahn_polymer.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
+from qhahn_polymer import cli
+from qhahn_polymer.cli import EXIT_NUMERIC, EXIT_OK, EXIT_OUTPUT, EXIT_VALIDATION, main
 
 
 def run(args):
@@ -219,13 +220,27 @@ def test_workers_environment_default(monkeypatch, capsys):
     (["polymer", "mc", "--x", "1", "--y", "3", "--samples", "0"], "--samples"),
     (["polymer", "mc", "--x", "1", "--y", "3", "--samples", "1"], "--samples"),
     (["descent", "--grid", "0"], "--grid"),
+    (["sample", "qhahn", "--samples", "0"], "--samples"),
+    (["polymer", "mc", "--x", "1", "--y", "3", "--max-power", "0"], "--max-power"),
+    (["verify", "ybe", "--max-entry", "-1"], "--max-entry"),
 ])
 def test_unusable_counts_are_usage_errors(argv, flag, capsys):
-    # each of these used to exit 0 with a vacuous pass or NaN moments, or die with a traceback
+    # each of these used to exit 0 with a vacuous pass, no rows or no or NaN moments, or fail
+    # with a traceback or a message that does not name the flag
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == EXIT_VALIDATION
     assert f"argument {flag}: need " in capsys.readouterr().err
+
+
+def test_closed_stdout_is_an_output_failure(monkeypatch, capsys):
+    def closed_pipe(*args, **kwargs):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_emit", closed_pipe)
+    assert run(["verify", "stochastic", "--trials", "2"]) == EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert "output failure" in err and "validation error" not in err
 
 
 @pytest.mark.parametrize("action", ["brute", "mc"])

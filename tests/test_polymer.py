@@ -291,6 +291,13 @@ def test_beta_draws_unit_shapes_skip_the_power():
     rng = np.random.default_rng(8)
     rows = [beta_draws(rng, 1.0, b[k], size=(4, 5)) for k in range(3)]
     assert np.array_equal(fast, np.stack(rows))
+    # Beta(1, 1) returns rng.random's values, 1 - (1 - w) exactly, and consumes the stream as it does
+    rng, raw, ref = (np.random.default_rng(31) for _ in range(3))
+    for size in [(), (7,), (3, 4, 5)]:
+        draw = beta_draws(rng, 1, 1, size)
+        assert np.shape(draw) == size
+        assert np.array_equal(draw, raw.random(size))
+        assert np.array_equal(draw, reference_beta_draws(ref, 1, 1, size))
 
 
 def test_beta_draws_two_gamma_stream_pinned():
@@ -321,6 +328,127 @@ def test_two_gamma_samplers_pinned_values():
     env = sample_environment(tri_model(), 3, 6, np.random.default_rng(21))
     assert env.eta[np.isfinite(env.eta)][:3].tolist() == [0.9826424779675249, 0.7199470610159898,
                                                           0.6108303103943079]
+
+
+def reference_beta_draws(rng, a, b, size=None):
+    """The reference of ``polymer.beta_draws``: Beta(1, 1) by the inverse CDF, 1 - (1 - w)."""
+    a_arr, b_arr = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
+    if size is None:
+        size = a_arr.shape
+    if np.all(a_arr == 1.0):
+        w = rng.random(size)
+        np.subtract(1.0, w, out=w)
+        if not np.all(b_arr == 1.0):
+            np.power(w, 1.0 / np.broadcast_to(b_arr, size), out=w)
+        return np.subtract(1.0, w, out=w)
+    # .copy(), not np.ascontiguousarray, which turns size () into shape (1,)
+    g1 = rng.standard_gamma(np.broadcast_to(a_arr, size).copy())
+    g2 = rng.standard_gamma(np.broadcast_to(b_arr, size).copy())
+    out = g1 / np.maximum(g1 + g2, 1e-300)
+    return np.clip(out, 1e-300, 1.0 - 1e-16)
+
+
+def reference_dp_block(model, r, x, y, n_block, rng, want_log):
+    """The reference of ``polymer._dp_block``, bit for bit: the same recurrence, with the
+    Beta shapes rebuilt from the model per chunk and every row drawn by ``reference_beta_draws``."""
+    band = y - x
+    if band == 0:
+        return np.zeros(n_block) if want_log else np.ones(n_block)
+    if band > len(model.omega_list):
+        raise IndexError("omega schedule shorter than the diagonal range y - x")
+    if x > y - r:
+        raise IndexError("corner outside the domain: need r <= y - x")
+    sigma = np.array([model.sigma(i) for i in range(0, x + 1)])
+    omega = np.array([model.omega(d) for d in range(1, band + 1)])
+
+    def shapes(k0, k1):
+        """Beta shapes (a, b) of rows r+1+k0 .. r+k1 on all x + 1 columns."""
+        yy = np.arange(r + 1 + k0, r + 1 + k1)[:, None]
+        rho = np.array([[model.rho(j)] for j in range(r + 1 + k0, r + 1 + k1)])
+        # out-of-band cells (yy - x' > band) never reach the corner; clamping
+        # their diagonal index keeps the vector draw simple and is harmless
+        return sigma - rho, rho - omega[np.clip(yy - np.arange(x + 1), 1, band) - 1]
+
+    s = np.zeros((x + 1, n_block))
+    s[0] = 1.0  # Z_{0, r} = 1
+    E = np.zeros((x + 1, n_block), dtype=np.intc)
+    ex = np.empty_like(E)
+    ratio = np.ones((x + 1, n_block))  # 2**(E[c-1] - E[c]) for column c >= 1
+    eta = np.empty((x + 1, n_block))
+    tmp = np.empty((x + 1, n_block))
+
+    def step(draw, m, cols):
+        """One row of width m: columns 1..cols-1 by the recurrence, column 0 by eta."""
+        np.copyto(eta[:m], draw.T)
+        diag = np.subtract(1.0, eta[1:cols], out=tmp[1:cols])
+        diag *= ratio[1:cols]
+        diag *= s[: cols - 1]
+        s[1:cols] *= eta[1:cols]
+        s[1:cols] += diag
+        s[0] *= eta[0]
+
+    def renormalise(m):
+        np.frexp(s[:m], out=(s[:m], ex[:m]))
+        E[:m] += ex[:m]
+        np.subtract(E[: m - 1], E[1:m], out=ex[1:m])
+        np.ldexp(1.0, ex[1:m], out=ratio[1:m])
+
+    # while the diagonal is inside the window, row i has width i + 2 and
+    # ends in the boundary cell Z = 1
+    for i in range(x):
+        m = i + 2
+        a, b = shapes(i, i + 1)
+        step(reference_beta_draws(rng, a[0, :m], b[0, :m], size=(n_block, m)), m, m - 1)
+        s[m - 1] = 1.0
+        E[m - 1] = 0
+        renormalise(m)
+    m = x + 1
+    for k0 in range(x, y - r, polymer._ROW_CHUNK):
+        k1 = min(k0 + polymer._ROW_CHUNK, y - r)
+        a, b = shapes(k0, k1)
+        if np.all(a == 1.0):
+            draws = reference_beta_draws(rng, 1.0, b[:, None, :], size=(k1 - k0, n_block, m))
+        else:
+            draws = [reference_beta_draws(rng, ak, bk, size=(n_block, m)) for ak, bk in zip(a, b)]
+        for draw in draws:
+            step(draw, m, m)
+        renormalise(m)
+    if want_log:
+        return np.log(s[x]) + E[x] * math.log(2.0)
+    vals = np.ldexp(s[x], E[x])
+    if ((vals < np.finfo(float).tiny) & (s[x] > 0.0)).any():
+        raise OverflowError("partition values underflow linear space; use log mode")
+    return vals
+
+
+def mixed_shapes_model():
+    # a = 1 on the rho = -1 rows (Beta(1, 1) where omega = -2, b = 1.5 where
+    # omega = -2.5), a = 1.3 on the rho = -1.3 rows: chunks of all three kinds
+    rho = (-1.0,) * 21 + (-1.3,) * 5 + (-1.0,) * 14
+    return PolymerModel((0.0,) * 5, rho, (-2.0,) * 20 + (-2.5,) * 20)
+
+
+def dp_cases():
+    """(model, r, x, y, samples, block, want_log) for each draw path of ``_dp_block``."""
+    tw, X, Y = tw_model(32)
+    return {
+        "tw32": (tw, 0, X, Y, 300, 256, True),  # Beta(1, 1) everywhere
+        "a1_b_not_1": (mixed_shapes_model(), 0, 4, 40, 70, 32, True),
+        "two_gamma_linear": (tri_model(40, 6), 0, 6, 40, 250, 100, False),  # partial last block
+        "deep": (PolymerModel((0.0,) * 9, (-1.0,) * 900, (-2.0,) * 900), 0, 8, 900, 20, 16, True),
+        "r_positive_log": (mixed_shapes_model(), 3, 4, 40, 40, 32, True),
+        "r_positive_linear": (tri_model(), 1, 2, 6, 60, 25, False),
+    }
+
+
+@pytest.mark.parametrize("case", ["tw32", "a1_b_not_1", "two_gamma_linear", "deep", "r_positive_log",
+                                  "r_positive_linear"])
+def test_dp_block_equals_the_reference_kernel(case, monkeypatch):
+    model, r, x, y, samples, block, want_log = dp_cases()[case]
+    new = polymer._replica_blocks(model, r, x, y, samples, 5, block, want_log, workers=1)
+    monkeypatch.setattr(polymer, "_dp_block", reference_dp_block)
+    ref = polymer._replica_blocks(model, r, x, y, samples, 5, block, want_log, workers=1)
+    assert np.array_equal(new, ref)
 
 
 def test_sampling_deterministic():

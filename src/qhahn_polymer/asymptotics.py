@@ -307,6 +307,8 @@ def tw_experiment(fm, theta, t_list, samples, seed=0, workers=None, slot_correct
     """
     if samples < 100:
         raise ValueError("need at least 100 samples per t")
+    if any(t < 1 for t in t_list):
+        raise ValueError(f"need every t >= 1, got t={list(t_list)}")
     const = theta_constants(fm, theta)
     regime = "proven" if fm.satisfies_assumption(theta) else "conjectural"
     out = []

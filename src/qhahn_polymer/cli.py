@@ -243,9 +243,16 @@ def _value_record(request, val, info):
             "nodes": info["nodes"], "converged": info["converged"]}
 
 
+# the flags that each moments target reads besides --x and --y; it refuses the others
+_MOMENTS_FLAGS = {"qhahn": {"q", "colors_list", "tau"}, "polymer": {"r", "tau"}, "single-contour": {"k"}}
+
+
 def _cmd_moments(args, config):
     from .qtools import Permutation
 
+    for name in ("q", "r", "colors_list", "tau", "k"):
+        if getattr(args, name) not in (None, []) and name not in _MOMENTS_FLAGS[args.target]:
+            raise ValidationFailure(f"moments {args.target} does not read --{name.replace('_', '-')}")
     if args.target == "qhahn":
         from .model import HeightRequest
         from .moments import qmoment_integral
@@ -279,8 +286,9 @@ def _cmd_moments(args, config):
             raise ValidationFailure("single-contour needs exactly one --x and one --y value")
         x, y = int(args.x[0]), int(args.y[0])
         _check_polymer_point(pmodel, x, y)
-        val, info = single_contour_moment(pmodel, x, y, args.k, with_info=True)
-        request = {"x": x, "y": y, "k": args.k}
+        k = 1 if args.k is None else args.k
+        val, info = single_contour_moment(pmodel, x, y, k, with_info=True)
+        request = {"x": x, "y": y, "k": k}
     return [_value_record(request, val, info)], None, None
 
 
@@ -437,7 +445,7 @@ def build_parser():
     m.add_argument("--r", type=int, nargs="+", default=[])
     m.add_argument("--colors-list", type=int, nargs="+", default=[])
     m.add_argument("--tau", type=int, nargs="+", default=None)
-    m.add_argument("--k", type=int, default=1)
+    m.add_argument("--k", type=int, help="moment order of single-contour (default: 1)")
     m.set_defaults(func=_cmd_moments)
 
     po = sub.add_parser("polymer", parents=[common], help="polymer DP, brute-force cross-check, Monte Carlo")
@@ -463,8 +471,9 @@ def build_parser():
 
     t = sub.add_parser("tw", parents=[common], help="Tracy-Widom rescaling experiment")
     t.add_argument("--theta", type=float, default=0.3)
-    t.add_argument("--t", type=int, nargs="+", default=[64, 256])
-    t.add_argument("--samples", type=int, default=2000)
+    t.add_argument("--t", type=_count(1), nargs="+", default=[64, 256])
+    # tw_experiment's least replica count per t
+    t.add_argument("--samples", type=_count(100), default=2000)
     t.add_argument("--export", help="CSV path for rescaled samples")
     t.set_defaults(func=_cmd_tw)
 

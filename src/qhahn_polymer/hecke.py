@@ -170,7 +170,9 @@ def hecke_suite(k, q, rng, npoints=50):
 
     Checks the quadratic relation (T_i - q)(T_i + 1) = 0, the braid relation,
     reduced-word independence of T_tau over all of S_k, the composition law
-    when lengths add, and the eigenvalue q on symmetric functions.
+    when lengths add, and the eigenvalue q on symmetric functions.  The
+    words it applies (the letters, the braid words and one per permutation of
+    S_k) are built once per call and passed to ``apply_T`` as ``HeckeWord``s.
     """
     import itertools
 
@@ -189,37 +191,36 @@ def hecke_suite(k, q, rng, npoints=50):
 
         return f
 
+    letters = {i: HeckeWord.of((i,), k) for i in range(1, k)}
+    braids = {j: (HeckeWord.of((j, j + 1, j), k), HeckeWord.of((j + 1, j, j + 1), k)) for j in range(1, k - 1)}
     errs = {"quadratic": 0.0, "braid": 0.0, "word_independence": 0.0, "composition": 0.0, "symmetric_eigenvalue": 0.0}
     for _ in range(npoints):
         f = rand_f()
         w = rand_pt()
-        i = int(rng.integers(1, k))
-        Ti = lambda g, i=i: (lambda pt: apply_T((i,), g, pt, q))
-        lhs = apply_T((i,), Ti(f), w, q) - (q - 1.0) * apply_T((i,), f, w, q) - q * f(w)
+        Ti = letters[int(rng.integers(1, k))]
+        lhs = apply_T(Ti, lambda pt: apply_T(Ti, f, pt, q), w, q) - (q - 1.0) * apply_T(Ti, f, w, q) - q * f(w)
         errs["quadratic"] = max(errs["quadratic"], abs(lhs))
 
         if k >= 3:
-            j = int(rng.integers(1, k - 1))
-            b1 = apply_T((j, j + 1, j), f, w, q)
-            b2 = apply_T((j + 1, j, j + 1), f, w, q)
-            errs["braid"] = max(errs["braid"], abs(b1 - b2))
+            b1, b2 = braids[int(rng.integers(1, k - 1))]
+            errs["braid"] = max(errs["braid"], abs(apply_T(b1, f, w, q) - apply_T(b2, f, w, q)))
 
         g_sym = lambda pt: sum(pt) + sum(u * u for u in pt)
         errs["symmetric_eigenvalue"] = max(
-            errs["symmetric_eigenvalue"], abs(apply_T((i,), g_sym, w, q) - q * g_sym(w))
+            errs["symmetric_eigenvalue"], abs(apply_T(Ti, g_sym, w, q) - q * g_sym(w))
         )
 
-    perms = [Permutation(v) for v in itertools.permutations(range(1, k + 1))]
+    perms = [HeckeWord(Permutation(v)) for v in itertools.permutations(range(1, k + 1))]
+    by_values = {hw.perm.values: hw for hw in perms}
     for tau in perms:
         f = rand_f()
         w = rand_pt()
-        words = _all_reduced_words(tau)
-        vals = [_apply_T_word(wd, f, w, q) for wd in words[:6]]
+        vals = [_apply_T_word(wd, f, w, q) for wd in _all_reduced_words(tau.perm)[:6]]
         for v in vals[1:]:
             errs["word_independence"] = max(errs["word_independence"], abs(v - vals[0]))
         for pi in perms:
-            pi_tau = pi * tau
-            if pi.length + tau.length == pi_tau.length:
+            pi_tau = by_values[tuple(pi.perm(t) for t in tau.perm.values)]  # pi * tau
+            if pi.perm.length + tau.perm.length == pi_tau.perm.length:
                 lhs = apply_T(pi, lambda pt: apply_T(tau, f, pt, q), w, q)
                 rhs = apply_T(pi_tau, f, w, q)
                 errs["composition"] = max(errs["composition"], abs(lhs - rhs))

@@ -10,7 +10,10 @@ Three weight families live here:
 
 All functions use generic scalar arithmetic, so ``fractions.Fraction``
 parameters give exact values and the Yang-Baxter / local-relation residuals
-below are computed with no rounding at all.
+below are computed with no rounding at all.  The q-Hahn weights and the
+local-relation sums skip the factors that are exactly one (see
+``_QHahnTable``); x * 1 is x exactly for a Fraction and for a float, so the
+values and their types are those of the full products.
 
 The five Yang-Baxter equations checked here (plain and eta-deformed q-Hahn
 and six-vertex, and the master equation of the fused family) share one
@@ -65,6 +68,13 @@ class _QHahnTable:
     and one-colour coefficients, so every value equals the direct formula's
     bit for bit (``==`` for Fractions).  Callers build one per spin pair and
     keep it for one call.
+
+    Products leave out their exact ones: q^0, the q-binomials (a choose 0)
+    and (a choose a), each ``Fraction(1)`` for a Fraction q and ``1.0`` for a
+    float q, and the factor (ss/tt)^0 (tt; q)_0 of ``coefficient(0, r)``.
+    Multiplying by one changes no Fraction and no float, so with parameters
+    that are all Fractions or all floats the results are the full products',
+    value and type.
     """
 
     __slots__ = ("q", "_x", "_one", "_qp", "_poch", "_binom", "_pow", "_coef")
@@ -107,8 +117,11 @@ class _QHahnTable:
         key = (p, r)
         val = self._coef.get(key)
         if val is None:
-            val = self._x[0] ** p
-            val *= self._pochhammer(0, r - p) * self._pochhammer(1, p)
+            if p:
+                val = self._x[0] ** p
+                val *= self._pochhammer(0, r - p) * self._pochhammer(1, p)
+            else:
+                val = self._pochhammer(0, r)
             val /= self._pochhammer(2, r)
             self._coef[key] = val
         return val
@@ -120,9 +133,11 @@ class _QHahnTable:
         for a, d in zip(A[::-1], D[::-1]):
             twist += d * rest
             rest += a - d
-        val *= self.power(twist)
+        if twist:
+            val *= self.power(twist)
         for a, d in zip(A, D):
-            val *= self.binomial(a, d)
+            if 0 < d < a:
+                val *= self.binomial(a, d)
         return val
 
     def weight(self, A, B, C, D):
@@ -513,7 +528,7 @@ def local_relation_residual(A, B, R, q, tt, ss):
     lhs = 0 * (q * 0 + 1)
     for (_, D), w in _qhahn_outgoing(A, B, table).items():
         e = sum(R[i] * D[j] for i in range(n) for j in range(i, n))
-        lhs += table.power(e) * w
+        lhs += table.power(e) * w if e else w
 
     r = sum(R)
     rhs = 0 * (q * 0 + 1)
@@ -521,9 +536,11 @@ def local_relation_residual(A, B, R, q, tt, ss):
         term = table.coefficient(sum(P), r)
         e1 = sum((R[i] - P[i]) * P[j] for i in range(n) for j in range(i + 1, n))
         e2 = sum(P[i] * A[j] for i in range(n) for j in range(i, n))
-        term *= table.power(e1 + e2)
+        if e1 + e2:
+            term *= table.power(e1 + e2)
         for Ri, Pi in zip(R, P):
-            term *= table.binomial(Ri, Pi)
+            if 0 < Pi < Ri:
+                term *= table.binomial(Ri, Pi)
         rhs += term
     return lhs - rhs
 

@@ -133,6 +133,18 @@ def test_tw_experiment_rejects_tiny_sample():
         tw_experiment(fm, 0.3, [16], 50)
 
 
+@pytest.mark.parametrize("t_list", [[0], [16, -5]])
+def test_tw_experiment_rejects_t_below_one(t_list, monkeypatch):
+    import qhahn_polymer.asymptotics as asy
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("scheduled model built before t was checked")
+
+    monkeypatch.setattr(asy, "scheduled_polymer_model", no_model)
+    with pytest.raises(ValueError, match="t >= 1"):
+        tw_experiment(FreqModel.homogeneous(), 0.3, t_list, 100)
+
+
 def test_tw_experiment_samples_independent_of_workers():
     # 600 replicas are three blocks; each block's stream is fixed by (seed + t, block index)
     fm = FreqModel.homogeneous(omega=-2.0)

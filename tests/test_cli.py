@@ -162,6 +162,33 @@ def test_moments_single_contour_rejects_bad_k(tmp_path, polymer_config, capsys, 
     assert "k" in err
 
 
+@pytest.mark.parametrize("target, extra, flag", [
+    ("polymer", ["--r", "0", "--k", "3"], "--k"),
+    ("qhahn", ["--colors-list", "1", "--k", "2"], "--k"),
+    ("single-contour", ["--r", "5"], "--r"),
+    ("single-contour", ["--tau", "2", "1"], "--tau"),
+    ("qhahn", ["--colors-list", "1", "--r", "0"], "--r"),
+    ("polymer", ["--r", "0", "--colors-list", "1"], "--colors-list"),
+    ("single-contour", ["--q", "0.5"], "--q"),
+])
+def test_moments_refuses_flags_its_target_does_not_read(target, extra, flag, tmp_path, qhahn_config,
+                                                        polymer_config, monkeypatch, capsys):
+    # each of these used to compute a value that ignored the flag, with exit 0
+    from qhahn_polymer import moments
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flag was refused")
+
+    for name in ("qmoment_integral", "beta_moment_integral", "single_contour_moment"):
+        monkeypatch.setattr(moments, name, no_work)
+    config = qhahn_config if target == "qhahn" else polymer_config
+    out = tmp_path / "m.jsonl"
+    code = run(["moments", target, "--config", config, "--x", "1", "--y", "3", *extra, "-o", str(out)])
+    assert code == EXIT_VALIDATION
+    assert f"moments {target} does not read {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_polymer_brute_and_mc(tmp_path, polymer_config, capsys):
     code = run(["polymer", "brute", "--config", polymer_config, "--x", "2", "--y", "5",
                 "--seed", "3", "-o", str(tmp_path / "b.jsonl")])
@@ -223,6 +250,9 @@ def test_workers_environment_default(monkeypatch, capsys):
     (["sample", "qhahn", "--samples", "0"], "--samples"),
     (["polymer", "mc", "--x", "1", "--y", "3", "--max-power", "0"], "--max-power"),
     (["verify", "ybe", "--max-entry", "-1"], "--max-entry"),
+    (["tw", "--t", "0"], "--t"),
+    (["tw", "--t", "64", "-5"], "--t"),
+    (["tw", "--samples", "50"], "--samples"),
 ])
 def test_unusable_counts_are_usage_errors(argv, flag, capsys):
     # each of these used to exit 0 with a vacuous pass, no rows or no or NaN moments, or fail

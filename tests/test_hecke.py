@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qhahn_polymer.hecke import HeckeWord, apply_T, apply_t, hecke_suite, local_rational_residual
-from qhahn_polymer.qtools import Permutation
+from qhahn_polymer.qtools import Permutation, spawn_rng
 
 RNG = np.random.default_rng(42)
 Q = 0.37
@@ -179,3 +179,11 @@ def test_hecke_suite_tolerances():
     rng = np.random.default_rng(3)
     errs = hecke_suite(3, 0.44, rng, npoints=20)
     assert max(errs.values()) < 1e-10
+
+
+def test_hecke_suite_errors_are_pinned():
+    # bit for bit: which HeckeWord objects carry the words must not move any error
+    errs = hecke_suite(4, 0.44, spawn_rng(1, 404), npoints=50)
+    assert errs == {"quadratic": 1.6876850730849092e-14, "braid": 6.99803436660041e-14,
+                    "word_independence": 2.3932453300842998e-14, "composition": 7.595094054341032e-15,
+                    "symmetric_eigenvalue": 2.2452871135843694e-15}

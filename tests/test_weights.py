@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -428,6 +429,40 @@ def test_weight_tables_equal_the_direct_formula(exact, monkeypatch):
     for A, B, *_ in outgoing[::-1]:
         assert repr(weights._qhahn_outgoing(A, B, table)) == repr(_direct_outgoing(A, B, q, tt, ss))
         assert repr(table.coefficient(1, sum(A) + 1)) == repr(_direct_coefficient(1, sum(A) + 1, q, tt, ss))
+
+
+def _pinned_batch(exact):
+    """repr of qhahn_outgoing, local_relation_residual and ybe_residual (all kinds) on one seeded batch."""
+    rng = np.random.default_rng(2701 + exact)
+
+    def scalars():
+        if exact:
+            return tuple(Fraction(int(rng.integers(1, 9)), int(rng.integers(10, 23))) for _ in range(3))
+        return tuple(float(v) for v in rng.uniform(0.05, 0.95, size=3))
+
+    values = []
+    for _ in range(60):
+        n = int(rng.integers(1, 4))
+        A, B = (tuple(int(v) for v in rng.integers(0, 4, size=n)) for _ in range(2))
+        R = tuple(int(v) for v in rng.integers(0, 3, size=n))
+        q, tt, ss = scalars()
+        values.append(qhahn_outgoing(A, B, q, tt, ss))
+        values.append(local_relation_residual(A, B, R, q, tt, ss))
+    for kind in YBE_KINDS:
+        for _ in range(6):
+            boundary, params = random_ybe_instance(kind, rng, colors=2, max_entry=2)
+            values.append(ybe_residual(kind, boundary, params if exact else {k: float(v) for k, v in params.items()}))
+    return repr(values)
+
+
+@pytest.mark.parametrize("exact, digest", [
+    (True, "f1ef53620b7cfecdd4e665e0e42241aad040bfe1ea51902459e8f7e985d2f301"),
+    (False, "0cf3a9f5a399dd00eb1e03d147fb5adfaa3b69452ee7ae0bcae34fdfb03221b2"),
+])
+def test_weight_values_are_pinned(exact, digest):
+    # SHA-256 of the batch's repr as the full products, exact-one factors included, give it; the
+    # direct-formula comparison above runs the residual sums on both of its sides and cannot see them change
+    assert hashlib.sha256(_pinned_batch(exact).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,13 @@ def _value_record(request, val, info):
             "nodes": info["nodes"], "converged": info["converged"]}
 
 
+def _lattice_points(values, flag):
+    """The polymer corners of --x or --y; the flag takes floats for qhahn, so a non-integer is refused here."""
+    if not all(v.is_integer() for v in values):
+        raise ValidationFailure(f"moments polymer and single-contour need integer --{flag} values, got {values}")
+    return [int(v) for v in values]
+
+
 # the flags that each moments target reads besides --x and --y; it refuses the others
 _MOMENTS_FLAGS = {"qhahn": {"q", "colors_list", "tau"}, "polymer": {"r", "tau"}, "single-contour": {"k"}}
 
@@ -269,9 +276,7 @@ def _cmd_moments(args, config):
 
         pmodel = _polymer_model(config)
         tau = Permutation(tuple(args.tau)) if args.tau else None
-        xs = [int(v) for v in args.x]
-        ys = [int(v) for v in args.y]
-        rs = [int(v) for v in args.r]
+        xs, ys, rs = _lattice_points(args.x, "x"), _lattice_points(args.y, "y"), args.r
         if not xs or not len(xs) == len(ys) == len(rs):
             raise ValidationFailure("--x, --y and --r need the same positive number of values")
         for x, y, r in zip(xs, ys, rs):
@@ -284,7 +289,7 @@ def _cmd_moments(args, config):
         pmodel = _polymer_model(config)
         if len(args.x) != 1 or len(args.y) != 1:
             raise ValidationFailure("single-contour needs exactly one --x and one --y value")
-        x, y = int(args.x[0]), int(args.y[0])
+        (x,), (y,) = _lattice_points(args.x, "x"), _lattice_points(args.y, "y")
         _check_polymer_point(pmodel, x, y)
         k = 1 if args.k is None else args.k
         val, info = single_contour_moment(pmodel, x, y, k, with_info=True)

@@ -229,14 +229,10 @@ def hecke_suite(k, q, rng, npoints=50):
 
 def _all_reduced_words(perm):
     """Enumerate reduced words of perm (all of them; fine for k <= 4)."""
-    if perm.length == 0:
-        return [()]
-    out = []
-    k = perm.rank
-    for i in range(1, k):
-        # right descent: perm(i) > perm(i+1) allows peeling sigma_i
-        if perm(i) > perm(i + 1):
-            shorter = perm * Permutation.transposition(i, k)
-            for wd in _all_reduced_words(shorter):
-                out.append(wd + (i,))
-    return out
+
+    def words(values):  # one-line values; only the identity has no right descent
+        # right descent: perm(i) > perm(i+1) allows peeling sigma_i, which swaps positions i and i+1
+        return [wd + (i,) for i in range(1, len(values)) if values[i - 1] > values[i]
+                for wd in words(values[: i - 1] + (values[i], values[i - 1]) + values[i + 1 :])] or [()]
+
+    return words(perm.values)

@@ -27,11 +27,12 @@ weight table per vertex (i, j) and drops it on return.  The boundary tables
 and ``enumerate_exact`` both take the boundary weights from the one
 truncation ``_truncated_boundary``.
 
-``enumerate_exact`` is the exact oracle.  The q-moment statistic is a product
-of one power of q per boundary edge and per vertical edge, so the expectation
-with capped boundary draws is a transfer-matrix sum over frontier states, in
-the samplers' vertex order, restricted to the vertices that can reach the
-requested facets.
+``enumerate_exact`` is the exact oracle.  By conservation, a facet's height
+counts the paths on the horizontal outputs of its own column (the boundary
+edges for x = 1/2), so the q-moment statistic is a product of one nonnegative
+power of q per horizontal edge, and the expectation with capped boundary draws
+is a transfer-matrix sum over frontier states, in the samplers' vertex order,
+restricted to the vertices that can reach the requested facets.
 """
 
 from __future__ import annotations
@@ -151,13 +152,14 @@ class HeightRequest:
     def make(cls, xs, ys, colors, tau=None):
         from .qtools import Permutation
 
-        x2 = tuple(int(round(2 * float(x))) for x in xs)
-        y2 = tuple(int(round(2 * float(y))) for y in ys)
+        x2 = tuple(2 * float(x) for x in xs)
+        y2 = tuple(2 * float(y) for y in ys)
+        if not all(v.is_integer() for v in x2 + y2):  # validate_shape checks that each is odd
+            raise ValueError("coordinates must be positive half-integers")
         colors = tuple(int(c) for c in colors)
-        k = len(x2)
         if tau is None:
-            tau = Permutation.identity(k)
-        req = cls(x2, y2, colors, tau)
+            tau = Permutation.identity(len(x2))
+        req = cls(tuple(map(int, x2)), tuple(map(int, y2)), colors, tau)
         req.validate_shape()
         return req
 
@@ -567,21 +569,23 @@ def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
     All arithmetic follows the scalar type of the model parameters: Fraction
     parameters give an exact rational conditional expectation.
 
-    The statistic is a product of per-edge factors: by height_field, boundary
-    edge b_j contributes q^{s_j b_j} and vertical edge A(i, j) contributes
-    q^{-e_ij . A(i, j)}, with s_j and e_ij counting the facets a whose height
-    reads that edge.  So the expectation is a transfer-matrix sum over frontier
-    states, in the samplers' vertex order: within column i, the D outputs
-    kept so far, the current vertical edge and the inputs still to be read.
-    Each state carries (weight, weight * statistic), equal states merge, and
-    the result is their ratio.  Only the staircase of vertices (i, j) with
-    i <= x_a - 1/2 and j <= y_a - 1/2 for some a can reach the statistic; the
-    others are skipped, since their outcome weights sum to 1, and b_j enters
-    at vertex (1, j).  Outputs that leave the staircase are dropped.  A
-    vertical output that is only scored splits its factor into q^{-e.B} and
-    q^{-e.C}, so the sums over B and over the outcomes factor, and a vertex
-    with both outputs dropped contracts to g(A) = sum of weight * q^{-e.C}.
-    ``leaf_guard`` bounds the number of transitions.
+    Conservation in columns 1..ix gives h_{>=c}(ix + 1/2, iy + 1/2) =
+    sum_{j <= iy} |D(ix, j)|_{>=c}, with D(i, j) the horizontal output of
+    vertex (i, j) and D(0, j) the boundary edge b_j.  So the statistic is a
+    product of one factor q^{e_ij . D(i, j)} per horizontal edge, where e_ij
+    counts by color the facets a with x_a - 1/2 = i and y_a - 1/2 >= j, and no
+    power of q is negative.  The expectation is a transfer-matrix sum over
+    frontier states, in the samplers' vertex order: within column i, the D
+    outputs kept so far, the current vertical edge and the inputs still to be
+    read.  Each state carries (weight, weight * statistic), equal states
+    merge, and the result is their ratio.  Only the staircase of vertices
+    (i, j) with i <= x_a - 1/2 and j <= y_a - 1/2 for some a can reach the
+    statistic; the others are skipped, since their outcome weights sum to 1,
+    and b_j enters at vertex (1, j).  Each vertex scores its outcomes once per
+    incoming A, keyed on the outputs that stay in the staircase: C below the
+    column's top row, D where the next column reads it.  At the top row the
+    sums over B and over the outcomes factor, so the inputs' law is summed
+    first.  ``leaf_guard`` bounds the number of transitions.
     """
     req.validate_against(model)
     N, n = model.size, model.n_colors
@@ -594,36 +598,27 @@ def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
     def height(i):  # rows 1..height(i) of column i lie in the staircase
         return max((iy for _, ix, iy in facets if ix >= i), default=0)
 
-    def exponents(i, j):  # e_ij by color
-        return tuple(sum(1 for c, ix, iy in facets if i <= ix and iy == j and col >= c) for col in range(1, n + 1))
-
-    def exponent(e, E):  # e . E for an exponent vector and an edge composition
-        return sum(map(mul, e, E))
+    def exponents(i, j):  # e_ij by color: the facets of column i that read D(i, j)
+        return tuple(sum(1 for c, ix, iy in facets if ix == i and j <= iy and col >= c) for col in range(1, n + 1))
 
     weight_tables = {}  # (i, j) -> the vertex's q-Hahn factors, for this call only
-    tables = {}
-    merged = {}
+    tables = {}  # (i, j, A) -> outcomes(i, j, A)
 
-    def outgoing(i, j, A):
+    def outcomes(i, j, A):
+        """(C, (D,)) -> (weight, weight q^{e.D}), summed over what is dropped: C reads zero, D reads ()."""
         key = (i, j, A)
         if key not in tables:
             table = weight_tables.get((i, j))
             if table is None:
                 table = weight_tables[(i, j)] = _QHahnTable(q, *model.spin_params(i, j))
-            tables[key] = list(_qhahn_outgoing(A, zero, table).items())
-        return tables[key]
-
-    def read_once(i, j, A, e, keep_D):
-        """Outcomes when A(i, j) is scored and dropped: kept D (None if dropped) -> (weight, weight q^{-e.C})."""
-        key = (i, j, A)
-        if key not in merged:
+            e, keep_C, keep_D = exponents(i, j), j < height(i), j <= height(i + 1)
             out = {}
-            for (C, D), wt in outgoing(i, j, A):
-                D = D if keep_D else None
-                ow, ov = out.get(D, (0, 0))
-                out[D] = (ow + wt, ov + wt * q ** (-exponent(e, C)))
-            merged[key] = list(out.items())
-        return merged[key]
+            for (C, D), wt in _qhahn_outgoing(A, zero, table).items():
+                kept = (C if keep_C else zero, (D,) if keep_D else ())
+                ow, ov = out.get(kept, (0, 0))
+                out[kept] = (ow + wt, ov + wt * q ** sum(map(mul, e, D)))
+            tables[key] = list(out.items())
+        return tables[key]
 
     W = V = one  # weight and weight * statistic of the rows read only through b_j
     inputs = {}  # rows j <= height(1): (B, w_b, w_b q^{s_j b}) for b_j = b <= cap
@@ -631,8 +626,8 @@ def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
     for j in range(1, N + 1):
         w, tail = _truncated_boundary(model, j, tol / (2 * N), _EXACT_CAP, b_cap)
         tail_total += float(tail) / float(sum(w))
-        s_j = sum(1 for c, _, iy in facets if j <= iy and model.row_color(j) >= c)
         col = model.row_color(j) - 1
+        s_j = exponents(0, j)[col]
         law = [(zero[:col] + (b,) + zero[col + 1 :], wb, wb * q ** (s_j * b)) for b, wb in enumerate(w)]
         if j <= height(1):
             inputs[j] = law
@@ -643,33 +638,26 @@ def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
     steps = 0
     states = {(): (one, one)}  # D outputs the next column reads -> (weight, weight * statistic)
     for i in range(1, max(ix for _, ix, _ in facets) + 1):
-        rows, rows_next = height(i), height(i + 1)
+        rows = height(i)
         front = {((), zero, ins): wv for ins, wv in states.items()}  # (outputs kept, A, inputs left)
         for j in range(1, rows + 1):
-            e = exponents(i, j)
-            keep_D, keep_A = j <= rows_next, j < rows
             nxt = {}
             for (outs, A, ins), (w, v) in front.items():
                 laws, rest = (inputs[j], ins) if i == 1 else (((ins[0], one, one),), ins[1:])
-                table = outgoing(i, j, A) if keep_A else read_once(i, j, A, e, keep_D)
-                steps += len(laws) * len(table) if keep_A else len(laws) + len(table)
+                table = outcomes(i, j, A)
+                if j < rows:
+                    steps += len(laws) * len(table)
+                else:  # A_out = C + B leaves the staircase: the sums over B and over the outcomes factor
+                    steps += len(laws) + len(table)
+                    laws = ((zero, sum(fw for _, fw, _ in laws), sum(fv for _, _, fv in laws)),)
                 if steps > leaf_guard:
                     raise ValueError("enumeration guard exceeded; shrink the grid or b_cap")
-                if keep_A:
-                    for B, fw, fv in laws:
-                        wb, vb = w * fw, v * fv
-                        for (C, D), wt in table:
-                            A_out = comp_add(C, B)
-                            key = (outs + (D,) if keep_D else outs, A_out, rest)
-                            old = nxt.get(key, (0, 0))
-                            nxt[key] = (old[0] + wb * wt, old[1] + vb * wt * q ** (-exponent(e, A_out)))
-                else:  # A_out = C + B is read once, so the sums over B and over C factor
-                    w *= sum(fw for _, fw, _ in laws)
-                    v *= sum(fv * q ** (-exponent(e, B)) for B, _, fv in laws)
-                    for D, (gw, gv) in table:
-                        key = (outs + (D,) if keep_D else outs, zero, rest)
+                for B, fw, fv in laws:
+                    wb, vb = w * fw, v * fv
+                    for (C, kept_D), (gw, gv) in table:
+                        key = (outs + kept_D, comp_add(C, B), rest)
                         old = nxt.get(key, (0, 0))
-                        nxt[key] = (old[0] + w * gw, old[1] + v * gv)
+                        nxt[key] = (old[0] + wb * gw, old[1] + vb * gv)
             front = nxt
         states = {outs: wv for (outs, _, _), wv in front.items()}
     w, v = states[()]

@@ -189,6 +189,25 @@ def test_moments_refuses_flags_its_target_does_not_read(target, extra, flag, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target, argv, message", [
+    ("polymer", ["--x", "1.7", "--y", "3", "--r", "0"], "integer --x values"),
+    ("polymer", ["--x", "0", "2", "--y", "5", "3.5", "--r", "0", "0"], "integer --y values"),
+    ("single-contour", ["--x", "1.7", "--y", "3"], "integer --x values"),
+    ("single-contour", ["--x", "1", "--y", "inf"], "integer --y values"),
+    ("qhahn", ["--x", "1.7", "--y", "2.6", "--colors-list", "1"], "half-integers"),
+])
+def test_moments_refuses_corners_off_the_lattice(target, argv, message, tmp_path, qhahn_config, polymer_config,
+                                                 capsys):
+    # these used to be rounded: polymer --x 1.7 returned the record of x = 1, and qhahn computed the
+    # value at (1.5, 2.5) while its record echoed (1.7, 2.6), both with exit 0
+    config = qhahn_config if target == "qhahn" else polymer_config
+    out = tmp_path / "m.jsonl"
+    code = run(["moments", target, "--config", config, *argv, "-o", str(out)])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_polymer_brute_and_mc(tmp_path, polymer_config, capsys):
     code = run(["polymer", "brute", "--config", polymer_config, "--x", "2", "--y", "5",
                 "--seed", "3", "-o", str(tmp_path / "b.jsonl")])

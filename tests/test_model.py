@@ -28,6 +28,7 @@ from qhahn_polymer.model import (
     verify_shift_invariance,
     vertex_outcome_table,
 )
+from qhahn_polymer.moments import qmoment_integral
 from qhahn_polymer.qtools import ConvergenceError, Permutation, comp_interval, q_pochhammer_inf, spawn_rng
 
 
@@ -413,6 +414,8 @@ def test_request_validation():
         HeightRequest.make([0.5], [2.5], [5]).validate_against(m)  # bad color
     with pytest.raises(ValueError):
         HeightRequest.make([0.5], [1.0], [1])  # not a half-integer
+    with pytest.raises(ValueError, match="half-integers"):
+        HeightRequest.make([1.7], [2.6], [1])  # not snapped to (1.5, 2.5)
 
 
 # Exact enumeration as a frontier-state sum: values pinned from the leaf-by-leaf enumeration
@@ -457,7 +460,7 @@ def test_enumerate_exact_criterion6_float_pins(xs, ys, cs, tau, value):
 
 
 @pytest.mark.parametrize("xs, ys, cs, tau, tol, value, tail", [
-    ([1.5], [2.5], [1], (1,), 1e-11, 0.7629349816849816, 2.518989116173139e-17),
+    ([1.5], [2.5], [1], (1,), 1e-11, 0.7629349816849818, 2.518989116173139e-17),
     ([0.5, 1.5], [2.5, 1.5], [1, 2], (1, 2), 1e-11, 0.254383848133848, 2.518989116173139e-17),
     ([0.5, 1.5], [2.5, 1.5], [1, 2], (2, 1), 1e-11, 0.4954954954954953, 2.518989116173139e-17),
     ([1.5], [2.5], [1], (1,), 1e-7, 0.7629349819622214, 9.937115960846865e-09),
@@ -468,6 +471,23 @@ def test_enumerate_exact_criterion6_values_are_bit_stable(xs, ys, cs, tau, tol, 
     # value and tail bound bit for bit, at a tight tolerance and at the bench's 1e-7
     m = QHahnModel(q=0.6, mu=(2.4, 2.5, 2.6), kappa=(1.25, 1.3), lam=(0.16, 0.18), colors=(1, 1))
     assert enumerate_exact(m, HeightRequest.make(xs, ys, cs, Permutation(tau)), tol=tol) == (value, tail)
+
+
+def test_enumerate_exact_full_cone_is_exactly_one():
+    # no path of a read colour reaches an edge read here, so every factor is q^0 and the statistic equals the weight
+    m = QHahnModel(q=0.6, mu=(2.4, 2.5, 2.6), kappa=(1.25, 1.3), lam=(0.16, 0.18), colors=(1, 1))
+    val, _ = enumerate_exact(m, HeightRequest.make([1.5, 2.5], [2.5, 2.5], [1, 2], Permutation((2, 1))), tol=1e-11)
+    assert val == 1.0
+
+
+@pytest.mark.parametrize("color", [1, 2])
+def test_enumerate_exact_large_boundary_caps_do_not_overflow(color):
+    # row 2's boundary cap reaches 1024 at tol 1e-8, where a power q^(-1024) = 2^1024 would overflow a float
+    m = QHahnModel(q=0.5, mu=(2.0, 2.1, 2.05), kappa=(1.0, 1.95), lam=(0.6, 0.65), colors=(1, 1))
+    req = HeightRequest.make([1.5], [2.5], [color])
+    val, tail = enumerate_exact(m, req, tol=1e-8)
+    assert tail < 1e-8
+    assert abs(val - qmoment_integral(m, req).real) <= tail
 
 
 @pytest.mark.parametrize("exact", [False, True])

@@ -7,31 +7,30 @@ evaluated at (tt, ss) = (lam_{j-i}/kappa_j, lam_{j-i}/mu_i).  Colored height
 functions count paths of color >= c below a facet, normalized to vanish at
 (1/2, 1/2).
 
-Two samplers run these updates.  The replica-batched sampler
-(``sample_grids``, used by ``estimate_qmoment``, ``verify_shift_invariance``
-and the CLI) runs the vertex updates in lockstep over R replicas, one integer
-array of shape (R, n) per edge: b_j by inverse CDF on the boundary tables,
-|D| by inverse CDF from the one-color q-Hahn marginal and its split over
-colors by the q-Vandermonde conditionals, both in log space over a padded
-(R, max |A| + 1) grid, and the height fields as cumulative sums.  Its
-uniforms are drawn replica-major, one row of N + N*N*n per replica (N
-boundary draws, then n per vertex in lexicographic order), so a replica's
-configuration depends only on the generator state and its index, not on R or
-on the chunking.  The scalar ``sample_grid``/``sample_vertex`` keep one
-Python call per vertex and serve as the per-replica oracle and the
-one-replica API: boxes prod(A_c + 1) <= 64 draw from the exact outcome table
-``vertex_outcome_table``, larger boxes through ``_sample_vertices`` on one row.
-The outcome tables and ``enumerate_exact`` both read the weights from the
-q-Hahn outgoing law of ``weights``; each ``enumerate_exact`` call builds one
-weight table per vertex (i, j) and drops it on return.  The boundary tables
-and ``enumerate_exact`` both take the boundary weights from the one
+One sampler runs these updates.  ``sample_grids`` (used by
+``estimate_qmoment``, ``verify_shift_invariance`` and the CLI) runs the vertex
+updates in lockstep over R replicas, one integer array of shape (R, n) per
+edge: b_j by inverse CDF on the boundary tables, |D| by inverse CDF from the
+one-color q-Hahn marginal and its split over colors by the q-Vandermonde
+conditionals, both in log space over a padded (R, max |A| + 1) grid, and the
+height fields as cumulative sums.  Its uniforms are drawn replica-major, one
+row of N + N*N*n per replica (N boundary draws, then n per vertex in
+lexicographic order), so a replica's configuration depends only on the
+generator state and its index, not on R or on the chunking.  ``sample_grid``
+is its one-replica view: replica 0 of ``sample_grids(model, 1, rng)`` as a
+``PathConfiguration``, on which ``height_field`` and ``qmoment_statistic``
+recompute the batched heights and q-moment factors edge by edge.  The vertex
+law is checked against the exact q-Hahn outgoing law ``weights.qhahn_outgoing``
+and the whole-grid q-moments against ``enumerate_exact``, which reads the same
+law and builds one weight table per vertex (i, j) for each call.  The boundary
+tables and ``enumerate_exact`` both take the boundary weights from the one
 truncation ``_truncated_boundary``.
 
 ``enumerate_exact`` is the exact oracle.  By conservation, a facet's height
 counts the paths on the horizontal outputs of its own column (the boundary
 edges for x = 1/2), so the q-moment statistic is a product of one nonnegative
 power of q per horizontal edge, and the expectation with capped boundary draws
-is a transfer-matrix sum over frontier states, in the samplers' vertex order,
+is a transfer-matrix sum over frontier states, in the sampler's vertex order,
 restricted to the vertices that can reach the requested facets.
 """
 
@@ -45,18 +44,16 @@ from operator import mul
 
 import numpy as np
 
-from .qtools import ConvergenceError, comp_add, comp_interval, comp_sub, q_pochhammer
-from .weights import _qhahn_outgoing, _QHahnTable, qhahn_outgoing
+from .qtools import ConvergenceError, comp_add, comp_interval, q_pochhammer
+from .weights import _qhahn_outgoing, _QHahnTable
 
 __all__ = [
     "QHahnModel",
     "HeightRequest",
     "PathConfiguration",
-    "sample_boundary",
-    "sample_vertex",
-    "sample_grid",
     "GridBatch",
     "sample_grids",
+    "sample_grid",
     "height_field",
     "qmoment_statistic",
     "qmoment_factors",
@@ -66,11 +63,10 @@ __all__ = [
     "verify_shift_invariance",
 ]
 
-_BOX_CAP = 64  # outcome-table fast path bound on prod(A_c + 1)
 # Element budget of one batched chunk: caps R_chunk * (max |A| + 1) and the
 # per-replica uniforms and edges, so that peak memory stays flat for large boxes.
 _CHUNK_CELLS = 1 << 17
-# Boundary-law truncation (``_truncated_boundary``): the samplers keep rows until the
+# Boundary-law truncation (``_truncated_boundary``): the sampler keeps rows until the
 # tail is below _SAMPLER_TOL of the kept weight, with caps up to _SAMPLER_CAP;
 # enumerate_exact stops at _EXACT_CAP, so heavy tails fail fast there.
 _SAMPLER_TOL = 1e-14
@@ -88,7 +84,6 @@ class QHahnModel:
     lam: tuple
     colors: tuple  # boundary composition I with |I| = N
 
-    _vertex_tables: dict = field(default_factory=dict, repr=False, compare=False)
     _boundary_tables: dict = field(default_factory=dict, repr=False, compare=False)
     _integrals: dict = field(default_factory=dict, repr=False, compare=False)  # verify_shift_invariance
 
@@ -199,7 +194,7 @@ class HeightRequest:
 
 
 # ---------------------------------------------------------------------------
-# Boundary sampling.
+# Boundary law.
 
 
 def _boundary_ratios(model, j):
@@ -228,53 +223,8 @@ def _boundary_table(model, j):
     return model._boundary_tables[j]
 
 
-def sample_boundary(model, rng):
-    """Independent draws b_1..b_N of the left-boundary multiplicities."""
-    out = np.empty(model.size, dtype=np.int64)
-    for j in range(1, model.size + 1):
-        _, cum = _boundary_table(model, j)
-        out[j - 1] = int(np.searchsorted(cum, rng.random(), side="right"))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Vertex sampling.
-
-
-def vertex_outcome_table(model, i, j, A):
-    """Cumulative outgoing table for small incoming boxes (weights over D <= A)."""
-    key = (i, j, A)
-    tab = model._vertex_tables.get(key)
-    if tab is None:
-        tt, ss = model.spin_params(i, j)
-        zero = tuple(0 for _ in A)
-        weights = {D: w for (_, D), w in qhahn_outgoing(A, zero, model.q, tt, ss).items() if w > 0}
-        cum = np.cumsum(list(weights.values()))
-        if abs(cum[-1] - 1.0) > 1e-9:
-            raise ValueError("vertex weights do not normalize (parameter violation)")
-        tab = (list(weights), cum / cum[-1])
-        model._vertex_tables[key] = tab
-    return tab
-
-
-def sample_vertex(A, B, i, j, model, rng):
-    """One stochastic vertex update: returns (C, D) with C = A + B - D."""
-    A = tuple(A)
-    B = tuple(B)
-    if sum(A) == 0:
-        return B, tuple(0 for _ in A)
-    box = 1
-    for a in A:
-        box *= a + 1
-    if box <= _BOX_CAP:
-        outcomes, cum = vertex_outcome_table(model, i, j, A)
-        D = outcomes[int(np.searchsorted(cum, rng.random(), side="right"))]
-    else:
-        tt, ss = model.spin_params(i, j)
-        row = _sample_vertices(np.array([A]), rng.random((1, len(A))), float(tt), float(ss),
-                               _QTables(float(model.q), sum(A)))[0]
-        D = tuple(int(d) for d in row)
-    return comp_add(comp_sub(A, D), B), D
+# One configuration and its height functions.
 
 
 @dataclass
@@ -294,27 +244,6 @@ class PathConfiguration:
                 if inflow != outflow:
                     raise AssertionError(f"conservation violated at vertex {(i, j)}")
         return True
-
-
-def sample_grid(model, rng):
-    """Sample a full configuration: boundary first, then vertices in lex order."""
-    N, n = model.size, model.n_colors
-    b = sample_boundary(model, rng)
-    A = {}
-    B = {}
-    zero = tuple(0 for _ in range(n))
-    for j in range(1, N + 1):
-        comp = list(zero)
-        comp[model.row_color(j) - 1] = int(b[j - 1])
-        B[(0, j)] = tuple(comp)
-    for i in range(1, N + 1):
-        A[(i, 0)] = zero
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            C, D = sample_vertex(A[(i, j - 1)], B[(i - 1, j)], i, j, model, rng)
-            A[(i, j)] = C
-            B[(i, j)] = D
-    return PathConfiguration(n=n, size=N, A=A, B=B)
 
 
 def height_field(cfg, c):
@@ -432,6 +361,14 @@ class GridBatch:
         H = left[:, None] - np.cumsum(at_least(self.A), axis=1)
         return np.moveaxis(H, -1, 1)
 
+    def configuration(self, r):
+        """Replica r as a PathConfiguration."""
+        N, n = self.A.shape[1] - 1, self.A.shape[-1]
+        A, B = self.A[r].tolist(), self.B[r].tolist()
+        return PathConfiguration(n=n, size=N,
+                                 A={(i, j): tuple(A[i][j]) for i in range(1, N + 1) for j in range(N + 1)},
+                                 B={(i, j): tuple(B[i][j]) for i in range(N + 1) for j in range(1, N + 1)})
+
 
 def _sample_chunk(model, u, b):
     """Run the vertex updates in lex order over the replicas of one chunk."""
@@ -480,6 +417,11 @@ def sample_grids(model, replicas, rng):
     chunks = list(_grid_chunks(model, replicas, rng))
     empty = [np.zeros((0, N + 1, N + 1, n), dtype=np.int64)]
     return GridBatch(np.concatenate([c.A for c in chunks] or empty), np.concatenate([c.B for c in chunks] or empty))
+
+
+def sample_grid(model, rng):
+    """One configuration: replica 0 of ``sample_grids(model, 1, rng)``, as a PathConfiguration."""
+    return sample_grids(model, 1, rng).configuration(0)
 
 
 def qmoment_factors(model, batch, req):
@@ -575,7 +517,7 @@ def enumerate_exact(model, req, b_cap=None, tol=1e-10, leaf_guard=10_000_000):
     product of one factor q^{e_ij . D(i, j)} per horizontal edge, where e_ij
     counts by color the facets a with x_a - 1/2 = i and y_a - 1/2 >= j, and no
     power of q is negative.  The expectation is a transfer-matrix sum over
-    frontier states, in the samplers' vertex order: within column i, the D
+    frontier states, in the sampler's vertex order: within column i, the D
     outputs kept so far, the current vertical edge and the inputs still to be
     read.  Each state carries (weight, weight * statistic), equal states
     merge, and the result is their ratio.  Only the staircase of vertices

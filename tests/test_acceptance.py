@@ -29,6 +29,7 @@ from qhahn_polymer.model import (
     base_case_product,
     enumerate_exact,
     estimate_qmoment,
+    sample_grids,
     verify_shift_invariance,
 )
 from qhahn_polymer.moments import beta_moment_integral, qmoment_integral, single_contour_moment
@@ -284,14 +285,8 @@ def test_criterion_09_q_to_one_bridge():
     x, y, r = 1, 3, 1
     eps = 0.01
     qm = qhahn_bridge_model(pm, eps, y)
-    rng = spawn_rng(909)
     n = 10_000
-    heights = np.empty(n)
-    from qhahn_polymer.model import height_field, sample_grid
-
-    for i in range(n):
-        cfg = sample_grid(qm, rng)
-        heights[i] = height_field(cfg, r + 1)[x, y]
+    heights = sample_grids(qm, n, spawn_rng(909)).heights()[:, r, x, y]  # h_{>= r+1}(x + 1/2, y + 1/2)
     q_side = np.exp(-eps * heights)
     z_side = sample_partition_values(pm, r, x, y, n, seed=919)
     xs = np.sort(np.concatenate([q_side, z_side]))

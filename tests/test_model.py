@@ -23,13 +23,12 @@ from qhahn_polymer.model import (
     qmoment_statistic,
     sample_grid,
     sample_grids,
-    sample_vertex,
     validate_shift_hypotheses,
     verify_shift_invariance,
-    vertex_outcome_table,
 )
 from qhahn_polymer.moments import qmoment_integral
 from qhahn_polymer.qtools import ConvergenceError, Permutation, comp_interval, q_pochhammer_inf, spawn_rng
+from qhahn_polymer.weights import qhahn_outgoing
 
 
 def small_model(q=0.55, n_rows=2, colors=(1, 1)):
@@ -102,20 +101,17 @@ def test_boundary_table_is_the_enumeration_truncation_normalized(m, monkeypatch)
         assert cum[-1] == 1.0
 
 
-def test_sample_vertex_trivial_when_A_zero():
-    m = small_model()
-    rng = spawn_rng(1)
-    C, D = sample_vertex((0, 0), (3, 1), 1, 2, m, rng)
-    assert C == (3, 1) and D == (0, 0)
+def outcome_law(model, i, j, A):
+    """D -> P(D) at vertex (i, j) with vertical input A and no horizontal input, from ``qhahn_outgoing``."""
+    zero = (0,) * len(A)
+    return {D: w for (_, D), w in qhahn_outgoing(A, zero, model.q, *model.spin_params(i, j)).items()}
 
 
 def test_vertex_table_hand_case_n1():
     m = small_model(colors=(2,), n_rows=2)
     i, j = 1, 2
     tt, ss = m.spin_params(i, j)
-    outcomes, cum = vertex_outcome_table(m, i, j, (1,))
-    probs = np.diff(np.concatenate([[0.0], cum]))
-    table = dict(zip(outcomes, probs))
+    table = outcome_law(m, i, j, (1,))
     p1 = (ss / tt) * (1 - tt) / (1 - ss)
     p0 = (1 - ss / tt) / (1 - ss)
     assert abs(table[(1,)] - p1) < 1e-12
@@ -125,54 +121,30 @@ def test_vertex_table_hand_case_n1():
 def test_vertex_tables_nonnegative_normalized():
     m = small_model(colors=(1, 1), n_rows=2)
     for A in [(0, 1), (2, 1), (3, 2)]:
-        outcomes, cum = vertex_outcome_table(m, 1, 2, A)
-        assert abs(cum[-1] - 1.0) < 1e-12
-
-
-def test_sequential_sampler_matches_table_frequencies():
-    # a box above _BOX_CAP sends the scalar sample_vertex through _sample_vertices on one
-    # row; compare its draws against the outcome table at 4.5 sigma
-    m = small_model(colors=(1, 1, 1), n_rows=3)
-    A = (4, 3, 4)
-    assert math.prod(a + 1 for a in A) > model_module._BOX_CAP
-    i, j = 1, 3
-    outcomes, cum = vertex_outcome_table(m, i, j, A)
-    probs = np.diff(np.concatenate([[0.0], cum]))
-    rng = spawn_rng(7)
-    counts = {}
-    n_draws = 40000
-    for _ in range(n_draws):
-        _, D = sample_vertex(A, (0, 0, 0), i, j, m, rng)
-        counts[D] = counts.get(D, 0) + 1
-    assert sum(counts.get(D, 0) for D in outcomes) == n_draws
-    for D, p in zip(outcomes, probs):
-        if p < 1e-4:
-            continue
-        emp = counts.get(D, 0) / n_draws
-        sigma = math.sqrt(p * (1 - p) / n_draws)
-        assert abs(emp - p) < 4.5 * sigma + 1e-12
+        probs = list(outcome_law(m, 1, 2, A).values())
+        assert min(probs) >= 0
+        assert abs(sum(probs) - 1.0) < 1e-12
 
 
 def test_batched_vertex_matches_table_frequencies():
-    # the batched |D| draw and color split at one vertex against the exact outcome table
+    # the batched |D| draw and color split at one vertex against the exact q-Hahn outgoing law;
+    # A = 0 has the one outcome D = 0, and (4, 3, 4) is a box of 100 outcomes
     m = small_model(colors=(1, 1, 1), n_rows=3)
-    A = (2, 1, 2)
     i, j = 1, 3
     tt, ss = m.spin_params(i, j)
-    outcomes, cum = vertex_outcome_table(m, i, j, A)
-    probs = np.diff(np.concatenate([[0.0], cum]))
     n_draws = 40000
-    rng = spawn_rng(7)
-    D = _sample_vertices(np.tile(A, (n_draws, 1)), rng.random((n_draws, 3)), tt, ss, _QTables(m.q, sum(A)))
-    hits = 0
-    for out, p in zip(outcomes, probs):
-        count = int(np.all(D == out, axis=1).sum())
-        hits += count
-        if p < 1e-4:
-            continue
-        sigma = math.sqrt(p * (1 - p) / n_draws)
-        assert abs(count / n_draws - p) < 4.5 * sigma + 1e-12
-    assert hits == n_draws
+    for A in ((0, 0, 0), (2, 1, 2), (4, 3, 4)):
+        rng = spawn_rng(7)
+        D = _sample_vertices(np.tile(A, (n_draws, 1)), rng.random((n_draws, 3)), tt, ss, _QTables(m.q, sum(A)))
+        hits = 0
+        for out, p in outcome_law(m, i, j, A).items():
+            count = int(np.all(D == out, axis=1).sum())
+            hits += count
+            if p < 1e-4:
+                continue
+            sigma = math.sqrt(p * (1 - p) / n_draws)
+            assert abs(count / n_draws - p) < 4.5 * sigma + 1e-12
+        assert hits == n_draws
 
 
 def test_batched_stream_layout_independent_of_total_and_chunking(monkeypatch):
@@ -208,9 +180,8 @@ def test_batched_sampler_invariants_every_replica(m, seed):
     batch = sample_grids(m, 25, spawn_rng(seed))
     H = batch.heights()
     for r in range(len(batch.A)):
-        A = {(i, j): tuple(int(v) for v in batch.A[r, i, j]) for i in range(1, N + 1) for j in range(N + 1)}
-        B = {(i, j): tuple(int(v) for v in batch.B[r, i, j]) for i in range(N + 1) for j in range(1, N + 1)}
-        cfg = PathConfiguration(n=n, size=N, A=A, B=B)
+        cfg = batch.configuration(r)
+        A, B = cfg.A, cfg.B
         cfg.check_conservation()
         for i in range(1, N + 1):
             for j in range(1, i):
@@ -220,17 +191,6 @@ def test_batched_sampler_invariants_every_replica(m, seed):
         for c in range(1, n + 1):
             assert np.array_equal(H[r, c - 1], height_field(cfg, c))
     assert (batch.A >= 0).all() and (batch.B >= 0).all()
-
-
-def test_batched_and_scalar_qmoment_statistic_agree():
-    m = QHahnModel(q=0.6, mu=(2.4, 2.5, 2.6), kappa=(1.25, 1.3), lam=(0.16, 0.18), colors=(1, 1))
-    req = HeightRequest.make([0.5, 1.5], [2.5, 1.5], [1, 2], Permutation((2, 1)))
-    n = 20000
-    batched = qmoment_factors(m, sample_grids(m, n, spawn_rng(17)), req).prod(axis=1)
-    rng = spawn_rng(18)
-    scalar = np.array([qmoment_statistic(m, sample_grid(m, rng), req) for _ in range(n)])
-    se = math.hypot(batched.std(ddof=1), scalar.std(ddof=1)) / math.sqrt(n)
-    assert abs(batched.mean() - scalar.mean()) < 4 * se
 
 
 def test_qmoment_factors_row_product_is_qmoment_statistic_every_replica():
@@ -243,27 +203,12 @@ def test_qmoment_factors_row_product_is_qmoment_statistic_every_replica():
          HeightRequest.make([0.5, 1.5, 2.5], [3.5, 2.5, 2.5], [1, 2, 3], Permutation((3, 1, 2)))),
     ]
     for m, req in cases:
-        N, n = m.size, m.n_colors
         batch = sample_grids(m, 200, spawn_rng(21))
         rows = qmoment_factors(m, batch, req).prod(axis=1)
         assert len(set(rows.tolist())) > 1
         for r in range(len(batch.A)):
-            A = {(i, j): tuple(int(v) for v in batch.A[r, i, j]) for i in range(1, N + 1) for j in range(N + 1)}
-            B = {(i, j): tuple(int(v) for v in batch.B[r, i, j]) for i in range(N + 1) for j in range(1, N + 1)}
-            stat = qmoment_statistic(m, PathConfiguration(n=n, size=N, A=A, B=B), req)
+            stat = qmoment_statistic(m, batch.configuration(r), req)
             assert abs(rows[r] - stat) <= 1e-14 * abs(stat)
-
-
-def test_batched_paths_build_no_vertex_tables():
-    m = small_model(q=0.5, n_rows=2, colors=(1, 1))
-    req = HeightRequest.make([0.5], [2.5], [1])
-    estimate_qmoment(m, req, 200, spawn_rng(3))
-    assert m._vertex_tables == {}
-    shift = QHahnModel(q=0.55, mu=(2.3, 2.32, 2.34, 2.36), kappa=(1.30, 1.34, 1.38), lam=(0.20, 0.22, 0.24),
-                       colors=(1, 1, 1))
-    rq = HeightRequest.make([0.5], [2.5], [1])
-    verify_shift_invariance(shift, rq, shift, rq, 100, spawn_rng(4))
-    assert shift._vertex_tables == {}
 
 
 def test_sample_grid_conservation_and_interior():
@@ -289,6 +234,29 @@ def test_sample_grid_deterministic_under_seed():
     cfg1 = sample_grid(m, spawn_rng(99))
     cfg2 = sample_grid(m, spawn_rng(99))
     assert cfg1.A == cfg2.A and cfg1.B == cfg2.B
+
+
+def test_sample_grid_is_replica_zero_of_sample_grids():
+    # sample_grid is the one-replica view of the batched sampler, here with a vertex box far
+    # above 64 outcomes; successive calls read the generator as one sample_grids call does
+    m = QHahnModel(q=0.8, mu=(1.3, 1.32, 1.34, 1.36), kappa=(1.2, 1.22, 1.24), lam=(0.3, 0.32, 0.34),
+                   colors=(1, 1, 1))
+    N = m.size
+    cfg = sample_grid(m, spawn_rng(5))
+    batch = sample_grids(m, 1, spawn_rng(5))
+    assert max(math.prod(a + 1 for a in A) for A in cfg.A.values()) > 64
+    for i in range(N + 1):
+        for j in range(N + 1):
+            if i:
+                assert cfg.A[(i, j)] == tuple(batch.A[0, i, j])
+            if j:
+                assert cfg.B[(i, j)] == tuple(batch.B[0, i, j])
+    rng, batched = spawn_rng(6), spawn_rng(6)
+    cfgs = [sample_grid(m, rng) for _ in range(3)]
+    batch = sample_grids(m, 3, batched)
+    for r, cfg in enumerate(cfgs):
+        assert cfg == batch.configuration(r)
+    assert rng.random() == batched.random()
 
 
 def figure_configuration():

@@ -16,7 +16,7 @@ from qhahn_polymer.moments import (
     small_sigma_circle,
     tensor_quadrature,
 )
-from qhahn_polymer.polymer import PolymerModel, joint_moment_annealed, moment_annealed
+from qhahn_polymer.polymer import PolymerModel, joint_moment_annealed, moment_annealed, qhahn_bridge_model
 from qhahn_polymer.qtools import Permutation
 
 
@@ -166,6 +166,19 @@ def test_qmoment_matches_enumeration_three_colours(xs, ys, cs, tau, tol):
     exact, tail = enumerate_exact(m, req, tol=tol)
     assert tail < 3 * tol
     assert abs(qmoment_integral(m, req) - exact) <= tail
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_qhahn_bridge_moments_approach_the_polymer_at_rate_eps(k):
+    # q = e^{-eps} -> 1 without Monte Carlo: on criterion 9's model, k facets of colour 2 at
+    # (3/2, 7/2) give E[q^{k h}] -> E[(Z^(1)_{1,3})^k] with an error linear in eps, so the error
+    # halves with eps and Richardson's 2 v(eps/2) - v(eps) cancels it to O(eps^2)
+    pm = PolymerModel(sigma_list=(1.1, 1.3, 0.9, 1.2), rho_list=(0.1, 0.3, 0.2), omega_list=(-0.9, -1.1, -0.7))
+    req = HeightRequest.make([1.5] * k, [3.5] * k, [2] * k)
+    ref = moment_annealed(pm, 1, 3, 1, k)
+    coarse, fine = (qmoment_integral(qhahn_bridge_model(pm, eps, 3), req).real for eps in (0.01, 0.005))
+    assert 1.9 <= (coarse - ref) / (fine - ref) <= 2.1
+    assert abs(2 * fine - coarse - ref) <= 1e-4 * ref
 
 
 def test_self_adjointness_of_hecke_factor():

@@ -16,62 +16,27 @@ are regular on the diagonal even though the formulas are 0/0 there).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .qtools import Permutation, shuffles
 from .weights import _QHahnTable
 
-__all__ = ["HeckeWord", "apply_T", "apply_t", "local_rational_residual", "hecke_suite"]
+__all__ = ["apply_T", "apply_t", "local_rational_residual", "hecke_suite"]
 
 _COINCIDENCE_RTOL = 1e-9
 _DIFF_STEP = 1e-6
 
 
-def _word_product(word, k):
-    """sigma_{i_1} ... sigma_{i_l} in S_k: right multiplication by sigma_i swaps entries i and i+1."""
-    vals = list(range(1, k + 1))
-    for i in word:
-        if not 1 <= i < k:
-            raise ValueError(f"letter {i} is not a simple transposition of S_{k}")
-        vals[i - 1], vals[i] = vals[i], vals[i - 1]
-    return Permutation(vals)
-
-
-class HeckeWord:
-    """A permutation together with a reduced word for it.
-
-    Without ``word`` the permutation's own ``reduced_word()`` is taken, which is
-    reduced by construction; a given word is checked to be reduced and to
-    multiply to ``perm``.
-    """
-
-    __slots__ = ("perm", "word")
-
-    def __init__(self, perm, word=None):
-        if word is None:
-            word = perm.reduced_word()
-        else:
-            word = tuple(int(i) for i in word)
-            if len(word) != perm.length:
-                raise ValueError("word is not reduced (length mismatch)")
-            if _word_product(word, perm.rank) != perm:
-                raise ValueError("word does not multiply to the target permutation")
-        self.perm = perm
-        self.word = word
-
-    @classmethod
-    def of(cls, perm_or_word, k=None):
-        if isinstance(perm_or_word, HeckeWord):
-            return perm_or_word
-        if isinstance(perm_or_word, Permutation):
-            return cls(perm_or_word)
-        word = tuple(perm_or_word)
-        if k is None:
-            k = max(word, default=0) + 1
-        return cls(_word_product(word, k), word)
-
-    def __repr__(self):
-        return f"HeckeWord({self.perm.values}, word={self.word})"
+def _reduced_word(tau, k):
+    """The letters of tau in S_k: a Permutation's ``reduced_word()``, or a word checked to be reduced."""
+    if isinstance(tau, Permutation):
+        return tau.reduced_word()
+    word = tuple(int(i) for i in tau)
+    if len(word) != Permutation.from_word(word, k).length:
+        raise ValueError("word is not reduced (length mismatch)")
+    return word
 
 
 def _apply_word(word, f, w, const, coeff, limit_coeff):
@@ -105,8 +70,9 @@ def _apply_word(word, f, w, const, coeff, limit_coeff):
 
 
 def apply_T(word, f, w, q):
-    """Evaluate (T_tau f)(w) for tau given by a HeckeWord/Permutation/word."""
-    return _apply_T_word(HeckeWord.of(word, k=len(tuple(w))).word, f, w, q)
+    """Evaluate (T_tau f)(w) for tau given by a Permutation or a reduced word."""
+    w = tuple(w)
+    return _apply_T_word(_reduced_word(word, len(w)), f, w, q)
 
 
 def _apply_T_word(word, f, w, q):
@@ -123,9 +89,9 @@ def _apply_T_word(word, f, w, q):
 
 def apply_t(word, f, v):
     """Evaluate the degenerate representation (t_tau f)(v)."""
-    hw = HeckeWord.of(word, k=len(tuple(v)))
+    v = tuple(v)
     return _apply_word(
-        hw.word,
+        _reduced_word(word, len(v)),
         f,
         v,
         const=1.0,
@@ -171,10 +137,9 @@ def hecke_suite(k, q, rng, npoints=50):
     Checks the quadratic relation (T_i - q)(T_i + 1) = 0, the braid relation,
     reduced-word independence of T_tau over all of S_k, the composition law
     when lengths add, and the eigenvalue q on symmetric functions.  The
-    words it applies (the letters, the braid words and one per permutation of
-    S_k) are built once per call and passed to ``apply_T`` as ``HeckeWord``s.
+    words it applies (the letters, the braid words and one reduced word per
+    permutation of S_k) are built once per call.
     """
-    import itertools
 
     def rand_pt():
         return tuple(complex(x, y) for x, y in rng.normal(size=(k, 2)))
@@ -191,38 +156,39 @@ def hecke_suite(k, q, rng, npoints=50):
 
         return f
 
-    letters = {i: HeckeWord.of((i,), k) for i in range(1, k)}
-    braids = {j: (HeckeWord.of((j, j + 1, j), k), HeckeWord.of((j + 1, j, j + 1), k)) for j in range(1, k - 1)}
     errs = {"quadratic": 0.0, "braid": 0.0, "word_independence": 0.0, "composition": 0.0, "symmetric_eigenvalue": 0.0}
     for _ in range(npoints):
         f = rand_f()
         w = rand_pt()
-        Ti = letters[int(rng.integers(1, k))]
-        lhs = apply_T(Ti, lambda pt: apply_T(Ti, f, pt, q), w, q) - (q - 1.0) * apply_T(Ti, f, w, q) - q * f(w)
+        Ti = (int(rng.integers(1, k)),)
+        lhs = (_apply_T_word(Ti, lambda pt: _apply_T_word(Ti, f, pt, q), w, q)
+               - (q - 1.0) * _apply_T_word(Ti, f, w, q) - q * f(w))
         errs["quadratic"] = max(errs["quadratic"], abs(lhs))
 
         if k >= 3:
-            b1, b2 = braids[int(rng.integers(1, k - 1))]
-            errs["braid"] = max(errs["braid"], abs(apply_T(b1, f, w, q) - apply_T(b2, f, w, q)))
+            j = int(rng.integers(1, k - 1))
+            braid = _apply_T_word((j, j + 1, j), f, w, q) - _apply_T_word((j + 1, j, j + 1), f, w, q)
+            errs["braid"] = max(errs["braid"], abs(braid))
 
         g_sym = lambda pt: sum(pt) + sum(u * u for u in pt)
         errs["symmetric_eigenvalue"] = max(
-            errs["symmetric_eigenvalue"], abs(apply_T(Ti, g_sym, w, q) - q * g_sym(w))
+            errs["symmetric_eigenvalue"], abs(_apply_T_word(Ti, g_sym, w, q) - q * g_sym(w))
         )
 
-    perms = [HeckeWord(Permutation(v)) for v in itertools.permutations(range(1, k + 1))]
-    by_values = {hw.perm.values: hw for hw in perms}
+    perms = [Permutation(v) for v in itertools.permutations(range(1, k + 1))]
+    words = {tau.values: tau.reduced_word() for tau in perms}
     for tau in perms:
         f = rand_f()
         w = rand_pt()
-        vals = [_apply_T_word(wd, f, w, q) for wd in _all_reduced_words(tau.perm)[:6]]
+        vals = [_apply_T_word(wd, f, w, q) for wd in _all_reduced_words(tau)[:6]]
         for v in vals[1:]:
             errs["word_independence"] = max(errs["word_independence"], abs(v - vals[0]))
+        tau_word = words[tau.values]
         for pi in perms:
-            pi_tau = by_values[tuple(pi.perm(t) for t in tau.perm.values)]  # pi * tau
-            if pi.perm.length + tau.perm.length == pi_tau.perm.length:
-                lhs = apply_T(pi, lambda pt: apply_T(tau, f, pt, q), w, q)
-                rhs = apply_T(pi_tau, f, w, q)
+            pi_tau_word = words[tuple(pi(t) for t in tau.values)]  # pi * tau
+            if pi.length + tau.length == len(pi_tau_word):
+                lhs = _apply_T_word(words[pi.values], lambda pt: _apply_T_word(tau_word, f, pt, q), w, q)
+                rhs = _apply_T_word(pi_tau_word, f, w, q)
                 errs["composition"] = max(errs["composition"], abs(lhs - rhs))
     return errs
 

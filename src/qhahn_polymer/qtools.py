@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -155,10 +155,13 @@ class Permutation:
         return cls(range(1, k + 1))
 
     @classmethod
-    def transposition(cls, i, k):
-        """Adjacent transposition swapping i and i+1 inside S_k."""
+    def from_word(cls, word, k):
+        """sigma_{i_1} ... sigma_{i_l} in S_k; right multiplication by sigma_i swaps entries i and i+1."""
         vals = list(range(1, k + 1))
-        vals[i - 1], vals[i] = vals[i], vals[i - 1]
+        for i in word:
+            if not 1 <= i < k:
+                raise ValueError(f"letter {i} is not a simple transposition of S_{k}")
+            vals[i - 1], vals[i] = vals[i], vals[i - 1]
         return cls(vals)
 
     @property
@@ -274,10 +277,5 @@ def unit_comp(n, c):
 
 
 def iter_box(bounds):
-    """All compositions D with 0 <= D_i <= bounds_i."""
-    if not bounds:
-        yield ()
-        return
-    for head in range(bounds[0] + 1):
-        for tail in iter_box(bounds[1:]):
-            yield (head,) + tail
+    """All compositions D with 0 <= D_i <= bounds_i, in lexicographic order."""
+    return product(*(range(b + 1) for b in bounds))

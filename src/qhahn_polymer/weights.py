@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import product
 from operator import sub
 
 from .qtools import (
@@ -38,7 +37,6 @@ from .qtools import (
     comp_sub,
     iter_box,
     q_binomial,
-    q_pochhammer,
     shuffles,
     unit_comp,
 )
@@ -90,10 +88,8 @@ class _QHahnTable:
         self._coef = {}
 
     def _pochhammer(self, which, m):
-        """(x; q)_m for x = (ss/tt, tt, ss)[which]."""
+        """(x; q)_m for x = (ss/tt, tt, ss)[which] and m >= 0."""
         x, prefix = self._x[which], self._poch[which]
-        if m < 0:
-            return q_pochhammer(x, self.q, m)
         one = self._one[which]
         while len(prefix) <= m:
             prefix.append(prefix[-1] * (one - x * self._qp[which]))
@@ -255,7 +251,7 @@ def _qhahn_outgoing(A, B, table):
     if any(x < 0 for x in A + B):
         return {}
     out = {}
-    for D in product(*(range(a + 1) for a in A)):  # iter_box(A)'s order
+    for D in iter_box(A):
         w = table.outcome(A, D)
         if w != 0:
             out[(tuple(map(sub, AB, D)), D)] = w
@@ -435,50 +431,36 @@ def _rand_frac(rng, lo_num=1, hi_num=9, lo_den=10, hi_den=23):
     return Fraction(int(rng.integers(lo_num, hi_num + 1)), int(rng.integers(lo_den, hi_den + 1)))
 
 
-def _params_degenerate(kind, params, max_total=16):
-    """True when some constituent weight has a vanishing denominator.
+def _qhahn_pole(params, max_total=16):
+    """True when a spin (eta t_2)^2 or (eta t_3)^2 is q^{-m}, m <= max_total: a pole of (s^2; q)_{m+1}.
 
-    The q-Hahn denominators are (s^2; q)_{|A|}, singular when s^2 = q^{-m};
-    the six-vertex ones are 1 - s z.  All products appearing in the three
-    vertices of each equation are checked.
+    Every drawn q, t_i, x, s and t is num/den with num <= 9 < 10 <= den, so
+    t_i^2 q^m, s^2 q^m, t^2 q^m, x t^2 and x s^2 stay below 1; only eta > 1
+    can put a spin on a pole.  A plain kind has eta = 1.
     """
-    q = params["q"]
-    if kind in ("qhahn", "qhahn-deformed"):
-        eta = params.get("eta")
-        spins = [params["t2"] ** 2, params["t3"] ** 2]
-        if eta is not None:
-            spins += [(eta * params["t2"]) ** 2, (eta * params["t3"]) ** 2]
-        for v in spins:
-            for m in range(0, max_total + 1):
-                if v * q**m == 1:
-                    return True
-        return False
-    x, s, t = params["x"], params["s"], params["t"]
-    if x * t * t == 1 or x * s * s == 1:
-        return True
-    for v in (s * s, t * t):
-        for m in range(0, max_total + 1):
-            if v * q**m == 1:
-                return True
-    return False
+    q, eta = params["q"], params.get("eta", 1)
+    return any((eta * params[t]) ** 2 * q**m == 1 for t in ("t2", "t3") for m in range(max_total + 1))
 
 
 def random_ybe_instance(kind, rng, colors=2, max_entry=2):
     """Random rational parameters plus a conservation-consistent boundary.
 
-    Draws are rejected while they sit on a pole of a constituent weight
-    (vanishing Pochhammer or six-vertex denominator).
+    q-Hahn draws are rejected while a spin sits on a pole of a constituent
+    weight (see ``_qhahn_pole``); after 100 such draws ``ValueError`` is
+    raised.  The six-vertex kinds cannot hit a pole and draw once.
     """
     kind = canonical_ybe_kind(kind)
     n = colors
     q = _rand_frac(rng)
-    if kind in ("qhahn", "qhahn-deformed"):
+    if kind.startswith("qhahn"):
         for _ in range(100):
             params = {"q": q, "t1": _rand_frac(rng), "t2": _rand_frac(rng), "t3": _rand_frac(rng)}
             if kind == "qhahn-deformed":
                 params["eta"] = _rand_frac(rng, 1, 9, 2, 9)
-            if not _params_degenerate(kind, params):
+            if not _qhahn_pole(params):
                 break
+        else:
+            raise ValueError(f"{kind} parameters sat on a pole in all 100 draws")
         A1 = tuple(int(rng.integers(0, max_entry + 1)) for _ in range(n))
         A2 = tuple(int(rng.integers(0, max_entry + 1)) for _ in range(n))
         A3 = tuple(int(rng.integers(0, max_entry + 1)) for _ in range(n))
@@ -488,12 +470,9 @@ def random_ybe_instance(kind, rng, colors=2, max_entry=2):
         B2 = tuple(int(rng.integers(0, rc + 1)) for rc in rest)
         B3 = comp_sub(rest, B2)
         return (A1, A2, A3, B1, B2, B3), params
-    for _ in range(100):
-        params = {"q": q, "x": _rand_frac(rng), "s": _rand_frac(rng), "t": _rand_frac(rng)}
-        if kind == "sixvertex-deformed":
-            params["eta"] = _rand_frac(rng, 1, 9, 2, 9)
-        if not _params_degenerate(kind, params):
-            break
+    params = {"q": q, "x": _rand_frac(rng), "s": _rand_frac(rng), "t": _rand_frac(rng)}
+    if kind == "sixvertex-deformed":
+        params["eta"] = _rand_frac(rng, 1, 9, 2, 9)
     a1 = int(rng.integers(0, n + 1))
     A2 = tuple(int(rng.integers(0, max_entry + 1)) for _ in range(n))
     A3 = tuple(int(rng.integers(0, max_entry + 1)) for _ in range(n))

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -224,6 +225,27 @@ def test_polymer_brute_and_mc(tmp_path, polymer_config, capsys):
     assert export.read_text().startswith("replica,x,y,r,value")
 
 
+def test_polymer_dp_csv_is_the_dp_table(tmp_path, polymer_config, capsys):
+    from qhahn_polymer.polymer import partition_dp, sample_environment
+    from qhahn_polymer.qtools import spawn_rng
+
+    out, manifest = tmp_path / "d.csv", tmp_path / "m.json"
+    assert run(["polymer", "dp", "--config", polymer_config, "--x", "2", "--y", "5", "--r", "1",
+                "--seed", "4", "--manifest", str(manifest), "-o", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    pm = cli._polymer_model(json.loads(Path(polymer_config).read_text()))
+    table = partition_dp(sample_environment(pm, 2, 5, spawn_rng(4)), 1, 2, 5).table
+    want = [(x, y, table[x, y]) for x in range(3) for y in range(6) if not np.isnan(table[x, y])]
+    with out.open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["replica", "x", "y", "r", "value"]
+    assert [(int(x), int(y), float(v)) for _, x, y, _, v in rows] == want
+    assert {(rep, r) for rep, _, _, r, _ in rows} == {("0", "1")}
+    assert len(rows) == 12
+    (rec,) = [json.loads(line) for line in manifest.read_text().splitlines()]
+    assert rec["manifest"] and rec["seed"] == 4 and rec["config"] == json.loads(Path(polymer_config).read_text())
+
+
 def test_polymer_mc_records_independent_of_workers(tmp_path, polymer_config, capsys):
     # 9000 replicas are three 4096-replica blocks in linear mode, 36 blocks in log mode
     for log in ([], ["--log"]):
@@ -409,6 +431,22 @@ def test_tw_records_carry_ks_scale(tmp_path, capsys):
         assert rec["ks_null_mean"] == pytest.approx(0.8687 / 12)
         assert rec["ks_null_95"] == pytest.approx(1.3581 / 12)
     assert manifest["manifest"]
+
+
+def test_tw_export_rows_are_the_batch_samples(tmp_path, capsys):
+    from qhahn_polymer.asymptotics import tw_experiment
+
+    export = tmp_path / "tw.csv"
+    assert run(["tw", "--theta", "0.3", "--t", "12", "16", "--samples", "120", "--seed", "2",
+                "--workers", "1", "--export", str(export), "-o", str(tmp_path / "tw.jsonl")]) == EXIT_OK
+    capsys.readouterr()
+    batches = tw_experiment(cli._freq_model({}), 0.3, [12, 16], 120, seed=2, workers=1)
+    with export.open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["t", "replica", "rescaled_value"]
+    assert [(int(t), int(i), float(v)) for t, i, v in rows] == [
+        (b.t, i, float(v)) for b in batches for i, v in enumerate(b.samples)]
+    assert len(rows) == 240
 
 
 def test_manifest_records_blas_build_and_threads(monkeypatch, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qhahn_polymer.hecke import HeckeWord, apply_T, apply_t, hecke_suite, local_rational_residual
+from qhahn_polymer.hecke import apply_T, apply_t, hecke_suite, local_rational_residual
 from qhahn_polymer.qtools import Permutation, spawn_rng
 
 RNG = np.random.default_rng(42)
@@ -72,9 +72,9 @@ def test_reduced_word_independence_S4():
         words = _all_reduced_words(tau)
         f = rand_rational_function(4)
         w = rand_point(4)
-        ref = apply_T(HeckeWord(tau, words[0]), f, w, Q)
+        ref = apply_T(words[0], f, w, Q)
         for wd in words[1:]:
-            val = apply_T(HeckeWord(tau, wd), f, w, Q)
+            val = apply_T(wd, f, w, Q)
             assert abs(val - ref) < 1e-11 * (1 + abs(ref))
 
 
@@ -91,37 +91,42 @@ def test_composition_law():
             assert abs(lhs - rhs) < 1e-10 * (1 + abs(rhs))
 
 
+def _apply_both(word, k):
+    one = lambda pt: 1.0
+    w = (0.3,) * k
+    return [lambda: apply_T(word, one, w, Q), lambda: apply_t(word, one, w)]
+
+
 def test_non_reduced_word_rejected():
-    tau = Permutation((2, 1, 3))
-    with pytest.raises(ValueError):
-        HeckeWord(tau, (1, 2, 2, 1, 1))
-    with pytest.raises(ValueError):
-        HeckeWord(tau, (2,))
+    for call in _apply_both((1, 2, 2, 1, 1), 3):
+        with pytest.raises(ValueError, match="not reduced"):
+            call()
+    for call in _apply_both((2,), 2):
+        with pytest.raises(ValueError, match="simple transposition"):
+            call()
 
 
 def test_word_that_is_not_reduced_is_rejected_from_a_tuple():
-    with pytest.raises(ValueError, match="not reduced"):
-        HeckeWord.of((1, 1), k=2)
-    with pytest.raises(ValueError, match="not reduced"):
-        HeckeWord.of((1, 2, 1, 2), k=3)
+    for word, k in [((1, 1), 2), ((1, 2, 1, 2), 3)]:
+        for call in _apply_both(word, k):
+            with pytest.raises(ValueError, match="not reduced"):
+                call()
     for word, k in [((0,), 2), ((3,), 3), ((1, 0), 3)]:  # letters outside 1..k-1
-        with pytest.raises(ValueError, match="simple transposition"):
-            HeckeWord.of(word, k=k)
-    with pytest.raises(ValueError, match="simple transposition"):
-        HeckeWord(Permutation((2, 1)), (0,))
+        for call in _apply_both(word, k):
+            with pytest.raises(ValueError, match="simple transposition"):
+                call()
 
 
 def test_heckeword_of_every_permutation_in_S4():
+    # a Permutation and its reduced word, passed as a tuple, name the same Hecke word
+    f = rand_rational_function(4)
+    w = rand_point(4)
     for values in itertools.permutations(range(1, 5)):
         perm = Permutation(values)
-        hw = HeckeWord(perm)
-        assert len(hw.word) == perm.length
-        prod = Permutation.identity(4)
-        for i in hw.word:
-            prod = prod * Permutation.transposition(i, 4)
-        assert prod == perm
-        from_tuple = HeckeWord.of(hw.word, k=4)
-        assert from_tuple.perm == perm and from_tuple.word == hw.word
+        word = perm.reduced_word()
+        assert len(word) == perm.length
+        assert Permutation.from_word(word, 4) == perm
+        assert apply_T(word, f, w, Q) == apply_T(perm, f, w, Q)
 
 
 def test_coincident_arguments_finite_and_consistent():
@@ -182,7 +187,7 @@ def test_hecke_suite_tolerances():
 
 
 def test_hecke_suite_errors_are_pinned():
-    # bit for bit: which HeckeWord objects carry the words must not move any error
+    # bit for bit: how the words are built and passed must not move any error
     errs = hecke_suite(4, 0.44, spawn_rng(1, 404), npoints=50)
     assert errs == {"quadratic": 1.6876850730849092e-14, "braid": 6.99803436660041e-14,
                     "word_independence": 2.3932453300842998e-14, "composition": 7.595094054341032e-15,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -181,6 +182,29 @@ def test_qhahn_bridge_moments_approach_the_polymer_at_rate_eps(k):
     assert abs(2 * fine - coarse - ref) <= 1e-4 * ref
 
 
+def test_qhahn_bridge_moments_approach_the_polymer_on_the_corpus():
+    # the same limit on the first 12 corpus models, sigma and omega padded with their last value to
+    # the bridge's y rows, r in {0, 1} and k = 1..3: 57 requests.  x = y - r is left out (Z = 1 there,
+    # so the error is rounding).  The bridge's O(eps^2) term is larger here than on criterion 9's
+    # model (Richardson's error reaches 1.5e-3 relative), so Richardson is held to the coarse error
+    requests = 0
+    for pm, x, y in itertools.islice(_random_polymer_models(), 12):
+        sigma, omega = pm.sigma_list, pm.omega_list
+        pm = PolymerModel(sigma + (sigma[-1],) * (y + 1 - len(sigma)), pm.rho_list,
+                          omega + (omega[-1],) * (y - len(omega)))
+        for r in (0, 1):
+            if x >= y - r:
+                continue
+            for k in (1, 2, 3):
+                req = HeightRequest.make([x + 0.5] * k, [y + 0.5] * k, [r + 1] * k)
+                ref = moment_annealed(pm, x, y, r, k)
+                coarse, fine = (qmoment_integral(qhahn_bridge_model(pm, eps, y), req).real for eps in (0.01, 0.005))
+                assert 1.9 <= (coarse - ref) / (fine - ref) <= 2.1, (pm, x, y, r, k)
+                assert abs(2 * fine - coarse - ref) <= 0.05 * abs(coarse - ref), (pm, x, y, r, k)
+                requests += 1
+    assert requests == 57
+
+
 def test_self_adjointness_of_hecke_factor():
     # <T_tau F, G> = <F, T_{tau^{-1}} G> for the contour pairing
     m = lattice_model()
@@ -297,8 +321,6 @@ def _permutation_sum(v, axis_vals, lam):
     # a partition's term on the explicit l-dimensional grid: the Cauchy determinant expanded
     # over permutations, times every axis factor.  Also returns the sum of the absolute values
     # of its terms, which bounds its rounding: with parts of 1 the terms cancel to 1e-20 of it
-    import itertools
-
     ell = len(lam)
     axes = math.prod(_axis_view(axis_vals[a], a, ell) for a in range(ell))
     total, scale = 0j, 0.0

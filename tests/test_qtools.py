@@ -93,7 +93,7 @@ def test_permutation_basic():
     assert pi.length == 2
     assert pi.inverse().values == (3, 1, 2)
     assert perm_apply(Permutation.identity(3), "abc") == ("a", "b", "c")
-    assert perm_apply(Permutation.transposition(1, 3), ("a", "b", "c")) == ("b", "a", "c")
+    assert perm_apply(Permutation.from_word((1,), 3), ("a", "b", "c")) == ("b", "a", "c")
 
 
 def test_permutation_rejects_non_bijection():
@@ -121,8 +121,14 @@ def test_reduced_words():
             assert len(word) == pi.length
             prod = Permutation.identity(k)
             for i in word:
-                prod = prod * Permutation.transposition(i, k)
-            assert prod == pi
+                prod = prod * Permutation.from_word((i,), k)
+            assert prod == pi == Permutation.from_word(word, k)
+
+
+def test_from_word_rejects_letters_outside_S_k():
+    for word, k in [((0,), 2), ((3,), 3), ((1, 0), 3), ((1,), 1)]:
+        with pytest.raises(ValueError, match="simple transposition"):
+            Permutation.from_word(word, k)
 
 
 def test_shuffles_trivial_and_counts():

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhahn_polymer import weights
-from qhahn_polymer.qtools import comp_add, comp_leq, comp_sub, iter_box, q_binomial, q_pochhammer, unit_comp
+from qhahn_polymer.qtools import (comp_add, comp_leq, comp_sub, iter_box, q_binomial, q_pochhammer, spawn_rng,
+                                  unit_comp)
 from qhahn_polymer.weights import (
     YBE_KINDS,
     fused_outgoing,
@@ -198,6 +199,35 @@ def test_deformed_matches_plain_at_eta_one():
         plain = dict(params)
         plain.pop("eta")
         assert ybe_residual("sixvertex-deformed", boundary, params) == ybe_residual("sixvertex", boundary, plain) == 0
+
+
+def test_ybe_draw_stream_is_pinned():
+    # the lattice_exact bench draws its Yang-Baxter inputs from spawn_rng(seed, 101); an edit to the
+    # rejection rule that moved a draw would change them.  Index 82 rejects its first qhahn-deformed draw.
+    F = Fraction
+    rng = spawn_rng(2026, 101)
+    assert [random_ybe_instance(kind, rng, colors=2, max_entry=2) for kind in YBE_KINDS] == [
+        (((0, 2), (1, 1), (1, 2), (2, 2), (0, 0), (0, 3)),
+         {"q": F(4, 23), "t1": F(1, 10), "t2": F(1, 5), "t3": F(2, 21)}),
+        ((0, (1, 2), (2, 0), 0, (1, 2), (2, 0)), {"q": F(4, 19), "x": F(1, 2), "s": F(9, 20), "t": F(1, 10)}),
+        (((2, 1), (2, 0), (1, 0), (0, 0), (3, 1), (2, 0)),
+         {"q": F(7, 19), "t1": F(1, 16), "t2": F(6, 23), "t3": F(3, 11), "eta": F(7, 5)}),
+        ((0, (2, 2), (1, 2), 2, (2, 3), (1, 0)),
+         {"q": F(6, 17), "x": F(1, 5), "s": F(8, 21), "t": F(1, 18), "eta": F(1)}),
+    ]
+    assert random_ybe_instance("qhahn-deformed", spawn_rng(2026, 82)) == (
+        ((1, 1), (0, 2), (0, 0), (1, 3), (0, 0), (0, 0)),
+        {"q": F(4, 5), "t1": F(1, 4), "t2": F(8, 15), "t3": F(2, 15), "eta": F(1, 5)})
+
+
+def test_random_ybe_instance_gives_up_after_100_poles(monkeypatch):
+    monkeypatch.setattr(weights, "_qhahn_pole", lambda params: True)
+    for kind in ("qhahn", "qhahn-deformed"):
+        with pytest.raises(ValueError, match=f"{kind} parameters sat on a pole in all 100 draws"):
+            random_ybe_instance(kind, np.random.default_rng(0))
+    for kind in ("sixvertex", "sixvertex-deformed"):  # these cannot sit on a pole and draw once
+        boundary, params = random_ybe_instance(kind, np.random.default_rng(0))
+        assert ybe_residual(kind, boundary, params) == 0
 
 
 def test_local_relation_R_zero_reduces_to_stochasticity():

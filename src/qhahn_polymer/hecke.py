@@ -30,8 +30,10 @@ _DIFF_STEP = 1e-6
 
 
 def _reduced_word(tau, k):
-    """The letters of tau in S_k: a Permutation's ``reduced_word()``, or a word checked to be reduced."""
+    """The letters of tau in S_k: a Permutation of rank k's ``reduced_word()``, or a word checked to be reduced."""
     if isinstance(tau, Permutation):
+        if tau.rank != k:
+            raise ValueError(f"a permutation of S_{tau.rank} does not act on a point of dimension {k}")
         return tau.reduced_word()
     word = tuple(int(i) for i in tau)
     if len(word) != Permutation.from_word(word, k).length:

@@ -7,17 +7,21 @@ evaluated at (tt, ss) = (lam_{j-i}/kappa_j, lam_{j-i}/mu_i).  Colored height
 functions count paths of color >= c below a facet, normalized to vanish at
 (1/2, 1/2).
 
-One sampler runs these updates.  ``sample_grids`` (used by
-``estimate_qmoment``, ``verify_shift_invariance`` and the CLI) runs the vertex
-updates in lockstep over R replicas, one integer array of shape (R, n) per
-edge: b_j by inverse CDF on the boundary tables, |D| by inverse CDF from the
-one-color q-Hahn marginal and its split over colors by the q-Vandermonde
-conditionals, both in log space over a padded (R, max |A| + 1) grid, and the
-height fields as cumulative sums.  Its uniforms are drawn replica-major, one
+One sampler runs these updates, in lockstep over R replicas, one integer array
+of shape (R, n) per edge: b_j by inverse CDF on the boundary tables, |D| by
+inverse CDF from the one-color q-Hahn marginal and its split over colors by
+the q-Vandermonde conditionals, both in log space over a padded
+(R, max |A| + 1) grid, and the height fields as cumulative sums.
+``sample_grids`` and the CLI run the full N x N grid.  The q-moment paths,
+``estimate_qmoment`` and ``verify_shift_invariance``, run only the cone of
+vertices (i, j) with i <= I and j <= J, (I, J) the largest (ix, iy) over the
+request's facets: vertex (i, j) reads only (i - 1, j) and (i, j - 1), so no
+other vertex moves those heights.  The uniforms are drawn replica-major, one
 row of N + N*N*n per replica (N boundary draws, then n per vertex in
-lexicographic order), so a replica's configuration depends only on the
-generator state and its index, not on R or on the chunking.  ``sample_grid``
-is its one-replica view: replica 0 of ``sample_grids(model, 1, rng)`` as a
+lexicographic order) whatever the cone, and each vertex reads its own slots,
+so a replica's edges and q-moment factors depend only on the generator state
+and its index, not on R, the cone or the chunking.  ``sample_grid`` is the
+one-replica view: replica 0 of ``sample_grids(model, 1, rng)`` as a
 ``PathConfiguration``, on which ``height_field`` and ``qmoment_statistic``
 recompute the batched heights and q-moment factors edge by edge.  The vertex
 law is checked against the exact q-Hahn outgoing law ``weights.qhahn_outgoing``
@@ -345,10 +349,11 @@ class GridBatch:
 
     A[r, i, j] is the vertical edge (i, j)->(i, j+1) and B[r, i, j] the
     horizontal edge (i, j)->(i+1, j) of replica r, the arrays of
-    PathConfiguration.A/B[(i, j)]; slots outside the grid hold zeros.
+    PathConfiguration.A/B[(i, j)]; slots outside the grid hold zeros.  A
+    batch of the cone (I, J) holds the slots i <= I, j <= J.
     """
 
-    A: np.ndarray  # (R, N+1, N+1, n)
+    A: np.ndarray  # (R, I+1, J+1, n); (R, N+1, N+1, n) from sample_grids
     B: np.ndarray
 
     def heights(self):
@@ -362,7 +367,7 @@ class GridBatch:
         return np.moveaxis(H, -1, 1)
 
     def configuration(self, r):
-        """Replica r as a PathConfiguration."""
+        """Replica r of a full-grid batch as a PathConfiguration."""
         N, n = self.A.shape[1] - 1, self.A.shape[-1]
         A, B = self.A[r].tolist(), self.B[r].tolist()
         return PathConfiguration(n=n, size=N,
@@ -370,51 +375,62 @@ class GridBatch:
                                  B={(i, j): tuple(B[i][j]) for i in range(N + 1) for j in range(1, N + 1)})
 
 
-def _sample_chunk(model, u, b):
-    """Run the vertex updates in lex order over the replicas of one chunk."""
+def _sample_chunk(model, u, b, cone):
+    """Run the vertex updates of the cone (I, J) in lex order over the replicas of one chunk.
+
+    Vertex (i, j) reads only (i - 1, j) and (i, j - 1), so the vertices with
+    i <= I and j <= J give the edges of the full grid there, and the heights of
+    the facets (ix + 1/2, iy + 1/2) with ix <= I and iy <= J.  Vertex (i, j)
+    reads its n uniforms at its full-grid offset N + ((i - 1) N + j - 1) n of
+    the replica's row, and b holds the boundary draws of rows 1..J.
+    """
     N, n = model.size, model.n_colors
-    A = np.zeros((len(u), N + 1, N + 1, n), dtype=np.int64)
+    I, J = cone
+    A = np.zeros((len(u), I + 1, J + 1, n), dtype=np.int64)
     B = np.zeros_like(A)
-    for j in range(1, N + 1):
+    for j in range(1, J + 1):
         B[:, 0, j, model.row_color(j) - 1] = b[:, j - 1]
     tab = _QTables(float(model.q), int(b.sum(axis=1).max()))
-    col = N
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
+    for i in range(1, I + 1):
+        for j in range(1, J + 1):
             a_in = A[:, i, j - 1]
             if a_in.any():
                 tt, ss = model.spin_params(i, j)
+                col = N + ((i - 1) * N + j - 1) * n
                 B[:, i, j] = _sample_vertices(a_in, u[:, col : col + n], float(tt), float(ss), tab)
             A[:, i, j] = a_in - B[:, i, j] + B[:, i - 1, j]
-            col += n
     return GridBatch(A, B)
 
 
-def _grid_chunks(model, replicas, rng):
-    """Yield GridBatch chunks of `replicas` configurations in replica order.
+def _grid_chunks(model, replicas, rng, cone):
+    """Yield GridBatch chunks of `replicas` configurations of the cone (I, J), in replica order.
 
-    Each replica takes one row of N + N*N*n uniforms, drawn replica-major in
-    chunks sized by _CHUNK_CELLS; since rows are drawn in order, neither the
-    total nor the chunking changes any replica's configuration.
+    Each replica takes one row of N + N*N*n uniforms (N boundary draws, then n
+    per vertex in lex order), drawn replica-major in chunks sized by
+    _CHUNK_CELLS, whatever the cone.  Since rows are drawn in order and every
+    vertex reads its own slots, neither the total, the chunking nor the cone
+    changes any replica's edges.
     """
     N, n = model.size, model.n_colors
+    I, J = cone
     width = N + N * N * n
-    rows_per_draw = max(1, _CHUNK_CELLS // (width + 2 * (N + 1) ** 2 * n))
+    rows_per_draw = max(1, _CHUNK_CELLS // (width + 2 * (I + 1) * (J + 1) * n))
     done = 0
     while done < replicas:
         u = rng.random((min(replicas - done, rows_per_draw), width))
-        b = np.stack([np.searchsorted(_boundary_table(model, j)[1], u[:, j - 1], side="right")
-                      for j in range(1, N + 1)], axis=1)
+        b = np.zeros((len(u), J), dtype=np.int64)
+        for j in range(1, J + 1):
+            b[:, j - 1] = np.searchsorted(_boundary_table(model, j)[1], u[:, j - 1], side="right")
         step = max(1, _CHUNK_CELLS // (int(b.sum(axis=1).max()) + 1))
         for s in range(0, len(u), step):
-            yield _sample_chunk(model, u[s : s + step], b[s : s + step])
+            yield _sample_chunk(model, u[s : s + step], b[s : s + step], cone)
         done += len(u)
 
 
 def sample_grids(model, replicas, rng):
-    """Sample `replicas` configurations with the batched sampler, as one GridBatch."""
+    """Sample `replicas` configurations of the full grid with the batched sampler, as one GridBatch."""
     N, n = model.size, model.n_colors
-    chunks = list(_grid_chunks(model, replicas, rng))
+    chunks = list(_grid_chunks(model, replicas, rng, (N, N)))
     empty = [np.zeros((0, N + 1, N + 1, n), dtype=np.int64)]
     return GridBatch(np.concatenate([c.A for c in chunks] or empty), np.concatenate([c.B for c in chunks] or empty))
 
@@ -429,6 +445,10 @@ def qmoment_factors(model, batch, req):
 
     The row product is qmoment_statistic of each replica (indexed by a = tau(b)
     there); the columns are the per-a marginals of verify_shift_invariance.
+    Each factor is read from one table of q^h, h = 0..max height: numpy
+    takes another path for the power of a one-element 2-D array, which can
+    differ in the last bit (q = 0.1, h = 2), so a lookup keeps every value
+    independent of how the replicas are chunked.
     """
     H = batch.heights()
     facets = req.facets
@@ -436,7 +456,8 @@ def qmoment_factors(model, batch, req):
     for a in range(1, req.k + 1):
         c, ix, iy = facets[req.tau(a) - 1]  # c = c_a
         cols.append(H[:, c - 1, ix, iy])
-    return float(model.q) ** np.stack(cols, axis=1)
+    heights = np.stack(cols, axis=1)
+    return (float(model.q) ** np.arange(int(heights.max(initial=0)) + 1))[heights]
 
 
 def estimate_qmoment(model, req, samples, rng):
@@ -446,8 +467,10 @@ def estimate_qmoment(model, req, samples, rng):
 
 
 def _qmoment_rows(model, req, samples, rng):
-    """``qmoment_factors`` of ``samples`` replicas, one row each, over the bounded grid chunks."""
-    rows = [qmoment_factors(model, batch, req) for batch in _grid_chunks(model, samples, rng)]
+    """``qmoment_factors`` of ``samples`` replicas, one row each, sampling only the cone the facets read."""
+    facets = req.facets
+    cone = (max(ix for _, ix, _ in facets), max(iy for _, _, iy in facets))
+    rows = [qmoment_factors(model, batch, req) for batch in _grid_chunks(model, samples, rng, cone)]
     return np.concatenate(rows) if rows else np.empty((0, req.k))
 
 

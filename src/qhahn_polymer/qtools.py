@@ -20,7 +20,6 @@ __all__ = [
     "q_binomial",
     "Permutation",
     "shuffles",
-    "perm_apply",
     "spawn_rng",
     "comp_add",
     "comp_sub",
@@ -208,14 +207,6 @@ class Permutation:
                 break
         word.reverse()
         return tuple(word)
-
-
-def perm_apply(pi, c):
-    """Act on a sequence: pi.c = (c_{pi^{-1}(1)}, ..., c_{pi^{-1}(k)})."""
-    c = tuple(c)
-    if len(c) != pi.rank:
-        raise ValueError("sequence length does not match permutation rank")
-    return tuple(c[pi.inv(a) - 1] for a in range(1, pi.rank + 1))
 
 
 def shuffles(p, r):

@@ -117,6 +117,14 @@ def test_word_that_is_not_reduced_is_rejected_from_a_tuple():
                 call()
 
 
+def test_permutation_of_another_rank_is_rejected():
+    # the letter 3 of (1, 2, 4, 3) does not act on a point of dimension 2, and (2, 1) is not in S_3
+    for perm, k in [(Permutation((1, 2, 4, 3)), 2), (Permutation((2, 1)), 3)]:
+        for call in _apply_both(perm, k):
+            with pytest.raises(ValueError, match=f"S_{perm.rank} does not act on a point of dimension {k}"):
+                call()
+
+
 def test_heckeword_of_every_permutation_in_S4():
     # a Permutation and its reduced word, passed as a tuple, name the same Hecke word
     f = rand_rational_function(4)

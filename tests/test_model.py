@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhahn_polymer import model as model_module
@@ -191,6 +191,46 @@ def test_batched_sampler_invariants_every_replica(m, seed):
         for c in range(1, n + 1):
             assert np.array_equal(H[r, c - 1], height_field(cfg, c))
     assert (batch.A >= 0).all() and (batch.B >= 0).all()
+
+
+@st.composite
+def models_with_requests(draw):
+    """An admissible model and a request of k = 1..3 facets anywhere on its grid, ix = 0 and (N, N) included."""
+    m = draw(admissible_models())
+    N = m.size
+    k = draw(st.integers(1, 3))
+    ix = sorted(draw(st.lists(st.integers(0, N), min_size=k, max_size=k)))
+    iy = sorted(draw(st.lists(st.integers(ix[-1], N), min_size=k, max_size=k)), reverse=True)
+    colors = sorted(draw(st.lists(st.integers(1, m.n_colors), min_size=k, max_size=k)))
+    tau = Permutation(draw(st.permutations(range(1, k + 1))))
+    return m, HeightRequest.make([x + 0.5 for x in ix], [y + 0.5 for y in iy], colors, tau)
+
+
+@settings(max_examples=40, deadline=None)
+@given(models_with_requests(), st.integers(0, 2**32 - 1))
+@example((small_model(q=0.5, n_rows=3, colors=(1, 2)), HeightRequest.make([0.5, 3.5], [3.5, 3.5], [1, 2])), 7)
+@example((small_model(q=0.5, n_rows=3, colors=(1, 2)), HeightRequest.make([0.5], [2.5], [2])), 7)
+@example((small_model(q=0.5, n_rows=4, colors=(2, 2)), HeightRequest.make([1.5, 2.5], [3.5, 3.5], [1, 2])), 7)
+@example((small_model(), HeightRequest.make([0.5], [0.5], [1])), 7)
+@example((QHahnModel(q=0.1, mu=(1.3, 1.3), kappa=(0.6,), lam=(0.05,), colors=(1,)),
+          HeightRequest.make([0.5], [1.5], [1])), 0)  # a one-replica chunk: q ** h of a (1, 1) array
+def test_cone_qmoment_rows_equal_full_grid_factors(case, seed):
+    # the q-moment paths sample only the cone (max ix, max iy) of the request; every replica
+    # reads its full-grid uniforms there, so its factors and its cone edges are the full grid's
+    m, req = case
+    full = sample_grids(m, 20, spawn_rng(seed))
+    expected = qmoment_factors(m, full, req)
+    cone = (max(ix for _, ix, _ in req.facets), max(iy for _, _, iy in req.facets))
+    for cells in (model_module._CHUNK_CELLS, 8):  # 8: one replica per chunk
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_module, "_CHUNK_CELLS", cells)
+            rows = model_module._qmoment_rows(m, req, 20, spawn_rng(seed))
+            chunks = list(model_module._grid_chunks(m, 20, spawn_rng(seed), cone))
+        assert np.array_equal(rows, expected)
+        A, B = (np.concatenate([getattr(c, name) for c in chunks]) for name in ("A", "B"))
+        I, J = cone
+        assert A.shape == (20, I + 1, J + 1, m.n_colors)
+        assert np.array_equal(A, full.A[:, : I + 1, : J + 1]) and np.array_equal(B, full.B[:, : I + 1, : J + 1])
 
 
 def test_qmoment_factors_row_product_is_qmoment_statistic_every_replica():

@@ -6,7 +6,6 @@ import pytest
 from qhahn_polymer.qtools import (
     ConvergenceError,
     Permutation,
-    perm_apply,
     q_binomial,
     q_pochhammer,
     q_pochhammer_inf,
@@ -92,23 +91,12 @@ def test_permutation_basic():
     pi = Permutation((2, 3, 1))
     assert pi.length == 2
     assert pi.inverse().values == (3, 1, 2)
-    assert perm_apply(Permutation.identity(3), "abc") == ("a", "b", "c")
-    assert perm_apply(Permutation.from_word((1,), 3), ("a", "b", "c")) == ("b", "a", "c")
+    assert Permutation.from_word((1,), 3).values == (2, 1, 3)
 
 
 def test_permutation_rejects_non_bijection():
     with pytest.raises(ValueError):
         Permutation((1, 1, 3))
-
-
-def test_perm_apply_composition_law():
-    import itertools
-
-    seq = ("a", "b", "c")
-    for pv in itertools.permutations((1, 2, 3)):
-        for rv in itertools.permutations((1, 2, 3)):
-            pi, rho = Permutation(pv), Permutation(rv)
-            assert perm_apply(pi, perm_apply(rho, seq)) == perm_apply(pi * rho, seq)
 
 
 def test_reduced_words():
